@@ -30,7 +30,8 @@ from .observables import (HBARC, charge_radius, decay_constant,
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
 from .vqe import (ENCODINGS, OptimizerConfig, extract_amplitudes,
-                  prepared_state, scaling_experiment, vqe_run)
+                  lookup_encoding, prepared_state, scaling_experiment,
+                  vqe_run)
 
 OUT_ENV = "BLFQVQE_OUT"
 EXIT_OK = 0
@@ -40,6 +41,7 @@ EXIT_NUMERICAL = 4
 
 CLI_MODES = ("exact", "sampled", "noisy")
 _SUPPORTED_CUTOFFS = BasisCutoffs()
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParameters)}
 
 
 class ConfigError(ValueError):
@@ -50,11 +52,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Resolved settings for one command invocation."""
 
-    m: float = 337.01
-    mbar: float = 337.01
-    kappa: float = 227.00
-    b: float | None = None
-    g_pi: float = 250.785e-6
+    m: float = _MODEL_DEFAULTS["m"]
+    mbar: float = _MODEL_DEFAULTS["mbar"]
+    kappa: float = _MODEL_DEFAULTS["kappa"]
+    b: float | None = _MODEL_DEFAULTS["b"]
+    g_pi: float = _MODEL_DEFAULTS["g_pi"]
     n_max: int = 0
     m_max: int = 2
     l_max: int = 0
@@ -72,7 +74,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
-            raise ConfigError(f"encoding must be one of {ENCODINGS}, "
+            raise ConfigError(f"encoding must be one of {tuple(ENCODINGS)}, "
                               f"got {self.encoding!r}")
         if self.mode not in CLI_MODES:
             raise ConfigError(f"mode must be one of {CLI_MODES}, "
@@ -248,18 +250,10 @@ def cmd_hamiltonian(config):
     return EXIT_OK
 
 
-def _encoded_sum(h, encoding):
-    if encoding == "direct":
-        return embed_direct(h)
-    if encoding == "compact":
-        return embed_compact(h)
-    return jw_to_bk_pauli(embed_direct(h))
-
-
 def cmd_vqe(config):
     params = config.model_parameters()
     h = build_effective_hamiltonian(params)
-    ham = _encoded_sum(h, config.encoding)
+    ham = lookup_encoding(config.encoding).embed(h)
     result = vqe_run(ham, config.encoding, mode=config.vqe_mode(),
                      shots=config.shots, noise=config.noise_model(),
                      seed=config.seed, config=config.optimizer_config())
@@ -318,10 +312,13 @@ def cmd_observables(config, args):
     psi, mode, vqe_energy = _state_from_config(config, h, args)
 
     m_pi2 = float(psi.coefficients @ h.entries @ psi.coefficients)
+    if not m_pi2 > 0.0:
+        raise ArithmeticError(f"m_pi^2 = {m_pi2:.2f} MeV^2 is not positive, "
+                              f"so m_pi is undefined")
     f_pi = abs(decay_constant(psi, params, exps))
     r_m2, r_m = mass_radius(psi, params)
 
-    curve = elastic_form_factor(psi, params, max_workers=4)
+    curve = elastic_form_factor(psi, params)
     r_c = charge_radius(curve)
 
     x_grid = np.linspace(0.005, 0.995, 199)
@@ -358,9 +355,8 @@ def cmd_observables(config, args):
 def cmd_scaling(config):
     params = config.model_parameters()
     h = build_effective_hamiltonian(params)
-    ham = _encoded_sum(h, config.encoding)
-    result = scaling_experiment(ham, config.encoding, seed=config.seed,
-                                max_workers=4)
+    ham = lookup_encoding(config.encoding).embed(h)
+    result = scaling_experiment(ham, config.encoding, seed=config.seed)
     csv_path = os.path.join(config.out, "scaling.csv")
     _write_csv(csv_path, ("shots_per_term", "rms_relative_error"),
                result.rows)

@@ -10,24 +10,21 @@ coupling enters with its own sign).
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_legendre
 
-from .basisfuncs import chi, compute_exponents, longitudinal_integral
+from .basisfuncs import (_GL_W, _GL_X, chi, compute_exponents,
+                         longitudinal_integral)
 from .hamiltonian import HermitianObservable
-from .pauli import PauliSum, embed_compact, embed_direct
+from .vqe import lookup_encoding
 
 HBARC = 197.327  # MeV fm
 E_QUARK = 2.0 / 3.0
 E_ANTIQUARK = -1.0 / 3.0
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(128)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 _GL96_NODES, _GL96_WEIGHTS = roots_legendre(96)
 _GL96_NODES = 0.5 * (_GL96_NODES + 1.0)
 _GL96_WEIGHTS = 0.5 * _GL96_WEIGHTS
@@ -84,13 +81,8 @@ def decay_constant(psi, params, exponents):
 
 def decay_projector(encoding):
     """|v><v| for the decay reference state, expanded in the encoding."""
-    if encoding == "direct":
-        return PauliSum.from_dict({"IIII": 0.5, "IXXI": -0.25, "IYYI": -0.25,
-                                   "IZII": -0.25, "IIZI": -0.25})
-    if encoding == "compact":
-        return PauliSum.from_dict({"II": 0.25, "XX": -0.25,
-                                   "YY": -0.25, "ZZ": -0.25})
-    raise ValueError(f"no projector tabulated for encoding {encoding!r}")
+    w = np.array([0.0, 1.0, -1.0, 0.0])  # sqrt(2) v, so 0.5 w w^T = v v^T
+    return lookup_encoding(encoding).embed(0.5 * np.outer(w, w))
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,7 @@ class MassRadiusMatrix:
         return self.mev2.entries * HBARC**2
 
     def pauli_expansion(self, encoding="compact"):
-        if encoding == "compact":
-            return embed_compact(self.fm2)
-        if encoding == "direct":
-            return embed_direct(self.fm2)
-        raise ValueError(f"unknown encoding {encoding!r}")
+        return lookup_encoding(encoding).embed(self.fm2)
 
 
 def _radius_entries(block, params):
@@ -168,10 +156,10 @@ class PdfDensity:
     def normalization(self):
         """Quadrature of f over (0,1); equals trace(rho) analytically."""
         ls = range(self.density.shape[0])
-        chis = [chi(_GL_NODES, l, self.alpha, self.beta) for l in ls]
+        chis = [chi(_GL_X, l, self.alpha, self.beta) for l in ls]
         f = sum(self.density[l1, l2] * chis[l1] * chis[l2] / (4.0 * np.pi)
                 for l1 in ls for l2 in ls)
-        return float(np.sum(_GL_WEIGHTS * f))
+        return float(np.sum(_GL_W * f))
 
 
 def pdf(psi, x_grid, exponents):
@@ -278,7 +266,7 @@ def _ctilde(m, l1, l2, q2, params, exponents):
     total = 0.0
     for big_n, n_bar, c in _tm_terms(m):
         fine = _charge_bracket(l1, l2, n_bar, q2b, exponents.alpha,
-                               exponents.beta, _GL_NODES, _GL_WEIGHTS)
+                               exponents.beta, _GL_X, _GL_W)
         coarse = _charge_bracket(l1, l2, n_bar, q2b, exponents.alpha,
                                  exponents.beta, _GL96_NODES, _GL96_WEIGHTS)
         if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
@@ -333,27 +321,16 @@ def default_q2_grid(params, points=52):
     return np.unique(np.concatenate([base, [h / 2.0, h]]))
 
 
-def elastic_form_factor(psi, params, q2_grid=None, max_workers=1):
-    """F_P on a Q^2 grid for a normalized wave function.
-
-    Grid points are independent, so max_workers > 1 evaluates them on a
-    bounded thread pool; results are collected in grid order.
-    """
+def elastic_form_factor(psi, params, q2_grid=None):
+    """F_P on a Q^2 grid (default: default_q2_grid) for a normalized
+    wave function, evaluated point by point in grid order."""
     exps = compute_exponents(params)
     if q2_grid is None:
         q2_grid = default_q2_grid(params)
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
-
-    def one_point(q2):
+    values = []
+    for q2 in q2_grid:
         mat = form_factor_matrix(float(q2), params, exps, psi.block)
-        return float(psi.coefficients @ mat.entries @ psi.coefficients)
-
-    if max_workers == 1:
-        values = [one_point(q2) for q2 in q2_grid]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            values = list(pool.map(one_point, q2_grid))
+        values.append(float(psi.coefficients @ mat.entries @ psi.coefficients))
     return FormFactorCurve(q2=tuple(float(q) for q in q2_grid),
                            values=tuple(values))
 

@@ -16,17 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import _PAULI_1Q, PauliString, PauliSum
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _SDG = np.diag([1.0, -1.0j])
 _HSDG = _H @ _SDG
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_1Q = {
-    "X": _X,
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
 
 _GATE_KINDS = ("X", "Ry", "CNOT", "CRy", "PauliExponential")
 
@@ -212,11 +206,12 @@ def run_circuit(circuit, initial):
     n = circuit.n_qubits
     for g in circuit:
         if g.kind == "X":
-            amps = _apply_single(amps, _X, g.qubits[0], n)
+            amps = _apply_single(amps, _PAULI_1Q["X"], g.qubits[0], n)
         elif g.kind == "Ry":
             amps = _apply_single(amps, _ry(g.angle), g.qubits[0], n)
         elif g.kind == "CNOT":
-            amps = _apply_controlled(amps, _X, g.qubits[0], g.qubits[1], n)
+            amps = _apply_controlled(amps, _PAULI_1Q["X"], g.qubits[0],
+                                     g.qubits[1], n)
         elif g.kind == "CRy":
             amps = _apply_controlled(amps, _ry(g.angle), g.qubits[0], g.qubits[1], n)
         else:  # PauliExponential: exp(i a P) = cos(a) I + i sin(a) P

@@ -8,25 +8,76 @@ seed and configuration.
 """
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
+from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import (Circuit, Statevector, compact_ansatz, direct_ansatz,
                         expectation_exact, expectation_sampled,
                         jw_to_bk_circuit, run_circuit)
 
-ENCODINGS = ("direct", "compact", "bk")
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 
-# Angles preparing the (0, -1/sqrt2, +1/sqrt2, 0) starting state.
-GOOD_GUESS = {
-    "direct": (1.5 * np.pi, 0.0, 0.0),
-    "bk": (1.5 * np.pi, 0.0, 0.0),
-    "compact": (0.0, 0.5 * np.pi, -np.pi),
+
+@dataclass(frozen=True)
+class Encoding:
+    """Everything that tells one qubit encoding of the 4x4 block apart.
+
+    embed maps a one-body matrix to its PauliSum on n_qubits; ansatz maps
+    the three angles to the state-preparation circuit; good_guess are the
+    angles preparing (0, -1/sqrt2, +1/sqrt2, 0).  After applying the
+    `undo` gates, the four basis coefficients sit on the register indices
+    `readout`.  scaling_repeats is the default repeat count per point of
+    the shot-scaling experiment.
+    """
+
+    n_qubits: int
+    embed: Callable
+    ansatz: Callable
+    good_guess: tuple
+    readout: tuple
+    scaling_repeats: int
+    undo: tuple = ()
+
+
+# occupancy -> parity-tree CNOT network appended to the direct ansatz;
+# CNOTs are self-inverse, so the reversed network undoes it
+_BK_GATES = jw_to_bk_circuit().gates
+
+
+def _embed_bk(h):
+    return jw_to_bk_pauli(embed_direct(h))
+
+
+def _bk_ansatz(t1, t2, t3):
+    return Circuit(4, direct_ansatz(t1, t2, t3).gates + _BK_GATES)
+
+
+_ONE_EXCITATION = tuple(1 << i for i in range(4))
+
+ENCODINGS = {
+    "direct": Encoding(4, embed_direct, direct_ansatz,
+                       (1.5 * np.pi, 0.0, 0.0), _ONE_EXCITATION, 244),
+    "compact": Encoding(2, embed_compact, compact_ansatz,
+                        (0.0, 0.5 * np.pi, -np.pi), (0, 1, 2, 3), 600),
+    "bk": Encoding(4, _embed_bk, _bk_ansatz, (1.5 * np.pi, 0.0, 0.0),
+                   _ONE_EXCITATION, 244, undo=tuple(reversed(_BK_GATES))),
 }
+
+
+def lookup_encoding(name):
+    """The Encoding record for `name`; ValueError for an unknown name."""
+    try:
+        return ENCODINGS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown encoding {name!r}") from None
+
+
+# Angles preparing the (0, -1/sqrt2, +1/sqrt2, 0) starting state.
+GOOD_GUESS = {name: enc.good_guess for name, enc in ENCODINGS.items()}
 
 _METHODS = {"simplex": "Nelder-Mead", "linear-trust-region": "COBYLA"}
 
@@ -129,19 +180,7 @@ def minimize(cost, theta0, config=None, mode="exact"):
 def ansatz_circuit(encoding, theta):
     """The state-preparation circuit for one encoding."""
     t1, t2, t3 = theta
-    if encoding == "direct":
-        return direct_ansatz(t1, t2, t3)
-    if encoding == "compact":
-        return compact_ansatz(t1, t2, t3)
-    if encoding == "bk":
-        base = direct_ansatz(t1, t2, t3)
-        conv = jw_to_bk_circuit()
-        return Circuit(4, base.gates + conv.gates)
-    raise ValueError(f"unknown encoding {encoding!r}")
-
-
-def _required_qubits(encoding):
-    return 2 if encoding == "compact" else 4
+    return lookup_encoding(encoding).ansatz(t1, t2, t3)
 
 
 def prepared_state(encoding, theta):
@@ -152,32 +191,25 @@ def prepared_state(encoding, theta):
 def extract_amplitudes(state, encoding, tol=1e-8):
     """Real basis coefficients encoded in a prepared qubit state.
 
-    Inverts the encoding map: the compact register holds the four
-    coefficients directly, the direct register holds them on the
-    one-excitation indices 2^i, and the bk register is first rotated
-    back through the (self-inverse) conversion network.  The global
-    sign is fixed so the largest-magnitude coefficient is positive.
-    Raises if the state leaks outside the encoded subspace or carries
-    imaginary amplitude beyond tol.
+    Inverts the encoding map: undoes the encoding's basis change (the
+    bk conversion network) and reads the four coefficients off its
+    readout indices (the whole compact register, the one-excitation
+    indices 2^i of the direct and bk registers).  The global sign is
+    fixed so the largest-magnitude coefficient is positive.  Raises if
+    the state leaks outside the encoded subspace or carries imaginary
+    amplitude beyond tol.
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    if encoding == "bk":
-        conv = jw_to_bk_circuit()
-        state = run_circuit(Circuit(4, tuple(reversed(conv.gates))), state)
+    enc = lookup_encoding(encoding)
+    if enc.undo:
+        state = run_circuit(Circuit(enc.n_qubits, enc.undo), state)
     amps = state.amplitudes
     if np.abs(amps.imag).max() > tol:
         raise ValueError("state has imaginary amplitudes")
-    real = amps.real
-    if encoding == "compact":
-        coeffs = real.copy()
-    else:
-        idx = [1 << i for i in range(4)]
-        coeffs = real[idx]
-        leak = np.linalg.norm(amps) ** 2 - np.linalg.norm(coeffs) ** 2
-        if leak > tol:
-            raise ValueError(f"state leaks outside the one-excitation "
-                             f"subspace by {leak:.3e}")
+    coeffs = amps.real[list(enc.readout)]
+    leak = np.linalg.norm(amps) ** 2 - np.linalg.norm(coeffs) ** 2
+    if leak > tol:
+        raise ValueError(f"state leaks outside the encoded subspace "
+                         f"by {leak:.3e}")
     coeffs = coeffs / np.linalg.norm(coeffs)
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
@@ -193,14 +225,12 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     energy and angles come from the best evaluation seen; in sampled
     modes std_error carries the combined shot noise at that point.
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    n_qubits = lookup_encoding(encoding).n_qubits
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if hamiltonian.n_qubits != _required_qubits(encoding):
-        raise ValueError(f"{encoding} encoding needs "
-                         f"{_required_qubits(encoding)} qubits, operator has "
-                         f"{hamiltonian.n_qubits}")
+    if hamiltonian.n_qubits != n_qubits:
+        raise ValueError(f"{encoding} encoding needs {n_qubits} qubits, "
+                         f"operator has {hamiltonian.n_qubits}")
     if mode in ("sampled+noise", "sampled+noise+mitigation") and noise is None:
         raise ValueError(f"mode {mode!r} needs a noise model")
     mitigate = mode == "sampled+noise+mitigation"
@@ -249,31 +279,27 @@ class ScalingResult:
 
 
 DEFAULT_VARIANCE_FRACTIONS = (8, 16, 32, 64, 128, 256)
-DEFAULT_REPEATS = {"direct": 244, "bk": 244, "compact": 600}
 
 
 def scaling_experiment(hamiltonian, encoding, target_relative_errors=None,
-                       repeats=None, seed=2024, theta=None, max_workers=1):
+                       repeats=None, seed=2024, theta=None):
     """RMS relative error of the sampled energy versus shots per term.
 
     Holds the angles fixed at the exact-mode optimum (computed here when
     not supplied), picks shot counts that aim at each target relative
     error via the exact single-shot variance, runs `repeats` independent
-    seeded estimates per point, and fits log eps against log n.  Returns
-    the fit as n ~ constant / eps^exponent.  Each (point, repeat) pair
-    draws from its own seed stream, so rows may be computed in parallel
-    (max_workers > 1) without changing any number.
+    seeded estimates per point (default: the encoding's
+    scaling_repeats), and fits log eps against log n.  Returns the fit
+    as n ~ constant / eps^exponent.  Each (point, repeat) pair draws
+    from its own seed stream (seed, point index, repeat index).
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    enc = lookup_encoding(encoding)
     if theta is None:
         theta = vqe_run(hamiltonian, encoding, mode="exact").theta
     if repeats is None:
-        repeats = DEFAULT_REPEATS[encoding]
+        repeats = enc.scaling_repeats
     if repeats < 2:
         raise ValueError("need at least 2 repeats")
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
 
     state = prepared_state(encoding, theta)
     energy = expectation_exact(state, hamiltonian)
@@ -282,22 +308,15 @@ def scaling_experiment(hamiltonian, encoding, target_relative_errors=None,
         target_relative_errors = tuple(
             np.sqrt(v_rel / np.asarray(DEFAULT_VARIANCE_FRACTIONS, dtype=float)))
 
-    def one_row(i, eps_target):
+    rows = []
+    for i, eps_target in enumerate(target_relative_errors):
         shots = max(8, int(round(v_rel / eps_target**2)))
         sq_errors = []
         for r in range(repeats):
             est, _ = expectation_sampled(state, hamiltonian, shots,
                                          seed=[seed, i, r])
             sq_errors.append(((est - energy) / energy) ** 2)
-        return shots, float(np.sqrt(np.mean(sq_errors)))
-
-    if max_workers == 1:
-        rows = [one_row(i, e) for i, e in enumerate(target_relative_errors)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            futures = [pool.submit(one_row, i, e)
-                       for i, e in enumerate(target_relative_errors)]
-            rows = [f.result() for f in futures]
+        rows.append((shots, float(np.sqrt(np.mean(sq_errors)))))
 
     # noise lives in eps, so regress log eps on log n and invert the slope
     log_n = np.log([r[0] for r in rows])

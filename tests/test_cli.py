@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from blfqvqe.cli import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, OUT_ENV,
-                         ConfigError, RunConfig, build_parser, config_hash,
-                         main, read_config_file, resolve_config)
+from blfqvqe.cli import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERICAL,
+                         EXIT_OK, OUT_ENV, ConfigError, RunConfig,
+                         build_parser, config_hash, main, read_config_file,
+                         resolve_config)
 
 
 def run_cli(*argv):
@@ -236,6 +237,14 @@ class TestObservablesCommand:
         assert table["m_pi2"]["mode"] == "sampled"
         assert "vqe_energy" in table
         assert table["m_pi2"]["value"] == pytest.approx(19476, rel=0.05)
+
+    def test_negative_mass_squared_exits_four(self, tmp_path, capsys):
+        # kappa = 250 MeV puts the ground m_pi^2 near -186,272 MeV^2
+        run_cli("vqe", "--kappa", "250", "--out", str(tmp_path))
+        assert run_cli("observables", "--kappa", "250",
+                       "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
 
     def test_missing_angles(self, tmp_path, capsys):
         assert run_cli("observables", "--encoding", "compact",

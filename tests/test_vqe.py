@@ -2,11 +2,16 @@
 import numpy as np
 import pytest
 
-from blfqvqe import (ModelParameters, ReadoutNoiseModel,
-                     build_effective_hamiltonian, diagonalize, embed_compact,
-                     embed_direct, jw_to_bk_pauli)
-from blfqvqe.vqe import (GOOD_GUESS, OptimizerConfig, ScalingResult, VqeResult,
-                         extract_amplitudes, minimize, prepared_state,
+from blfqvqe import (BasisCutoffs, Circuit, ModelParameters,
+                     ReadoutNoiseModel, Statevector, WaveFunction,
+                     build_effective_hamiltonian, decay_projector, decay_spec,
+                     diagonalize, embed_compact, embed_direct,
+                     enumerate_block, expectation_exact, jw_to_bk_pauli,
+                     mass_radius, mass_radius_matrix, pauli_sum_to_matrix,
+                     run_circuit)
+from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
+                         ScalingResult, VqeResult, extract_amplitudes,
+                         lookup_encoding, minimize, prepared_state,
                          relative_variance, scaling_experiment, vqe_run)
 
 
@@ -174,16 +179,6 @@ class TestScaling:
         again = scaling_experiment(sums["compact"], "compact")
         assert again.rows == results["compact"].rows
 
-    def test_worker_pool_identical(self, problem):
-        _, sums, _ = problem
-        serial = scaling_experiment(sums["compact"], "compact", repeats=20)
-        pooled = scaling_experiment(sums["compact"], "compact", repeats=20,
-                                    max_workers=3)
-        assert serial.rows == pooled.rows
-        with pytest.raises(ValueError):
-            scaling_experiment(sums["compact"], "compact", repeats=20,
-                               max_workers=0)
-
     def test_validation(self, problem):
         _, sums, _ = problem
         with pytest.raises(ValueError):
@@ -233,3 +228,37 @@ class TestExtractAmplitudes:
         from blfqvqe import Statevector
         with pytest.raises(ValueError):
             extract_amplitudes(Statevector.zero(2), "gray")
+
+
+@pytest.mark.parametrize("name", ENCODINGS)
+def test_encoding_table(name, problem):
+    h, _, _ = problem
+    enc = lookup_encoding(name)
+    params = ModelParameters()
+    block = enumerate_block(0, BasisCutoffs())
+
+    good = extract_amplitudes(prepared_state(name, enc.good_guess), name)
+    expect = np.array([0, -1, 1, 0]) / np.sqrt(2)
+    assert min(np.abs(good - expect).max(),
+               np.abs(good + expect).max()) < 1e-12
+
+    # embed(h) seen from the readout indices, once the basis change is undone
+    dim = 2**enc.n_qubits
+    undo = np.column_stack([
+        run_circuit(Circuit(enc.n_qubits, enc.undo),
+                    Statevector(np.eye(dim)[k])).amplitudes
+        for k in range(dim)])
+    dense = pauli_sum_to_matrix(enc.embed(h)).entries
+    rotated = undo @ dense @ undo.conj().T
+    readout = list(enc.readout)
+    assert np.abs(rotated[np.ix_(readout, readout)] - h.entries).max() < 1e-9
+
+    v = np.asarray(decay_spec(params).reference_vector)
+    radius = mass_radius_matrix(block, params).pauli_expansion(name)
+    for theta in [(0.3, -1.1, 2.0), (2.5, 0.7, -0.4)]:
+        state = prepared_state(name, theta)
+        c = extract_amplitudes(state, name)
+        assert expectation_exact(state, decay_projector(name)) == \
+            pytest.approx(np.dot(v, c) ** 2, abs=1e-12)
+        r2, _ = mass_radius(WaveFunction(c, block), params)
+        assert expectation_exact(state, radius) == pytest.approx(r2, rel=1e-12)
