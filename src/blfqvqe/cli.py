@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,29 +151,26 @@ def _coerce(name, text, target_type):
         if word not in _BOOL_WORDS:
             raise ConfigError(f"{name}: expected a boolean, got {text!r}")
         return _BOOL_WORDS[word]
-    try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-    except ValueError:
-        raise ConfigError(f"{name}: expected a number, got {text!r}") from None
+    if target_type in (int, float):
+        try:
+            return target_type(text)
+        except ValueError:
+            raise ConfigError(f"{name}: expected a number, got {text!r}") from None
     return text
 
 
-_FIELD_TYPES = {"m": float, "mbar": float, "kappa": float, "b": float,
-                "g_pi": float, "n_max": int, "m_max": int, "l_max": int,
-                "encoding": str, "mode": str, "shots": int, "seed": int,
-                "noise_p01": float, "noise_p10": float, "mitigate": bool,
-                "optimizer": str, "max_iterations": int, "tolerance": float,
-                "out": str}
+# each field's type, read off RunConfig's annotations (`X | None` reads as X)
+_FIELD_TYPES = {name: next(t for t in typing.get_args(hint) + (hint,)
+                           if t is not type(None))
+                for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def read_config_file(path):
     """Parse `key = value` lines; '#' starts a comment."""
     values = {}
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -287,18 +285,27 @@ def _state_from_config(config, h, args):
         return WaveFunction(sol.eigenvectors[:, 0], block), "exact", None
     angles_path = args.angles or os.path.join(config.out, "vqe_result.json")
     try:
-        stored = json.load(open(angles_path))
+        with open(angles_path) as fh:
+            stored = json.load(fh)
     except OSError as err:
         raise ConfigError(f"no angles available: {err}; run the vqe "
                           f"subcommand first or pass --exact") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{angles_path} is not valid JSON: {err}") from err
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{angles_path} does not hold a vqe result")
     encoding = stored.get("encoding")
     if encoding != config.encoding:
         raise ConfigError(f"angles file used encoding {encoding!r} but this "
                           f"run is configured for {config.encoding!r}")
-    theta = tuple(float(t) for t in stored["theta"])
-    state = prepared_state(config.encoding, theta)
+    try:
+        theta = np.array(stored.get("theta"), dtype=float)
+    except (TypeError, ValueError):
+        theta = np.empty(0)
+    if theta.shape != (3,) or not np.isfinite(theta).all():
+        raise ConfigError(f"{angles_path}: 'theta' must be a list of three "
+                          f"finite angles, got {stored.get('theta')!r}")
+    state = prepared_state(config.encoding, tuple(theta.tolist()))
     coeffs = extract_amplitudes(state, config.encoding)
     mode = stored.get("energy", {}).get("mode", "exact")
     vqe_energy = stored.get("energy", {}).get("value")

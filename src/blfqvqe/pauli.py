@@ -16,6 +16,8 @@ Three encodings of a one-body operator h are provided:
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +100,14 @@ class PauliSum:
     def coefficient(self, axes):
         return self.as_dict().get(axes, 0.0)
 
+    @functools.cached_property
+    def matrix(self):
+        """Dense complex 2^n matrix of the sum, built once; read-only."""
+        M = sum((t.coefficient * pauli_string_matrix(t.axes) for t in self.terms),
+                np.zeros((2**self.n_qubits,) * 2, dtype=complex))
+        M.setflags(write=False)
+        return M
+
     def __repr__(self):
         inner = " + ".join(f"{t.coefficient:g}*{t.axes}" for t in self.terms)
         return f"PauliSum({inner or '0'})"
@@ -139,21 +149,19 @@ class EncoderMatrix:
         return aug[:, n:]
 
 
+def kron_axes(axes, letters):
+    """Kronecker product of letters[ch] over an axes string, as a new array;
+    the leftmost letter acts on the highest qubit.  Every axes-string
+    matrix in the package is built here."""
+    return functools.reduce(np.kron, [letters[ch] for ch in axes], np.ones((1, 1)))
+
+
+@functools.lru_cache(maxsize=1024)  # bounded: pauli_decompose visits all 4^n
 def pauli_string_matrix(axes):
-    """Dense 2^n matrix of one axes string (leftmost letter = highest qubit)."""
-    M = _PAULI_1Q[axes[0]]
-    for ch in axes[1:]:
-        M = np.kron(M, _PAULI_1Q[ch])
+    """Dense 2^n matrix of one axes string, cached per string; read-only."""
+    M = kron_axes(axes, _PAULI_1Q)
+    M.setflags(write=False)
     return M
-
-
-def _all_axes(n_qubits):
-    if n_qubits == 1:
-        yield from _AXES
-        return
-    for head in _AXES:
-        for tail in _all_axes(n_qubits - 1):
-            yield head + tail
 
 
 def pauli_decompose(matrix, n_qubits):
@@ -167,7 +175,7 @@ def pauli_decompose(matrix, n_qubits):
         raise ValueError(f"matrix shape {M.shape} does not match {n_qubits} qubits")
     threshold = 1e-9 * (np.abs(M).max() or 1.0)
     terms = []
-    for axes in _all_axes(n_qubits):
+    for axes in map("".join, itertools.product(_AXES, repeat=n_qubits)):
         c = np.trace(pauli_string_matrix(axes) @ M) / dim
         if abs(c.imag) > 1e-9 * max(1.0, abs(c.real)):
             raise ValueError("matrix is not real symmetric")
@@ -178,14 +186,16 @@ def pauli_decompose(matrix, n_qubits):
 
 def pauli_sum_to_matrix(pauli_sum):
     """Dense matrix of a PauliSum; requires a real-symmetric result."""
-    dim = 2**pauli_sum.n_qubits
-    M = np.zeros((dim, dim), dtype=complex)
-    for t in pauli_sum.terms:
-        M += t.coefficient * pauli_string_matrix(t.axes)
+    M = pauli_sum.matrix
     if np.abs(M.imag).max() > 1e-12 * max(1.0, np.abs(M.real).max()):
         raise ValueError("sum has an imaginary matrix part; not representable "
                          "as a real symmetric observable")
     return HermitianObservable(M.real, units="dimensionless")
+
+
+def one_qubit_axes(n_qubits, qubit, letter):
+    """Axes string with `letter` on one qubit and I elsewhere."""
+    return "I" * (n_qubits - 1 - qubit) + letter + "I" * qubit
 
 
 def _chain_axes(i, j, n_qubits, end_i, end_j):
@@ -211,9 +221,8 @@ def jw_hopping_pauli(i, j, n_qubits, kind="hermitian"):
     if not (1 <= i <= n_qubits and 1 <= j <= n_qubits):
         raise IndexError(f"orbital indices out of range: {i}, {j}")
     if i == j:
-        z_axes = "".join("Z" if q == i - 1 else "I"
-                         for q in reversed(range(n_qubits)))
-        return PauliSum([("I" * n_qubits, 0.5), (z_axes, -0.5)])
+        return PauliSum([("I" * n_qubits, 0.5),
+                         (one_qubit_axes(n_qubits, i - 1, "Z"), -0.5)])
     if i > j:
         raise IndexError("need i < j")
     if kind == "hermitian":

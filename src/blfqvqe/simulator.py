@@ -1,9 +1,11 @@
 """Statevector circuit simulator with shot sampling and readout mitigation.
 
 Conventions: qubit 0 is the least-significant bit of a basis index (and
-the rightmost character of a bitstring or axes string).  Ry(theta) is the
-real rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]]; PauliExponential
-applies exp(+i * angle * P).  Pauli terms are measured one at a time by
+the rightmost character of a bitstring or axes string).  Every gate,
+Pauli term and measurement basis is one dense 2^n matrix built from
+pauli.py's Kronecker convention.  Ry(theta) is the real rotation
+[[cos t/2, -sin t/2], [sin t/2, cos t/2]]; PauliExponential applies
+exp(+i * angle * P).  Pauli terms are measured one at a time by
 rotating X to Z with H and Y to Z with S-dagger followed by H, then
 sampling bitstrings; the sampling stream for a term is seeded by
 (seed, term rank) with non-identity terms ranked 1, 2, ... in axes-string
@@ -12,17 +14,20 @@ schedule.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import _PAULI_1Q, PauliString, PauliSum
+from .pauli import (BK_CNOTS_4, PauliString, kron_axes, one_qubit_axes,
+                    pauli_string_matrix)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_SDG = np.diag([1.0, -1.0j])
-_HSDG = _H @ _SDG
+_MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
+               "Y": _H @ np.diag([1.0, -1.0j])}
 
-_GATE_KINDS = ("X", "Ry", "CNOT", "CRy", "PauliExponential")
+# qubit indices each gate kind takes
+_GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2, "PauliExponential": 0}
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,8 @@ class Gate:
         object.__setattr__(self, "qubits", q)
         if any(x < 0 for x in q) or len(set(q)) != len(q):
             raise ValueError(f"gate indices must be distinct and non-negative: {q}")
-        n_expected = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2, "PauliExponential": 0}
-        if len(q) != n_expected[self.kind]:
-            raise ValueError(f"{self.kind} takes {n_expected[self.kind]} qubit indices")
+        if len(q) != _GATE_KINDS[self.kind]:
+            raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
         if self.kind in ("Ry", "CRy", "PauliExponential") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
         if self.kind == "PauliExponential":
@@ -113,12 +117,6 @@ class Statevector:
         amps[0] = 1.0
         return cls(amps)
 
-    def probabilities(self):
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self):
-        return Statevector(self.amplitudes)
-
 
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
@@ -162,61 +160,36 @@ class ShotRecord:
         return freqs
 
 
-def _apply_single(amps, U, qubit, n):
-    view = amps.reshape([2] * n)
-    ax = n - 1 - qubit
-    view = np.moveaxis(view, ax, 0)
-    out = np.tensordot(U, view, axes=(1, 0))
-    return np.moveaxis(out, 0, ax).reshape(-1)
+def _exp_pauli(axes, angle):
+    """exp(i angle P) = cos(angle) I + i sin(angle) P."""
+    return (np.cos(angle) * pauli_string_matrix("I" * len(axes))
+            + 1j * np.sin(angle) * pauli_string_matrix(axes))
 
 
-def _apply_controlled(amps, U, control, target, n):
-    view = amps.reshape([2] * n).copy()
-    c_ax = n - 1 - control
-    t_ax = n - 1 - target
-    idx = [slice(None)] * n
-    idx[c_ax] = 1
-    sub = view[tuple(idx)]
-    t_sub = t_ax - 1 if t_ax > c_ax else t_ax
-    sub = np.moveaxis(sub, t_sub, 0)
-    sub = np.tensordot(U, sub, axes=(1, 0))
-    view[tuple(idx)] = np.moveaxis(sub, 0, t_sub)
-    return view.reshape(-1)
-
-
-def _apply_pauli_string(amps, axes, n):
-    out = amps
-    for q in range(n):
-        ch = axes[n - 1 - q]
-        if ch != "I":
-            out = _apply_single(out, _PAULI_1Q[ch], q, n)
-    return out
-
-
-def _ry(angle):
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _gate_matrix(gate, n):
+    """The gate as one 2^n matrix built from cached Pauli strings."""
+    if gate.kind == "PauliExponential":
+        return _exp_pauli(gate.axes, gate.angle)
+    *control, target = gate.qubits
+    if gate.kind in ("X", "CNOT"):
+        U = pauli_string_matrix(one_qubit_axes(n, target, "X"))
+    else:  # Ry(a) = exp(-i a/2 Y)
+        U = _exp_pauli(one_qubit_axes(n, target, "Y"), -gate.angle / 2.0)
+    if not control:
+        return U
+    # controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U
+    eye = pauli_string_matrix("I" * n)
+    z = pauli_string_matrix(one_qubit_axes(n, control[0], "Z"))
+    return (eye + z) / 2.0 + ((eye - z) / 2.0) @ U
 
 
 def run_circuit(circuit, initial):
     """Apply the circuit's gates in order, checking the norm after each."""
     if 2**circuit.n_qubits != initial.amplitudes.size:
         raise ValueError("state and circuit dimensions differ")
-    amps = initial.amplitudes.copy()
-    n = circuit.n_qubits
+    amps = initial.amplitudes
     for g in circuit:
-        if g.kind == "X":
-            amps = _apply_single(amps, _PAULI_1Q["X"], g.qubits[0], n)
-        elif g.kind == "Ry":
-            amps = _apply_single(amps, _ry(g.angle), g.qubits[0], n)
-        elif g.kind == "CNOT":
-            amps = _apply_controlled(amps, _PAULI_1Q["X"], g.qubits[0],
-                                     g.qubits[1], n)
-        elif g.kind == "CRy":
-            amps = _apply_controlled(amps, _ry(g.angle), g.qubits[0], g.qubits[1], n)
-        else:  # PauliExponential: exp(i a P) = cos(a) I + i sin(a) P
-            rotated = _apply_pauli_string(amps, g.axes, n)
-            amps = np.cos(g.angle) * amps + 1j * np.sin(g.angle) * rotated
+        amps = _gate_matrix(g, circuit.n_qubits) @ amps
         if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
             raise RuntimeError(f"norm drifted after {g.kind} gate")
     return Statevector(amps)
@@ -249,48 +222,72 @@ def jw_to_bk_circuit(n=4):
     """CNOT network converting occupancies to parity-tree coordinates."""
     if n != 4:
         raise ValueError("conversion circuit tabulated for 4 qubits only")
-    from .pauli import BK_CNOTS_4
     return Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
 
 
 def expectation_exact(state, pauli_sum):
-    """Sum of c_a <psi|P_a|psi> with no sampling."""
+    """<psi|H|psi> with H the sum's dense matrix; no sampling."""
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
     amps = state.amplitudes
-    n = pauli_sum.n_qubits
-    total = 0.0
-    for t in pauli_sum.terms:
-        total += t.coefficient * np.vdot(amps, _apply_pauli_string(amps, t.axes, n)).real
-    return float(total)
+    return float(np.vdot(amps, pauli_sum.matrix @ amps).real)
 
 
-def _support_signs(axes, n):
-    mask = 0
-    for q in range(n):
-        if axes[n - 1 - q] != "I":
-            mask |= 1 << q
-    signs = np.array([(-1.0) ** bin(k & mask).count("1") for k in range(2**n)])
-    return signs
+def _frozen(M):
+    M.setflags(write=False)
+    return M
 
 
-def _measurement_probabilities(state, axes, n):
-    amps = state.amplitudes
-    for q in range(n):
-        ch = axes[n - 1 - q]
-        if ch == "X":
-            amps = _apply_single(amps, _H, q, n)
-        elif ch == "Y":
-            amps = _apply_single(amps, _HSDG, q, n)
-    p = np.abs(amps) ** 2
-    return p / p.sum()
+@functools.lru_cache(maxsize=1024)
+def _basis_change(axes):
+    """Unitary rotating each X (by H) and Y (by H S-dagger) onto Z."""
+    return _frozen(kron_axes(axes, _MEASURE_1Q))
 
 
-def _apply_confusion(probabilities, matrix, n):
-    p = probabilities
-    for q in range(n):
-        p = _apply_single(p.astype(float), matrix, q, n).real
-    return p
+@functools.lru_cache(maxsize=1024)
+def _parity_signs(axes):
+    """(-1)^(parity of the term's support bits) for every outcome."""
+    support = "".join("I" if ch == "I" else "Z" for ch in axes)
+    return _frozen(np.diag(pauli_string_matrix(support)).real.copy())
+
+
+@functools.lru_cache(maxsize=1024)
+def _confusion_power(noise, n, inverse=False):
+    """n-fold Kronecker power of the confusion matrix or of its inverse."""
+    C = noise.confusion_matrix()
+    if inverse:
+        if noise.is_singular:
+            raise ValueError("confusion matrix is singular: p01 + p10 = 1")
+        C = np.linalg.inv(C)
+    return _frozen(functools.reduce(np.kron, [C] * n))
+
+
+def _term_counts(state, axes, shots, seed, noise=None):
+    """Outcome counts of one term's measurement basis, through readout flips."""
+    p = np.abs(_basis_change(axes) @ state.amplitudes) ** 2
+    p = p / p.sum()
+    if noise is not None:
+        p = _confusion_power(noise, len(axes)) @ p
+    return np.random.default_rng(seed).multinomial(int(shots), p)
+
+
+def _parity_estimate(freqs, axes, mitigation=None):
+    """Parity mean of one term and its single-shot variance.
+
+    Without mitigation g is the sign vector s; with it the mean comes
+    from the clipped corrected frequencies and g = (C^-1)^(x n, T) s, so
+    the variance f.g^2 - (f.g)^2 carries the amplification of inverting
+    the confusion (Bravyi et al., PRA 103, 042605 (2021)).
+    """
+    signs = _parity_signs(axes)
+    if mitigation is None:
+        g = signs
+        mean = freqs @ signs
+    else:
+        n = len(axes)
+        g = _confusion_power(mitigation, n, inverse=True).T @ signs
+        mean = corrected_frequencies(freqs, mitigation, n) @ signs
+    return float(mean), max(0.0, freqs @ g**2 - (freqs @ g) ** 2)
 
 
 def corrected_frequencies(freqs, noise, n):
@@ -299,11 +296,7 @@ def corrected_frequencies(freqs, noise, n):
     Negative entries from the inversion are clipped to zero and the vector
     renormalized.  Raises for a singular calibration (p01 + p10 = 1).
     """
-    if noise.is_singular:
-        raise ValueError("confusion matrix is singular: p01 + p10 = 1")
-    inv = np.linalg.inv(noise.confusion_matrix())
-    p = _apply_confusion(freqs, inv, n)
-    p = np.clip(p, 0.0, None)
+    p = np.clip(_confusion_power(noise, n, inverse=True) @ freqs, 0.0, None)
     s = p.sum()
     if s <= 0.0:
         raise ValueError("mitigation produced an empty distribution")
@@ -317,10 +310,8 @@ def mitigate_readout(record, noise, support_axes=None):
     excluded from the parity); by default every qubit participates.
     """
     n = max(len(bits) for bits in record.counts)
-    freqs = record.frequency_vector(n)
-    p = corrected_frequencies(freqs, noise, n)
     axes = support_axes if support_axes is not None else "Z" * n
-    return float(p @ _support_signs(axes, n))
+    return _parity_estimate(record.frequency_vector(n), axes, noise)[0]
 
 
 def expectation_sampled(state, pauli_sum, shots_per_term, seed,
@@ -331,43 +322,30 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     independent substream seeded by (seed, term rank); identity terms
     contribute exactly.  With a noise model, sampled bitstrings pass
     through per-qubit readout flips; mitigation inverts the known
-    confusion matrix on the observed frequencies.
+    confusion matrix on the observed frequencies, and the standard error
+    includes the variance that inversion amplifies.
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
-    n = pauli_sum.n_qubits
-    if 2**n != state.amplitudes.size:
+    if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
-    estimate = 0.0
+    mitigation = noise if mitigate else None
+    estimate = sum((t.coefficient for t in pauli_sum.terms if not t.weight), 0.0)
     variance = 0.0
-    term_rank = 0
-    for t in sorted(pauli_sum.terms, key=lambda t: t.axes):
-        if set(t.axes) == {"I"}:
-            estimate += t.coefficient
-            continue
-        term_rank += 1
-        p = _measurement_probabilities(state, t.axes, n)
-        if noise is not None:
-            p = _apply_confusion(p, noise.confusion_matrix(), n)
-        rng = np.random.default_rng([seed, term_rank])
-        counts = rng.multinomial(shots_per_term, p)
-        freqs = counts / shots_per_term
-        if mitigate and noise is not None:
-            freqs = corrected_frequencies(freqs, noise, n)
-        mean = float(freqs @ _support_signs(t.axes, n))
+    measured = sorted((t for t in pauli_sum.terms if t.weight),
+                      key=lambda t: t.axes)
+    for rank, t in enumerate(measured, start=1):
+        counts = _term_counts(state, t.axes, shots_per_term, [seed, rank], noise)
+        mean, var = _parity_estimate(counts / shots_per_term, t.axes, mitigation)
         estimate += t.coefficient * mean
-        variance += t.coefficient**2 * max(0.0, 1.0 - mean**2) / shots_per_term
+        variance += t.coefficient**2 * var / shots_per_term
     return estimate, float(np.sqrt(variance))
 
 
 def sample_term(state, axes, shots, seed, noise=None):
     """Raw bitstring counts for one Pauli term's measurement basis."""
     n = state.n_qubits
-    p = _measurement_probabilities(state, axes, n)
-    if noise is not None:
-        p = _apply_confusion(p, noise.confusion_matrix(), n)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(int(shots), p)
+    counts = _term_counts(state, axes, shots, seed, noise)
     record = {format(k, f"0{n}b"): int(c) for k, c in enumerate(counts) if c}
     return ShotRecord(record, int(shots), seed=seed)
 

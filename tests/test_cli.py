@@ -1,6 +1,9 @@
 """Command-line interface tests: config handling, outputs, exit codes."""
 import csv
 import json
+import typing
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -101,6 +104,18 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             read_config_file("/nonexistent/run.cfg")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
+                                      if f.name != "out"])
+    def test_every_field_round_trips(self, tmp_path, name):
+        hint = typing.get_type_hints(RunConfig)[name]
+        declared = next(t for t in typing.get_args(hint) + (hint,)
+                        if t is not type(None))
+        sample = {float: 0.25, int: 3, bool: True, str: "compact"}[declared]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {sample}\n")
+        value = read_config_file(str(cfg))[name]
+        assert type(value) is declared and value == sample
 
 
 class TestPrecedence:
@@ -256,6 +271,31 @@ class TestObservablesCommand:
         assert run_cli("observables", "--encoding", "direct",
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "encoding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["absent", [0.1, 0.2], [0.1, 0.2, 0.3, 0.4],
+                                       ["a", 0.2, 0.3], "123", None],
+                             ids=["absent", "two", "four", "non-numeric",
+                                  "string", "null"])
+    def test_bad_stored_angles_exit_two(self, tmp_path, capsys, theta):
+        stored = {"encoding": "compact", "energy": {"value": 1.0, "mode": "exact"}}
+        if theta != "absent":
+            stored["theta"] = theta
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(stored))
+        assert run_cli("observables", "--angles", str(angles),
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    def test_angles_and_config_files_are_closed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("encoding = compact\n")
+        run_cli("vqe", "--config", str(cfg), "--out", str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("observables", "--config", str(cfg),
+                           "--out", str(tmp_path)) == EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestScalingCommand:

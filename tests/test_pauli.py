@@ -81,6 +81,9 @@ class TestPauliSum:
         assert np.abs(a - b).max() >= 1.0
 
 
+_SHARED_SUM = PauliSum([("XZ", 1.5), ("ZI", -0.5)])
+
+
 class TestStringMatrix:
     def test_leftmost_is_high_qubit(self):
         # XZ = X on qubit 1, Z on qubit 0
@@ -95,6 +98,26 @@ class TestStringMatrix:
         M = pauli_string_matrix("XYZI")
         assert np.allclose(M @ M, np.eye(16))
         assert np.allclose(M, M.conj().T)
+
+    def test_sum_matrix_is_the_weighted_string_sum(self):
+        s = PauliSum([("XZ", 1.5), ("YY", -0.5), ("II", 2.0)])
+        ref = sum(t.coefficient * pauli_string_matrix(t.axes) for t in s)
+        assert np.array_equal(s.matrix, ref)
+        assert s.matrix is s.matrix
+
+    @pytest.mark.parametrize("get", [
+        lambda: pauli_string_matrix("XZ"),
+        lambda: _SHARED_SUM.matrix,
+        lambda: pauli_sum_to_matrix(_SHARED_SUM).entries,
+    ], ids=["string", "sum", "sum_to_matrix"])
+    def test_cached_matrices_resist_mutation(self, get):
+        # a cached array either refuses writes or is not the cache itself
+        before = get().copy()
+        try:
+            get()[0, 1] += 7.0
+        except ValueError:
+            pass
+        assert np.array_equal(get(), before)
 
 
 class TestDecompose:

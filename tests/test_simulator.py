@@ -374,6 +374,55 @@ class TestReadoutMitigation:
                 mit_err.append(e_mit - exact)
             assert abs(np.mean(mit_err)) < abs(np.mean(raw_err))
 
+    def test_mitigated_std_error_matches_dense_amplification(self, hmat, ground):
+        # inverting a symmetric confusion scales a weight-w parity's
+        # single-shot variance to (1 - seen^2) / (1 - 2p)^(2w), where
+        # seen = (1 - 2p)^w <P> is the parity the noisy readout sees
+        _, v = ground
+        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        s = embed_compact(hmat)
+        p, shots = 0.03, 8192
+        noise = ReadoutNoiseModel(p, p)
+        amps = state.amplitudes
+        dense_var = 0.0
+        for t in s.terms:
+            if t.weight == 0:
+                continue
+            shrink = (1.0 - 2.0 * p) ** t.weight
+            seen = shrink * np.vdot(amps, pauli_string_matrix(t.axes) @ amps).real
+            dense_var += t.coefficient**2 * (1.0 - seen**2) / (shrink**2 * shots)
+        ratios = [expectation_sampled(state, s, shots, seed=900 + r, noise=noise,
+                                      mitigate=True)[1] / np.sqrt(dense_var)
+                  for r in range(160)]
+        assert 0.95 <= np.mean(ratios) <= 1.05
+
+    def test_sample_term_reproduces_expectation_sampled(self, hmat, ground):
+        # one sampling path: the per-term records of sample_term, on the
+        # (seed, term rank) streams, give expectation_sampled's numbers
+        _, v = ground
+        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        s = embed_compact(hmat)
+        noise = ReadoutNoiseModel(0.04, 0.02)
+        shots, seed = 4096, 31
+        raw = mitigated = 0.0
+        raw_var = 0.0
+        measured = sorted((t for t in s.terms if t.weight), key=lambda t: t.axes)
+        for rank, t in enumerate(measured, start=1):
+            rec = sample_term(state, t.axes, shots, [seed, rank], noise=noise)
+            signs = np.diag(pauli_string_matrix(t.axes.replace("X", "Z")
+                                                .replace("Y", "Z"))).real
+            mean = rec.frequency_vector(2) @ signs
+            raw += t.coefficient * mean
+            raw_var += t.coefficient**2 * (1.0 - mean**2) / shots
+            mitigated += t.coefficient * mitigate_readout(rec, noise, t.axes)
+        offset = s.coefficient("II")
+        est, se = expectation_sampled(state, s, shots, seed, noise=noise)
+        assert est == pytest.approx(offset + raw, rel=1e-12)
+        assert se == pytest.approx(np.sqrt(raw_var), rel=1e-12)
+        est, _ = expectation_sampled(state, s, shots, seed, noise=noise,
+                                     mitigate=True)
+        assert est == pytest.approx(offset + mitigated, rel=1e-12)
+
 
 class TestOverlapMagnitude:
     def test_self_overlap(self, ground):
