@@ -80,8 +80,14 @@ class RunConfig:
         if self.mode not in CLI_MODES:
             raise ConfigError(f"mode must be one of {CLI_MODES}, "
                               f"got {self.mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.shots < 1:
             raise ConfigError("shots must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         cut = (self.n_max, self.m_max, self.l_max)
         supported = (_SUPPORTED_CUTOFFS.n_max, _SUPPORTED_CUTOFFS.m_max,
                      _SUPPORTED_CUTOFFS.l_max)
@@ -305,10 +311,14 @@ def _state_from_config(config, h, args):
     if theta.shape != (3,) or not np.isfinite(theta).all():
         raise ConfigError(f"{angles_path}: 'theta' must be a list of three "
                           f"finite angles, got {stored.get('theta')!r}")
+    energy = stored.get("energy", {})
+    if not isinstance(energy, dict):
+        raise ConfigError(f"{angles_path}: 'energy' must be a JSON object, "
+                          f"got {energy!r}")
     state = prepared_state(config.encoding, tuple(theta.tolist()))
     coeffs = extract_amplitudes(state, config.encoding)
-    mode = stored.get("energy", {}).get("mode", "exact")
-    vqe_energy = stored.get("energy", {}).get("value")
+    mode = energy.get("mode", "exact")
+    vqe_energy = energy.get("value")
     return WaveFunction(coeffs, block), mode, vqe_energy
 
 

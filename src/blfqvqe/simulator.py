@@ -5,12 +5,12 @@ the rightmost character of a bitstring or axes string).  Every gate,
 Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
 [[cos t/2, -sin t/2], [sin t/2, cos t/2]]; PauliExponential applies
-exp(+i * angle * P).  Pauli terms are measured one at a time by
-rotating X to Z with H and Y to Z with S-dagger followed by H, then
-sampling bitstrings; the sampling stream for a term is seeded by
-(seed, term rank) with non-identity terms ranked 1, 2, ... in axes-string
-order, so a fixed seed gives identical results regardless of evaluation
-schedule.
+exp(+i * angle * P).  Pauli terms are measured by rotating X to Z with
+H and Y to Z with S-dagger followed by H, then sampling bitstrings.  A
+sum's non-identity terms are measured in one stacked pass: one row per
+term in axes-string order, every row drawn from the one generator seeded
+by `seed`, so a fixed seed gives identical results whatever order the
+sum lists its terms in.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ from .pauli import (BK_CNOTS_4, PauliString, kron_axes, one_qubit_axes,
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
                "Y": _H @ np.diag([1.0, -1.0j])}
+# per-qubit outcome signs of a parity: every support letter reads as Z
+_PARITY_1Q = {"I": np.ones(2), **dict.fromkeys("XYZ", np.array([1.0, -1.0]))}
 
 # qubit indices each gate kind takes
 _GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2, "PauliExponential": 0}
@@ -238,17 +240,18 @@ def _frozen(M):
     return M
 
 
-@functools.lru_cache(maxsize=1024)
-def _basis_change(axes):
-    """Unitary rotating each X (by H) and Y (by H S-dagger) onto Z."""
-    return _frozen(kron_axes(axes, _MEASURE_1Q))
+@functools.lru_cache(maxsize=256)
+def _measurement_rows(axes, n):
+    """Stacked basis changes and parity-sign rows of the terms `axes`.
 
-
-@functools.lru_cache(maxsize=1024)
-def _parity_signs(axes):
-    """(-1)^(parity of the term's support bits) for every outcome."""
-    support = "".join("I" if ch == "I" else "Z" for ch in axes)
-    return _frozen(np.diag(pauli_string_matrix(support)).real.copy())
+    Row k rotates each X (by H) and Y (by H S-dagger) of axes[k] onto Z;
+    its sign row holds (-1)^(parity of the term's support bits) for every
+    outcome.
+    """
+    d = 2**n
+    U = np.array([kron_axes(a, _MEASURE_1Q) for a in axes]).reshape(-1, d, d)
+    signs = np.array([kron_axes(a, _PARITY_1Q) for a in axes]).reshape(-1, d)
+    return _frozen(U), _frozen(signs)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -263,42 +266,44 @@ def _confusion_power(noise, n, inverse=False):
 
 
 def _term_counts(state, axes, shots, seed, noise=None):
-    """Outcome counts of one term's measurement basis, through readout flips."""
-    p = np.abs(_basis_change(axes) @ state.amplitudes) ** 2
-    p = p / p.sum()
+    """Outcome counts, one row per term, all drawn from one generator."""
+    n = state.n_qubits
+    P = np.abs(_measurement_rows(axes, n)[0] @ state.amplitudes) ** 2
+    P /= P.sum(axis=-1, keepdims=True)
     if noise is not None:
-        p = _confusion_power(noise, len(axes)) @ p
-    return np.random.default_rng(seed).multinomial(int(shots), p)
+        P = P @ _confusion_power(noise, n).T
+    return np.random.default_rng(seed).multinomial(int(shots), P)
 
 
-def _parity_estimate(freqs, axes, mitigation=None):
-    """Parity mean of one term and its single-shot variance.
+def _parity_estimate(freqs, signs, mitigation=None):
+    """Row by row: each term's parity mean and single-shot variance.
 
-    Without mitigation g is the sign vector s; with it the mean comes
-    from the clipped corrected frequencies and g = (C^-1)^(x n, T) s, so
-    the variance f.g^2 - (f.g)^2 carries the amplification of inverting
-    the confusion (Bravyi et al., PRA 103, 042605 (2021)).
+    Without mitigation g is the sign row s; with it the mean comes from
+    the clipped corrected frequencies and g = (C^-1)^(x n, T) s, so the
+    variance f.g^2 - (f.g)^2 carries the amplification of inverting the
+    confusion (Bravyi et al., PRA 103, 042605 (2021)).
     """
-    signs = _parity_signs(axes)
     if mitigation is None:
         g = signs
-        mean = freqs @ signs
+        mean = (freqs * signs).sum(axis=-1)
     else:
-        n = len(axes)
-        g = _confusion_power(mitigation, n, inverse=True).T @ signs
-        mean = corrected_frequencies(freqs, mitigation, n) @ signs
-    return float(mean), max(0.0, freqs @ g**2 - (freqs @ g) ** 2)
+        n = int(np.log2(signs.shape[-1]))
+        g = signs @ _confusion_power(mitigation, n, inverse=True)
+        mean = (corrected_frequencies(freqs, mitigation, n) * signs).sum(axis=-1)
+    fg = (freqs * g).sum(axis=-1)
+    return mean, np.maximum(0.0, (freqs * g**2).sum(axis=-1) - fg**2)
 
 
 def corrected_frequencies(freqs, noise, n):
     """Invert the tensor-product confusion model on observed frequencies.
 
-    Negative entries from the inversion are clipped to zero and the vector
-    renormalized.  Raises for a singular calibration (p01 + p10 = 1).
+    Works row by row on a stack of frequency vectors.  Negative entries
+    from the inversion are clipped to zero and each row renormalized.
+    Raises for a singular calibration (p01 + p10 = 1).
     """
-    p = np.clip(_confusion_power(noise, n, inverse=True) @ freqs, 0.0, None)
-    s = p.sum()
-    if s <= 0.0:
+    p = np.clip(freqs @ _confusion_power(noise, n, inverse=True).T, 0.0, None)
+    s = p.sum(axis=-1, keepdims=True)
+    if (s <= 0.0).any():
         raise ValueError("mitigation produced an empty distribution")
     return p / s
 
@@ -311,41 +316,42 @@ def mitigate_readout(record, noise, support_axes=None):
     """
     n = max(len(bits) for bits in record.counts)
     axes = support_axes if support_axes is not None else "Z" * n
-    return _parity_estimate(record.frequency_vector(n), axes, noise)[0]
+    signs = _measurement_rows((axes,), len(axes))[1][0]
+    return float(_parity_estimate(record.frequency_vector(n), signs, noise)[0])
 
 
 def expectation_sampled(state, pauli_sum, shots_per_term, seed,
                         noise=None, mitigate=False):
     """Shot-based estimate of <psi|S|psi> with its standard error.
 
-    Each non-identity term is measured in its own basis with an
-    independent substream seeded by (seed, term rank); identity terms
-    contribute exactly.  With a noise model, sampled bitstrings pass
-    through per-qubit readout flips; mitigation inverts the known
-    confusion matrix on the observed frequencies, and the standard error
-    includes the variance that inversion amplifies.
+    The non-identity terms are measured in one stacked pass, one row per
+    term in axes-string order, all drawn from one generator seeded by
+    `seed`; identity terms contribute exactly.  With a noise model,
+    sampled bitstrings pass through per-qubit readout flips; mitigation
+    inverts the known confusion matrix on the observed frequencies, and
+    the standard error includes the variance that inversion amplifies.
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
-    if 2**pauli_sum.n_qubits != state.amplitudes.size:
+    n = pauli_sum.n_qubits
+    if 2**n != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
-    mitigation = noise if mitigate else None
-    estimate = sum((t.coefficient for t in pauli_sum.terms if not t.weight), 0.0)
-    variance = 0.0
-    measured = sorted((t for t in pauli_sum.terms if t.weight),
-                      key=lambda t: t.axes)
-    for rank, t in enumerate(measured, start=1):
-        counts = _term_counts(state, t.axes, shots_per_term, [seed, rank], noise)
-        mean, var = _parity_estimate(counts / shots_per_term, t.axes, mitigation)
-        estimate += t.coefficient * mean
-        variance += t.coefficient**2 * var / shots_per_term
-    return estimate, float(np.sqrt(variance))
+    coefficients = pauli_sum.as_dict()
+    offset = coefficients.pop("I" * n, 0.0)
+    axes = tuple(sorted(coefficients))
+    c = np.array([coefficients[a] for a in axes])
+    counts = _term_counts(state, axes, shots_per_term, seed, noise)
+    means, variances = _parity_estimate(counts / shots_per_term,
+                                        _measurement_rows(axes, n)[1],
+                                        noise if mitigate else None)
+    return (float(offset + c @ means),
+            float(np.sqrt(c**2 @ variances / shots_per_term)))
 
 
 def sample_term(state, axes, shots, seed, noise=None):
     """Raw bitstring counts for one Pauli term's measurement basis."""
     n = state.n_qubits
-    counts = _term_counts(state, axes, shots, seed, noise)
+    counts = _term_counts(state, (axes,), shots, seed, noise)[0]
     record = {format(k, f"0{n}b"): int(c) for k, c in enumerate(counts) if c}
     return ShotRecord(record, int(shots), seed=seed)
 

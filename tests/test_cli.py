@@ -141,6 +141,30 @@ class TestPrecedence:
         assert resolve_config(args).out == str(tmp_path)
 
 
+class TestSettingChecks:
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key, flag, value", [
+        ("vqe", "g_pi", "--gpi", "inf"),
+        ("hamiltonian", "g_pi", "--gpi", "nan"),
+        ("hamiltonian", "m", "--mq", "inf"),
+        ("vqe", "tolerance", "--tolerance", "nan"),
+        ("scaling", "seed", "--seed", "-3"),
+    ])
+    def test_non_finite_float_or_negative_seed_exits_two(
+            self, tmp_path, capsys, source, command, key, flag, value):
+        if source == "flag":
+            setting = [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli(command, *setting, "--max-iterations", "20",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestHamiltonianCommand:
     def test_output_content(self, tmp_path, capsys):
         assert run_cli("hamiltonian", "--out", str(tmp_path)) == EXIT_OK
@@ -286,6 +310,15 @@ class TestObservablesCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "observables.json").exists()
+
+    def test_non_object_stored_energy_exits_two(self, tmp_path, capsys):
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps({"encoding": "compact",
+                                      "theta": [0.1, 0.2, 0.3], "energy": 5}))
+        assert run_cli("observables", "--angles", str(angles),
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vqe_result.json"]
 
     def test_angles_and_config_files_are_closed(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -396,32 +396,46 @@ class TestReadoutMitigation:
                   for r in range(160)]
         assert 0.95 <= np.mean(ratios) <= 1.05
 
-    def test_sample_term_reproduces_expectation_sampled(self, hmat, ground):
-        # one sampling path: the per-term records of sample_term, on the
-        # (seed, term rank) streams, give expectation_sampled's numbers
+    def test_sample_term_is_the_one_term_case(self, hmat, ground):
+        # one sampling path: for the same seed, sample_term's counts and
+        # mitigate_readout give expectation_sampled's numbers on the
+        # one-term sum
         _, v = ground
         state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
-        s = embed_compact(hmat)
         noise = ReadoutNoiseModel(0.04, 0.02)
         shots, seed = 4096, 31
-        raw = mitigated = 0.0
-        raw_var = 0.0
-        measured = sorted((t for t in s.terms if t.weight), key=lambda t: t.axes)
-        for rank, t in enumerate(measured, start=1):
-            rec = sample_term(state, t.axes, shots, [seed, rank], noise=noise)
+        measured = [t for t in embed_compact(hmat).terms if t.weight]
+        assert len(measured) > 1
+        for t in measured:
+            one = PauliSum([(t.axes, t.coefficient)])
+            rec = sample_term(state, t.axes, shots, seed, noise=noise)
             signs = np.diag(pauli_string_matrix(t.axes.replace("X", "Z")
                                                 .replace("Y", "Z"))).real
             mean = rec.frequency_vector(2) @ signs
-            raw += t.coefficient * mean
-            raw_var += t.coefficient**2 * (1.0 - mean**2) / shots
-            mitigated += t.coefficient * mitigate_readout(rec, noise, t.axes)
-        offset = s.coefficient("II")
-        est, se = expectation_sampled(state, s, shots, seed, noise=noise)
-        assert est == pytest.approx(offset + raw, rel=1e-12)
-        assert se == pytest.approx(np.sqrt(raw_var), rel=1e-12)
-        est, _ = expectation_sampled(state, s, shots, seed, noise=noise,
-                                     mitigate=True)
-        assert est == pytest.approx(offset + mitigated, rel=1e-12)
+            est, se = expectation_sampled(state, one, shots, seed, noise=noise)
+            assert est == pytest.approx(t.coefficient * mean, rel=1e-12)
+            assert se == pytest.approx(
+                abs(t.coefficient) * np.sqrt((1.0 - mean**2) / shots), rel=1e-12)
+            est, _ = expectation_sampled(state, one, shots, seed, noise=noise,
+                                         mitigate=True)
+            assert est == pytest.approx(
+                t.coefficient * mitigate_readout(rec, noise, t.axes), rel=1e-12)
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("mode", ["sampled", "noisy", "mitigated"])
+    def test_reversed_sum_is_bit_identical(self, hmat, ground, mode):
+        # rows are drawn in axes order, so the order a sum lists its
+        # terms in does not reach the draws
+        _, v = ground
+        state = run_circuit(direct_ansatz(*direct_angles(v)), Statevector.zero(4))
+        s = embed_direct(hmat)
+        flipped = PauliSum(reversed(s.terms))
+        assert [t.axes for t in flipped] == [t.axes for t in s][::-1]
+        noise = None if mode == "sampled" else ReadoutNoiseModel(0.03, 0.05)
+        options = {"noise": noise, "mitigate": mode == "mitigated"}
+        assert (expectation_sampled(state, s, 512, 17, **options)
+                == expectation_sampled(state, flipped, 512, 17, **options))
 
 
 class TestOverlapMagnitude:

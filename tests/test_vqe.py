@@ -1,4 +1,6 @@
 """Optimizer loop and scaling-experiment tests."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,31 @@ class TestScaling:
         state = prepared_state("compact", theta)
         v = relative_variance(state, sums["compact"], e0)
         assert 0 < v < 1e4
+
+    @pytest.mark.parametrize("enc", ["direct", "compact", "bk"])
+    def test_relative_variance_matches_dense(self, problem, enc):
+        _, sums, _ = problem
+        letters = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+                   "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+        psi = prepared_state(enc, (0.3, -1.1, 2.0)).amplitudes
+        dense_h = pauli_sum_to_matrix(sums[enc]).entries
+        energy = (psi.conj() @ dense_h @ psi).real
+        expect = 0.0
+        for t in sums[enc].terms:
+            if t.weight:
+                P = functools.reduce(np.kron, [letters[ch] for ch in t.axes])
+                expect += t.coefficient**2 * (1.0 - (psi.conj() @ P @ psi).real ** 2)
+        got = relative_variance(Statevector(psi), sums[enc], energy)
+        assert got == pytest.approx(expect / energy**2, rel=1e-12)
+
+    def test_shot_column_is_the_fixed_grid(self, results):
+        # the rows hold 8 to 256 shots per term whatever the state and the
+        # Hamiltonian; a different kappa moves the energies, not the column
+        h = build_effective_hamiltonian(ModelParameters(kappa=210.0))
+        other = scaling_experiment(embed_compact(h), "compact", repeats=2)
+        grid = [8, 16, 32, 64, 128, 256]
+        for res in (*results.values(), other):
+            assert [s for s, _ in res.rows] == grid
 
 
 class TestExtractAmplitudes:
