@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .basisfuncs import (BasisCutoffs, BasisState, LongitudinalExponents,
                          ModelParameters, UnsupportedCutoffError, WaveFunction,
-                         block_dimensions, chi, compute_exponents,
-                         enumerate_block, ho_coordinate, ho_momentum,
+                         chi, compute_exponents, enumerate_block,
                          longitudinal_integral)
 from .hamiltonian import (Eigensolution, HermitianObservable,
                           build_effective_hamiltonian, build_h0_diagonal,
@@ -22,11 +21,9 @@ from .hamiltonian import (Eigensolution, HermitianObservable,
 from .pauli import (EncoderMatrix, PauliString, PauliSum, bk_encoder,
                     embed_compact, embed_direct, jw_hopping_pauli,
                     jw_to_bk_pauli, pauli_decompose, pauli_sum_to_matrix)
-from .simulator import (Circuit, Gate, ReadoutNoiseModel, ShotRecord,
-                        Statevector, compact_ansatz, direct_ansatz,
-                        expectation_exact, expectation_sampled,
-                        jw_to_bk_circuit, mitigate_readout, overlap_magnitude,
-                        run_circuit, sample_term)
+from .simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
+                        compact_ansatz, direct_ansatz, expectation_exact,
+                        expectation_sampled, jw_to_bk_circuit, run_circuit)
 from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           FormFactorCurve, MassRadiusMatrix, PdfDensity,
                           charge_radius, decay_constant, decay_projector,
@@ -37,26 +34,3 @@ from .vqe import (GOOD_GUESS, OptimizerConfig, ScalingResult, VqeResult,
                   ansatz_circuit, extract_amplitudes, minimize,
                   prepared_state, relative_variance, scaling_experiment,
                   vqe_run)
-
-__all__ = [
-    "BasisCutoffs", "BasisState", "LongitudinalExponents", "ModelParameters",
-    "UnsupportedCutoffError", "WaveFunction", "block_dimensions", "chi",
-    "compute_exponents", "enumerate_block", "ho_coordinate", "ho_momentum",
-    "longitudinal_integral", "Eigensolution", "HermitianObservable",
-    "build_effective_hamiltonian", "build_h0_diagonal", "build_njl_matrix",
-    "diagonalize", "EncoderMatrix", "PauliString", "PauliSum", "bk_encoder",
-    "embed_compact", "embed_direct", "jw_hopping_pauli", "jw_to_bk_pauli",
-    "pauli_decompose", "pauli_sum_to_matrix", "Circuit", "Gate",
-    "ReadoutNoiseModel", "ShotRecord", "Statevector", "compact_ansatz",
-    "direct_ansatz", "expectation_exact", "expectation_sampled",
-    "jw_to_bk_circuit", "mitigate_readout", "overlap_magnitude",
-    "run_circuit", "sample_term", "GOOD_GUESS", "OptimizerConfig",
-    "ScalingResult", "VqeResult", "ansatz_circuit", "minimize",
-    "prepared_state", "relative_variance", "scaling_experiment", "vqe_run",
-    "extract_amplitudes", "E_ANTIQUARK", "E_QUARK", "HBARC",
-    "DecayConstantSpec", "FormFactorCurve", "MassRadiusMatrix",
-    "PdfDensity", "charge_radius", "decay_constant", "decay_projector",
-    "decay_spec", "default_q2_grid", "elastic_form_factor",
-    "form_factor_matrix", "mass_radius", "mass_radius_matrix", "pdf",
-    "tm_coefficient",
-]

@@ -18,10 +18,10 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_jacobi, gammaln, roots_legendre
+from scipy.special import eval_jacobi, gammaln, roots_legendre
 
 
 class UnsupportedCutoffError(ValueError):
@@ -190,43 +190,6 @@ def chi(x, l, alpha, beta):
     return val if val.shape else float(val)
 
 
-def ho_momentum(n, m, q_perp, b):
-    """2D harmonic-oscillator mode phi_{nm}(q_perp; b) in momentum space.
-
-    q_perp is a 2-vector (q1, q2); the phase is e^{i m phi} with
-    tan(phi) = q2/q1.  At q_perp = 0 with m != 0 the angular phase is
-    undefined but the |q|^|m| factor wins, so the value is 0.
-    """
-    qx, qy = float(q_perp[0]), float(q_perp[1])
-    q2 = qx * qx + qy * qy
-    am = abs(m)
-    if q2 == 0.0 and am > 0:
-        return 0.0 + 0.0j
-    log_norm = 0.5 * (np.log(4 * np.pi) + gammaln(n + 1) - gammaln(n + am + 1))
-    radial = (np.exp(log_norm) / b * (np.sqrt(q2) / b) ** am
-              * np.exp(-q2 / (2 * b * b)) * eval_genlaguerre(n, am, q2 / (b * b)))
-    phase = np.exp(1j * m * np.arctan2(qy, qx)) if am else 1.0
-    return complex(radial * phase)
-
-
-def ho_coordinate(n, m, r_perp, b):
-    """Coordinate-space partner phi~_{nm}(r_perp; b) of ho_momentum.
-
-    Carries the Fourier phase e^{i (n + |m|/2) pi} on top of e^{i m phi_r};
-    the modulus is independent of that unit factor.
-    """
-    rx, ry = float(r_perp[0]), float(r_perp[1])
-    r2 = rx * rx + ry * ry
-    am = abs(m)
-    if r2 == 0.0 and am > 0:
-        return 0.0 + 0.0j
-    log_norm = 0.5 * (gammaln(n + 1) - gammaln(n + am + 1) - np.log(np.pi))
-    radial = (b * np.exp(log_norm) * (b * np.sqrt(r2)) ** am
-              * np.exp(-b * b * r2 / 2) * eval_genlaguerre(n, am, b * b * r2))
-    phase = np.exp(1j * (m * np.arctan2(ry, rx) + (n + am / 2) * np.pi))
-    return complex(radial * phase)
-
-
 def enumerate_block(j_z, cutoffs):
     """All basis states of one J_z block, ordered by the linear index
     a(n, l, theta) = [n (l_max + 1) + l] * d_theta + (theta - 1).
@@ -247,17 +210,3 @@ def enumerate_block(j_z, cutoffs):
                                          theta=theta0 + 1, j_z=j_z))
     return states
 
-
-def block_dimensions(cutoffs):
-    """Total basis size n_H and the per-J_z block sizes n_H0.
-
-    n_H = 4 (n_max+1)(2 m_max+1)(l_max+1); each block holds
-    d_theta (n_max+1)(l_max+1) states.  The per-block dict requires the
-    tabulated m_max = 2 scheme and is None for other transverse cutoffs.
-    """
-    radial = (cutoffs.n_max + 1) * (cutoffs.l_max + 1)
-    n_h = 4 * radial * (2 * cutoffs.m_max + 1)
-    if cutoffs.m_max != 2:
-        return n_h, None
-    n_h0 = {jz: len(rows) * radial for jz, rows in THETA_TABLE.items()}
-    return n_h, n_h0

@@ -7,12 +7,16 @@ the BLFQVQE_OUT environment variable supplies the default output
 directory.  Outputs embed the resolved configuration and its hash, never
 wall-clock data, so a fixed seed reruns byte-identically.
 
+Each output file is written to a temporary file beside it and renamed
+into place, so a failed write leaves the previous file intact.
+
 Exit codes: 0 success, 2 configuration error, 3 optimizer
 non-convergence, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -41,6 +45,9 @@ EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
 CLI_MODES = ("exact", "sampled", "noisy")
+# the settings that fix the Hamiltonian: stored angles fitted under other
+# values belong to another problem
+_PHYSICS_FIELDS = ("m", "mbar", "kappa", "b", "g_pi", "n_max", "m_max", "l_max")
 _SUPPORTED_CUTOFFS = BasisCutoffs()
 _MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParameters)}
 
@@ -175,9 +182,9 @@ def read_config_file(path):
     """Parse `key = value` lines; '#' starts a comment."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -209,14 +216,28 @@ def resolve_config(args):
     return RunConfig(**settings)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces `path` only once it is completely written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
@@ -283,6 +304,22 @@ def cmd_vqe(config):
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
+def _check_provenance(stored, config, angles_path):
+    """Angles are only valid for the physics they were fitted under."""
+    fitted = stored.get("provenance")
+    fitted = fitted.get("config") if isinstance(fitted, dict) else None
+    if not isinstance(fitted, dict):
+        raise ConfigError(f"{angles_path} has no provenance.config, so its "
+                          f"angles cannot be matched to this run's physics")
+    current = config.as_dict()
+    differ = [f"{k} = {fitted.get(k)!r} there, {current[k]!r} here"
+              for k in _PHYSICS_FIELDS
+              if k not in fitted or fitted[k] != current[k]]
+    if differ:
+        raise ConfigError(f"{angles_path} was fitted under other physics: "
+                          + "; ".join(differ))
+
+
 def _state_from_config(config, h, args):
     """Wave function + mode tag, from --exact or a vqe result file."""
     block = enumerate_block(0, BasisCutoffs())
@@ -291,13 +328,14 @@ def _state_from_config(config, h, args):
         return WaveFunction(sol.eigenvectors[:, 0], block), "exact", None
     angles_path = args.angles or os.path.join(config.out, "vqe_result.json")
     try:
-        with open(angles_path) as fh:
+        with open(angles_path, encoding="utf-8") as fh:
             stored = json.load(fh)
     except OSError as err:
         raise ConfigError(f"no angles available: {err}; run the vqe "
                           f"subcommand first or pass --exact") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{angles_path} is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        raise ConfigError(f"{angles_path} is not readable UTF-8 JSON: "
+                          f"{err}") from err
     if not isinstance(stored, dict):
         raise ConfigError(f"{angles_path} does not hold a vqe result")
     encoding = stored.get("encoding")
@@ -315,6 +353,7 @@ def _state_from_config(config, h, args):
     if not isinstance(energy, dict):
         raise ConfigError(f"{angles_path}: 'energy' must be a JSON object, "
                           f"got {energy!r}")
+    _check_provenance(stored, config, angles_path)
     state = prepared_state(config.encoding, tuple(theta.tolist()))
     coeffs = extract_amplitudes(state, config.encoding)
     mode = energy.get("mode", "exact")
@@ -449,7 +488,11 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        os.makedirs(config.out, exist_ok=True)
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot use output directory {config.out}: "
+                              f"{err}") from err
         if args.command == "hamiltonian":
             return cmd_hamiltonian(config)
         if args.command == "vqe":

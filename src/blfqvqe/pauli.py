@@ -84,10 +84,6 @@ class PauliSum:
         self.terms = tuple(PauliString(a, merged[a]) for a in order
                            if merged[a] != 0.0)
 
-    @classmethod
-    def from_dict(cls, coeffs, n_qubits=None):
-        return cls(list(coeffs.items()), n_qubits=n_qubits)
-
     def as_dict(self):
         return {t.axes: t.coefficient for t in self.terms}
 
@@ -96,9 +92,6 @@ class PauliSum:
 
     def __iter__(self):
         return iter(self.terms)
-
-    def coefficient(self, axes):
-        return self.as_dict().get(axes, 0.0)
 
     @functools.cached_property
     def matrix(self):
@@ -198,25 +191,21 @@ def one_qubit_axes(n_qubits, qubit, letter):
     return "I" * (n_qubits - 1 - qubit) + letter + "I" * qubit
 
 
-def _chain_axes(i, j, n_qubits, end_i, end_j):
+def _chain_axes(i, j, n_qubits, end):
     # 1-based orbital indices i < j -> qubits i-1, j-1 with a Z chain between
     axes = ["I"] * n_qubits
-    axes[i - 1] = end_i
-    axes[j - 1] = end_j
+    axes[i - 1] = axes[j - 1] = end
     for q in range(i, j - 1):
         axes[q] = "Z"
     return "".join(reversed(axes))  # leftmost letter = highest qubit
 
 
-def jw_hopping_pauli(i, j, n_qubits, kind="hermitian"):
+def jw_hopping_pauli(i, j, n_qubits):
     """Occupation-encoding image of one-body ladder bilinears.
 
     Orbital indices are 1-based.  For i == j returns the number operator
-    (I - Z_i)/2.  For i < j:
-      kind="hermitian":      a+_i a_j + a+_j a_i -> (X Z..Z X + Y Z..Z Y)/2
-      kind="antihermitian":  a+_j a_i - a+_i a_j = i * (returned sum); the
-                             string carrying +1/2 has X on qubit j-1 and
-                             Y on qubit i-1.
+    (I - Z_i)/2; for i < j the hopping a+_i a_j + a+_j a_i ->
+    (X Z..Z X + Y Z..Z Y)/2.
     """
     if not (1 <= i <= n_qubits and 1 <= j <= n_qubits):
         raise IndexError(f"orbital indices out of range: {i}, {j}")
@@ -225,13 +214,8 @@ def jw_hopping_pauli(i, j, n_qubits, kind="hermitian"):
                          (one_qubit_axes(n_qubits, i - 1, "Z"), -0.5)])
     if i > j:
         raise IndexError("need i < j")
-    if kind == "hermitian":
-        return PauliSum([(_chain_axes(i, j, n_qubits, "X", "X"), 0.5),
-                         (_chain_axes(i, j, n_qubits, "Y", "Y"), 0.5)])
-    if kind == "antihermitian":
-        return PauliSum([(_chain_axes(i, j, n_qubits, "Y", "X"), 0.5),
-                         (_chain_axes(i, j, n_qubits, "X", "Y"), -0.5)])
-    raise ValueError(f"unknown kind {kind!r}")
+    return PauliSum([(_chain_axes(i, j, n_qubits, "X"), 0.5),
+                     (_chain_axes(i, j, n_qubits, "Y"), 0.5)])
 
 
 def embed_direct(h):
@@ -249,7 +233,7 @@ def embed_direct(h):
         for j in range(i + 1, n):
             if M[i, j] == 0.0:
                 continue
-            for t in jw_hopping_pauli(i + 1, j + 1, n, kind="hermitian").terms:
+            for t in jw_hopping_pauli(i + 1, j + 1, n).terms:
                 terms.append((t.axes, M[i, j] * t.coefficient))
     return PauliSum(terms, n_qubits=n)
 

@@ -4,13 +4,12 @@ Conventions: qubit 0 is the least-significant bit of a basis index (and
 the rightmost character of a bitstring or axes string).  Every gate,
 Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
-[[cos t/2, -sin t/2], [sin t/2, cos t/2]]; PauliExponential applies
-exp(+i * angle * P).  Pauli terms are measured by rotating X to Z with
-H and Y to Z with S-dagger followed by H, then sampling bitstrings.  A
-sum's non-identity terms are measured in one stacked pass: one row per
-term in axes-string order, every row drawn from the one generator seeded
-by `seed`, so a fixed seed gives identical results whatever order the
-sum lists its terms in.
+[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  Pauli terms are measured by
+rotating X to Z with H and Y to Z with S-dagger followed by H, then
+sampling bitstrings.  A sum's non-identity terms are measured in one
+stacked pass: one row per term in axes-string order, every row drawn
+from the one generator seeded by `seed`, so a fixed seed gives
+identical results whatever order the sum lists its terms in.
 """
 from __future__ import annotations
 
@@ -19,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import (BK_CNOTS_4, PauliString, kron_axes, one_qubit_axes,
-                    pauli_string_matrix)
+from .pauli import BK_CNOTS_4, kron_axes, one_qubit_axes, pauli_string_matrix
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
@@ -29,7 +27,7 @@ _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
 _PARITY_1Q = {"I": np.ones(2), **dict.fromkeys("XYZ", np.array([1.0, -1.0]))}
 
 # qubit indices each gate kind takes
-_GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2, "PauliExponential": 0}
+_GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class Gate:
     kind: str
     qubits: tuple = ()
     angle: float = None
-    axes: str = None
 
     def __post_init__(self):
         if self.kind not in _GATE_KINDS:
@@ -50,11 +47,8 @@ class Gate:
             raise ValueError(f"gate indices must be distinct and non-negative: {q}")
         if len(q) != _GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
-        if self.kind in ("Ry", "CRy", "PauliExponential") and self.angle is None:
+        if self.kind in ("Ry", "CRy") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
-        if self.kind == "PauliExponential":
-            if not self.axes or any(ch not in "IXYZ" for ch in self.axes):
-                raise ValueError("PauliExponential needs an axes string over I,X,Y,Z")
 
     @classmethod
     def x(cls, qubit):
@@ -72,12 +66,6 @@ class Gate:
     def cry(cls, control, target, angle):
         return cls("CRy", (control, target), angle=float(angle))
 
-    @classmethod
-    def pauli_exp(cls, axes, angle):
-        if isinstance(axes, PauliString):
-            axes = axes.axes
-        return cls("PauliExponential", (), angle=float(angle), axes=axes)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -87,11 +75,9 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if g.qubits and max(g.qubits) >= self.n_qubits:
+            if max(g.qubits) >= self.n_qubits:
                 raise ValueError(f"gate {g.kind} on {g.qubits} exceeds "
                                  f"{self.n_qubits} qubits")
-            if g.kind == "PauliExponential" and len(g.axes) != self.n_qubits:
-                raise ValueError("PauliExponential axes must span the register")
 
     def __len__(self):
         return len(self.gates)
@@ -141,27 +127,6 @@ class ReadoutNoiseModel:
         return abs(self.p01 + self.p10 - 1.0) < 1e-12
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Measured bitstring counts for one Pauli term (qubit 0 rightmost)."""
-
-    counts: dict
-    total: int
-    seed: object = None
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts do not sum to the declared total")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("negative count")
-
-    def frequency_vector(self, n_qubits):
-        freqs = np.zeros(2**n_qubits)
-        for bits, c in self.counts.items():
-            freqs[int(bits, 2)] = c / self.total
-        return freqs
-
-
 def _exp_pauli(axes, angle):
     """exp(i angle P) = cos(angle) I + i sin(angle) P."""
     return (np.cos(angle) * pauli_string_matrix("I" * len(axes))
@@ -170,8 +135,6 @@ def _exp_pauli(axes, angle):
 
 def _gate_matrix(gate, n):
     """The gate as one 2^n matrix built from cached Pauli strings."""
-    if gate.kind == "PauliExponential":
-        return _exp_pauli(gate.axes, gate.angle)
     *control, target = gate.qubits
     if gate.kind in ("X", "CNOT"):
         U = pauli_string_matrix(one_qubit_axes(n, target, "X"))
@@ -308,18 +271,6 @@ def corrected_frequencies(freqs, noise, n):
     return p / s
 
 
-def mitigate_readout(record, noise, support_axes=None):
-    """Corrected Z-parity expectation from raw counts.
-
-    support_axes names the measured term ("IZZI" style, identity letters
-    excluded from the parity); by default every qubit participates.
-    """
-    n = max(len(bits) for bits in record.counts)
-    axes = support_axes if support_axes is not None else "Z" * n
-    signs = _measurement_rows((axes,), len(axes))[1][0]
-    return float(_parity_estimate(record.frequency_vector(n), signs, noise)[0])
-
-
 def expectation_sampled(state, pauli_sum, shots_per_term, seed,
                         noise=None, mitigate=False):
     """Shot-based estimate of <psi|S|psi> with its standard error.
@@ -347,46 +298,3 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     return (float(offset + c @ means),
             float(np.sqrt(c**2 @ variances / shots_per_term)))
 
-
-def sample_term(state, axes, shots, seed, noise=None):
-    """Raw bitstring counts for one Pauli term's measurement basis."""
-    n = state.n_qubits
-    counts = _term_counts(state, (axes,), shots, seed, noise)[0]
-    record = {format(k, f"0{n}b"): int(c) for k, c in enumerate(counts) if c}
-    return ShotRecord(record, int(shots), seed=seed)
-
-
-def overlap_magnitude(ansatz, v):
-    """|<v|psi>| via reflection to |1..1> and an ancilla-flagged MCX.
-
-    Runs the ansatz from |0..0>, reflects v onto the all-ones state with
-    a Householder mirror, flips an ancilla controlled on every register
-    qubit, un-reflects, and reads sqrt P(ancilla = 1).
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("reference vector must be normalized")
-    n = int(np.log2(v.size))
-    if 2**n != v.size or 2**n != 2**ansatz.n_qubits:
-        raise ValueError("reference vector does not match the ansatz register")
-    psi = run_circuit(ansatz, Statevector.zero(n)).amplitudes
-
-    dim = v.size
-    ones = np.zeros(dim, dtype=complex)
-    ones[-1] = 1.0
-    w = v - ones
-    nw2 = np.vdot(w, w).real
-    if nw2 < 1e-24:
-        reflect = np.eye(dim, dtype=complex)
-    else:
-        reflect = np.eye(dim, dtype=complex) - 2.0 * np.outer(w, w.conj()) / nw2
-    if np.abs(reflect @ v - ones).max() > 1e-8:
-        raise ValueError("reflection does not map the reference to all-ones")
-
-    # ancilla = qubit n (high bit): full index = anc * dim + k
-    full = np.concatenate([psi, np.zeros(dim, dtype=complex)])
-    full[:dim] = reflect @ full[:dim]
-    full[dim - 1], full[2 * dim - 1] = full[2 * dim - 1], full[dim - 1]
-    full[:dim] = reflect.conj().T @ full[:dim]
-    full[dim:] = reflect.conj().T @ full[dim:]
-    return float(np.sqrt((np.abs(full[dim:]) ** 2).sum()))

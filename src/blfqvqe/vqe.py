@@ -87,16 +87,15 @@ _METHODS = {"simplex": "Nelder-Mead", "linear-trust-region": "COBYLA"}
 class OptimizerConfig:
     """Knobs for the derivative-free minimizer.
 
-    initial_scale sets the edge length of the starting simplex (simplex
-    method) or the initial trust radius (linear-trust-region method);
-    None keeps the backend's own default construction.
+    method names the backend (simplex: adaptive Nelder-Mead;
+    linear-trust-region: COBYLA) and max_iterations its budget.
+    tolerance is the change in cost at which the simplex stops; COBYLA
+    does not use it.  Both backends start from their own default steps.
     """
 
     method: str = "simplex"
     max_iterations: int = 500
     tolerance: float = 1.0
-    initial_scale: float = None
-    restarts: int = 0
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -105,8 +104,6 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,8 @@ class VqeResult:
 def minimize(cost, theta0, config=None, mode="exact"):
     """Derivative-free minimization over the 3 ansatz angles.
 
-    Runs the configured method, restarting from the best point found if
-    restarts are requested.  converged=False flags hitting the iteration
-    budget without meeting the tolerance.
+    converged=False flags hitting the iteration budget without meeting
+    the tolerance.
     """
     config = config or OptimizerConfig()
     best_energy = np.inf
@@ -149,33 +145,15 @@ def minimize(cost, theta0, config=None, mode="exact"):
         return e
 
     method = _METHODS[config.method]
-    start = np.asarray(theta0, dtype=float)
-    converged = False
-    iterations = 0
-    for _ in range(config.restarts + 1):
-        if method == "Nelder-Mead":
-            options = {"maxiter": config.max_iterations,
-                       "fatol": config.tolerance, "adaptive": True}
-            if config.initial_scale is not None:
-                simplex = np.vstack([start] +
-                                    [start + config.initial_scale * row
-                                     for row in np.eye(start.size)])
-                options["initial_simplex"] = simplex
-            res = scipy.optimize.minimize(wrapped, start, method="Nelder-Mead",
-                                          options=options)
-            iterations += int(res.nit)
-        else:
-            options = {"maxiter": config.max_iterations}
-            if config.initial_scale is not None:
-                options["rhobeg"] = config.initial_scale
-            res = scipy.optimize.minimize(wrapped, start, method="COBYLA",
-                                          options=options)
-            iterations += int(res.nfev)
-        converged = bool(res.success)
-        start = best_theta.copy()
+    options = {"maxiter": config.max_iterations}
+    if method == "Nelder-Mead":
+        options.update(fatol=config.tolerance, adaptive=True)
+    res = scipy.optimize.minimize(wrapped, np.asarray(theta0, dtype=float),
+                                  method=method, options=options)
+    iterations = res.nit if method == "Nelder-Mead" else res.nfev
     return VqeResult(theta=tuple(best_theta), energy=best_energy,
-                     trace=tuple(trace), mode=mode, converged=converged,
-                     n_iterations=iterations)
+                     trace=tuple(trace), mode=mode,
+                     converged=bool(res.success), n_iterations=int(iterations))
 
 
 def ansatz_circuit(encoding, theta):

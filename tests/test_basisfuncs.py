@@ -6,8 +6,7 @@ from scipy.special import j0, roots_legendre
 
 from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
                                 UnsupportedCutoffError, WaveFunction, chi,
-                                block_dimensions, compute_exponents,
-                                enumerate_block, ho_coordinate, ho_momentum,
+                                compute_exponents, enumerate_block,
                                 longitudinal_integral,
                                 longitudinal_integral_quadrature)
 
@@ -130,73 +129,6 @@ class TestChi:
         assert chi(0.5, 0, AL, BE) ** 2 / rounded == pytest.approx(0.9774, abs=2e-3)
 
 
-class TestHOMomentum:
-    def test_origin_value(self):
-        b = PARAMS.b
-        assert ho_momentum(0, 0, (0.0, 0.0), b) == pytest.approx(
-            np.sqrt(4 * np.pi) / b)
-
-    def test_origin_nonzero_m(self):
-        assert ho_momentum(0, 1, (0.0, 0.0), 227.0) == 0.0
-        assert ho_momentum(2, -2, (0.0, 0.0), 227.0) == 0.0
-
-    def test_conjugation_flips_m(self):
-        q = (131.0, -77.0)
-        for n, m in [(0, 1), (1, 2), (2, -1)]:
-            assert np.conj(ho_momentum(n, m, q, 227.0)) == pytest.approx(
-                ho_momentum(n, -m, q, 227.0))
-
-    def test_orthonormality(self):
-        # integral d2q/(2pi)^2 conj(phi_{n'm'}) phi_{nm} = delta delta;
-        # Gauss-Hermite in q/b is exact for these polynomial x Gaussian
-        # integrands.
-        b = 227.0
-        nodes, weights = np.polynomial.hermite.hermgauss(24)
-        qx, qy = np.meshgrid(nodes * b, nodes * b, indexing="ij")
-        w2 = weights[:, None] * weights[None, :] * b * b
-        qnums = [(0, 0), (0, 1), (0, -1), (1, 0), (2, 0), (1, 1), (0, 2)]
-        for (n1, m1), (n2, m2) in itertools.combinations_with_replacement(qnums, 2):
-            vals = np.empty(qx.shape, dtype=complex)
-            for i in range(qx.shape[0]):
-                for j in range(qx.shape[1]):
-                    rewt = np.exp((qx[i, j] ** 2 + qy[i, j] ** 2) / b**2)
-                    vals[i, j] = (np.conj(ho_momentum(n1, m1, (qx[i, j], qy[i, j]), b))
-                                  * ho_momentum(n2, m2, (qx[i, j], qy[i, j]), b) * rewt)
-            integral = np.sum(w2 * vals) / (2 * np.pi) ** 2
-            want = 1.0 if (n1, m1) == (n2, m2) else 0.0
-            assert integral.real == pytest.approx(want, abs=1e-8), (n1, m1, n2, m2)
-            assert abs(integral.imag) < 1e-10
-
-
-class TestHOCoordinate:
-    def test_origin_value(self):
-        b = 227.0
-        assert ho_coordinate(0, 0, (0.0, 0.0), b) == pytest.approx(b / np.sqrt(np.pi))
-
-    def test_phase_modulus(self):
-        b = 227.0
-        r = (0.003, -0.001)
-        for n, m in [(0, 0), (1, 0), (0, 1), (1, 2)]:
-            val = ho_coordinate(n, m, r, b)
-            bare = abs(val)
-            # strip the e^{i(n+|m|/2)pi} factor: modulus unchanged
-            assert abs(val * np.exp(-1j * (n + abs(m) / 2) * np.pi)) == pytest.approx(bare)
-
-    def test_fourier_transform_of_momentum_mode(self):
-        # phi~_00(r) = integral d2q/(2pi)^2 e^{iq.r} phi_00(q)
-        #            = integral q dq/(2pi) J0(q r) phi_00(q)
-        b = 227.0
-        nodes, weights = roots_legendre(400)
-        qmax = 10 * b
-        q = 0.5 * (nodes + 1) * qmax
-        w = 0.5 * weights * qmax
-        for r in (0.0, 1e-3, 4e-3, 8e-3):
-            radial = np.array([ho_momentum(0, 0, (qi, 0.0), b).real for qi in q])
-            ft = np.sum(w * q * j0(q * r) * radial) / (2 * np.pi)
-            direct = ho_coordinate(0, 0, (r, 0.0), b).real
-            assert ft == pytest.approx(direct, abs=1e-8 * b)
-
-
 class TestEnumeration:
     def test_jz0_default_block(self):
         block = enumerate_block(0, BasisCutoffs())
@@ -236,23 +168,6 @@ class TestEnumeration:
                 seen.add((s.n, s.m, s.l, s.s1, s.s2))
         assert len(seen) == 20
         assert all(abs(m) <= 2 for (_, m, _, _, _) in seen)
-
-
-class TestDimensions:
-    def test_defaults(self):
-        n_h, n_h0 = block_dimensions(BasisCutoffs())
-        assert n_h == 20
-        assert n_h0[0] == 4
-        assert sum(n_h0.values()) == n_h
-
-    def test_trivial_cutoffs(self):
-        n_h, _ = block_dimensions(BasisCutoffs(n_max=0, m_max=0, l_max=0))
-        assert n_h == 4
-
-    def test_nmax_one(self):
-        n_h, n_h0 = block_dimensions(BasisCutoffs(n_max=1))
-        assert n_h == 40
-        assert n_h0[0] == 8
 
 
 class TestWaveFunction:

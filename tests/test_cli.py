@@ -7,7 +7,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from blfqvqe import cli
 from blfqvqe.cli import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERICAL,
                          EXIT_OK, OUT_ENV, ConfigError, RunConfig,
                          build_parser, config_hash, main, read_config_file,
@@ -27,6 +30,16 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+# arbitrary bytes, or key = value lines over the real settings
+CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.sampled_from(sorted(cli._FIELD_TYPES)),
+                       st.one_of(st.text(max_size=12), st.floats().map(repr),
+                                 st.integers().map(str))),
+             max_size=4).map(
+        lambda pairs: "".join(f"{k} = {v}\n" for k, v in pairs).encode()))
 
 
 class TestRunConfig:
@@ -117,6 +130,26 @@ class TestConfigFile:
         value = read_config_file(str(cfg))[name]
         assert type(value) is declared and value == sample
 
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"kappa = 2\xff7\n")
+        assert run_cli("hamiltonian", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(CONFIG_BYTES)
+    def test_any_config_bytes_end_in_an_exit_code(self, tmp_path, capsys, blob):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(blob)
+        # --out as a flag, so an `out =` line cannot move the writes
+        code = run_cli("hamiltonian", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE,
+                        EXIT_NUMERICAL)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path):
@@ -163,6 +196,30 @@ class TestSettingChecks:
                        "--out", str(out)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputFiles:
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert run_cli("hamiltonian", "--out", str(target)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert target.read_text() == "not a directory\n"
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
+        before = (tmp_path / "vqe_result.json").read_bytes()
+
+        def dump_then_fail(payload, fh, **kwargs):
+            fh.write('{"theta": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli("vqe", "--seed", "3", "--out", str(tmp_path))
+        assert (tmp_path / "vqe_result.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "vqe_result.json", "vqe_trace.csv"]
 
 
 class TestHamiltonianCommand:
@@ -235,6 +292,20 @@ class TestVqeCommand:
         assert run_cli("vqe", "--mode", "noisy",
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "noise-p01" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fitted_vqe_result(tmp_path_factory):
+    """vqe_result.json of a default exact compact run."""
+    out = tmp_path_factory.mktemp("fitted")
+    assert run_cli("vqe", "--out", str(out)) == EXIT_OK
+    return read_json(out / "vqe_result.json")
+
+
+@pytest.fixture
+def fitted_result(fitted_vqe_result):
+    """A copy of the fitted result that a test may edit."""
+    return json.loads(json.dumps(fitted_vqe_result))
 
 
 class TestObservablesCommand:
@@ -319,6 +390,67 @@ class TestObservablesCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vqe_result.json"]
+
+    @pytest.mark.parametrize("blob", [b'{"encoding": "compact\xff"}',
+                                      b"[" * 100_000 + b"]" * 100_000],
+                             ids=["non-utf8", "nested-too-deep"])
+    def test_undecodable_angles_file_exits_two(self, tmp_path, capsys, blob):
+        angles = tmp_path / "vqe_result.json"
+        angles.write_bytes(blob)
+        assert run_cli("observables", "--angles", str(angles),
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_angles_from_other_physics_exit_two(self, tmp_path, capsys):
+        # the default kappa is 227 MeV; the angles fitted there do not
+        # describe the kappa = 200 MeV ground state
+        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("observables", "--kappa", "200",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "kappa" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    @pytest.mark.parametrize("provenance", [None, {}, {"config": "x"},
+                                            {"config": {"kappa": 227.0}}],
+                             ids=["absent", "empty", "not-an-object",
+                                  "partial"])
+    def test_angles_without_provenance_exit_two(self, tmp_path, capsys,
+                                                provenance):
+        stored = {"encoding": "compact", "theta": [0.1, 0.2, 0.3],
+                  "energy": {"value": 1.0, "mode": "exact"}}
+        if provenance is not None:
+            stored["provenance"] = provenance
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(stored))
+        assert run_cli("observables", "--angles", str(angles),
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 338.0), ("mbar", 338.0), ("kappa", 200.0), ("b", 227.0),
+        ("g_pi", 10.0), ("n_max", 1), ("m_max", 1), ("l_max", 1)])
+    def test_each_physics_field_is_checked(self, fitted_result, tmp_path,
+                                           capsys, field, value):
+        fitted_result["provenance"]["config"][field] = value
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_CONFIG
+        assert f"{field} = {value!r} there" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 99), ("shots", 1024), ("mode", "sampled"),
+        ("optimizer", "linear-trust-region"), ("tolerance", 0.5)])
+    def test_other_settings_may_differ(self, fitted_result, tmp_path, field,
+                                       value):
+        fitted_result["provenance"]["config"][field] = value
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_OK
+        table = read_json(tmp_path / "observables.json")
+        assert table["m_pi2"]["value"] == pytest.approx(
+            fitted_result["energy"]["value"], rel=1e-9)
 
     def test_angles_and_config_files_are_closed(self, tmp_path):
         cfg = tmp_path / "run.cfg"

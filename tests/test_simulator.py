@@ -1,17 +1,15 @@
 """Simulator, ansatz, sampling, and mitigation tests."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
 from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
                            pauli_string_matrix)
-from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, ShotRecord,
-                               Statevector, compact_ansatz, corrected_frequencies,
+from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
+                               compact_ansatz, corrected_frequencies,
                                direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
-                               mitigate_readout, overlap_magnitude, run_circuit,
-                               sample_term)
+                               run_circuit)
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +53,9 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate("Ry", (0,))
 
-    def test_bad_axes(self):
-        with pytest.raises(ValueError):
-            Gate.pauli_exp("XQ", 0.1)
-
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate.x(2),))
-        with pytest.raises(ValueError):
-            Circuit(2, (Gate.pauli_exp("XXX", 0.1),))
 
 
 class TestStatevector:
@@ -95,22 +87,6 @@ class TestRunCircuit:
         out = run_circuit(Circuit(1, (Gate.ry(0, np.pi / 3),)), Statevector.zero(1))
         assert out.amplitudes[0] == pytest.approx(np.cos(np.pi / 6))
         assert out.amplitudes[1] == pytest.approx(np.sin(np.pi / 6))
-
-    def test_pauli_exponential_phase(self):
-        out = run_circuit(Circuit(1, (Gate.pauli_exp("Z", 0.7),)),
-                          Statevector.zero(1))
-        assert out.amplitudes[0] == pytest.approx(np.exp(0.7j))
-
-    def test_pauli_exponential_vs_expm(self):
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        for axes in ("XY", "ZX", "YY", "IZ"):
-            theta = 0.83
-            out = run_circuit(Circuit(2, (Gate.pauli_exp(axes, theta),)),
-                              Statevector(amps))
-            U = scipy.linalg.expm(1j * theta * pauli_string_matrix(axes))
-            assert np.abs(out.amplitudes - U @ amps).max() < 1e-12
 
     def test_cnot_and_controls(self):
         # CNOT(c=0, t=1) on |01> -> |11>
@@ -321,6 +297,22 @@ class TestExpectationSampled:
         with pytest.raises(ValueError):
             expectation_sampled(Statevector.zero(2), embed_compact(hmat), 0, seed=0)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            expectation_sampled(Statevector.zero(3), PauliSum([("ZZ", 1.0)]),
+                                64, seed=0)
+
+    def test_std_error_is_the_sample_spread(self):
+        # one +-1 outcome per shot: the sample variance is 1 - mean^2
+        state = run_circuit(Circuit(1, (Gate.ry(0, 1.1),)), Statevector.zero(1))
+        shots = 1000
+        est, se = expectation_sampled(state, PauliSum([("Z", 2.5)]), shots,
+                                      seed=4)
+        mean = est / 2.5
+        assert abs(mean) < 1.0
+        assert se == pytest.approx(2.5 * np.sqrt((1.0 - mean**2) / shots),
+                                   rel=1e-12)
+
 
 class TestReadoutMitigation:
     def test_noise_model_validation(self):
@@ -328,10 +320,6 @@ class TestReadoutMitigation:
             ReadoutNoiseModel(-0.1, 0.0)
         with pytest.raises(ValueError):
             ReadoutNoiseModel(0.0, 1.0)
-
-    def test_shot_record_validation(self):
-        with pytest.raises(ValueError):
-            ShotRecord({"00": 3, "01": 2}, total=4)
 
     def test_zero_noise_identity(self):
         freqs = np.array([0.5, 0.25, 0.125, 0.125])
@@ -346,11 +334,12 @@ class TestReadoutMitigation:
     def test_flip_recovery_on_zero_state(self):
         # |0> measured with symmetric flips p: raw <Z> = 1 - 2p
         noise = ReadoutNoiseModel(0.05, 0.05)
-        rec = sample_term(Statevector.zero(1), "Z", shots=100_000, seed=3,
-                          noise=noise)
-        raw = rec.frequency_vector(1) @ np.array([1.0, -1.0])
+        z = PauliSum([("Z", 1.0)])
+        raw, _ = expectation_sampled(Statevector.zero(1), z, 100_000, seed=3,
+                                     noise=noise)
         assert raw == pytest.approx(0.9, abs=0.01)
-        corrected = mitigate_readout(rec, noise, support_axes="Z")
+        corrected, _ = expectation_sampled(Statevector.zero(1), z, 100_000,
+                                           seed=3, noise=noise, mitigate=True)
         assert corrected == pytest.approx(1.0, abs=0.01)
 
     def test_bias_reduced_for_all_levels(self):
@@ -396,31 +385,6 @@ class TestReadoutMitigation:
                   for r in range(160)]
         assert 0.95 <= np.mean(ratios) <= 1.05
 
-    def test_sample_term_is_the_one_term_case(self, hmat, ground):
-        # one sampling path: for the same seed, sample_term's counts and
-        # mitigate_readout give expectation_sampled's numbers on the
-        # one-term sum
-        _, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
-        noise = ReadoutNoiseModel(0.04, 0.02)
-        shots, seed = 4096, 31
-        measured = [t for t in embed_compact(hmat).terms if t.weight]
-        assert len(measured) > 1
-        for t in measured:
-            one = PauliSum([(t.axes, t.coefficient)])
-            rec = sample_term(state, t.axes, shots, seed, noise=noise)
-            signs = np.diag(pauli_string_matrix(t.axes.replace("X", "Z")
-                                                .replace("Y", "Z"))).real
-            mean = rec.frequency_vector(2) @ signs
-            est, se = expectation_sampled(state, one, shots, seed, noise=noise)
-            assert est == pytest.approx(t.coefficient * mean, rel=1e-12)
-            assert se == pytest.approx(
-                abs(t.coefficient) * np.sqrt((1.0 - mean**2) / shots), rel=1e-12)
-            est, _ = expectation_sampled(state, one, shots, seed, noise=noise,
-                                         mitigate=True)
-            assert est == pytest.approx(
-                t.coefficient * mitigate_readout(rec, noise, t.axes), rel=1e-12)
-
 
 class TestTermOrder:
     @pytest.mark.parametrize("mode", ["sampled", "noisy", "mitigated"])
@@ -437,37 +401,3 @@ class TestTermOrder:
         assert (expectation_sampled(state, s, 512, 17, **options)
                 == expectation_sampled(state, flipped, 512, 17, **options))
 
-
-class TestOverlapMagnitude:
-    def test_self_overlap(self, ground):
-        _, v = ground
-        circ = compact_ansatz(*compact_angles(v))
-        assert overlap_magnitude(circ, v) == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthogonal(self):
-        circ = compact_ansatz(0.0, 0.0, 0.0)  # |00>
-        v = np.array([0.0, 1.0, 0.0, 0.0])
-        assert overlap_magnitude(circ, v) == pytest.approx(0.0, abs=1e-10)
-
-    def test_printed_reference_overlap(self, ground):
-        _, v0 = ground
-        circ = compact_ansatz(*compact_angles(v0))
-        v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        got = overlap_magnitude(circ, v)
-        assert got == pytest.approx(abs(np.dot(v, v0)), abs=1e-10)
-        assert got == pytest.approx(0.88, abs=0.01)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            overlap_magnitude(compact_ansatz(0, 0, 0), np.array([1.0, 1.0, 0, 0]))
-
-
-class TestSampleTerm:
-    def test_counts_sum(self):
-        rec = sample_term(Statevector.zero(2), "ZZ", shots=100, seed=5)
-        assert sum(rec.counts.values()) == rec.total == 100
-
-    def test_deterministic(self):
-        a = sample_term(Statevector.zero(2), "XX", shots=64, seed=5)
-        b = sample_term(Statevector.zero(2), "XX", shots=64, seed=5)
-        assert a.counts == b.counts

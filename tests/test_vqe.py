@@ -37,8 +37,6 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(restarts=-1)
 
 
 class TestVqeResult:
@@ -76,13 +74,6 @@ class TestMinimize:
         res = minimize(cost, rng.normal(size=3), OptimizerConfig())
         energies = [e for _, e in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-
-    def test_restarts_improve_or_hold(self):
-        cost = lambda t: float(np.sum((t - 1.0) ** 2))
-        base = minimize(cost, np.zeros(3), OptimizerConfig(max_iterations=20))
-        more = minimize(cost, np.zeros(3),
-                        OptimizerConfig(max_iterations=20, restarts=2))
-        assert more.energy <= base.energy + 1e-12
 
 
 class TestVqeRun:
