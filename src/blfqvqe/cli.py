@@ -8,7 +8,7 @@ directory.  Outputs embed the resolved configuration and its hash, never
 wall-clock data, so a fixed seed reruns byte-identically.
 
 Each output file is written to a temporary file beside it and renamed
-into place, so a failed write leaves the previous file intact.
+into place; a failed write keeps the previous file and exits 2.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer
 non-convergence, 4 numerical failure.
@@ -224,9 +224,11 @@ def _replacing(path):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise ConfigError(f"cannot write {path}: {err}") from err
         raise
 
 

@@ -113,12 +113,9 @@ def build_njl_matrix(params, exponents, block):
     return HermitianObservable(H, units="MeV^2")
 
 
-def build_effective_hamiltonian(params, cutoffs=None, j_z=0):
-    """Full mass-squared matrix H = H0 + H_int in the J_z = 0 block."""
-    cutoffs = cutoffs or BasisCutoffs()
-    if j_z != 0:
-        raise UnsupportedCutoffError("interaction matrix elements cover J_z = 0 only")
-    block = enumerate_block(j_z, cutoffs)
+def build_effective_hamiltonian(params):
+    """Full mass-squared matrix H = H0 + H_int in the default J_z = 0 block."""
+    block = enumerate_block(0, BasisCutoffs())
     exponents = compute_exponents(params)
     h0 = build_h0_diagonal(params, block)
     hint = build_njl_matrix(params, exponents, block)

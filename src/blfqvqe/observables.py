@@ -250,6 +250,7 @@ def _tm_terms(m):
 
 
 def _charge_bracket(l1, l2, n_bar, q2_over_b2, alpha, beta, nodes, weights):
+    # one quadrature per Q^2 row: q2_over_b2 is a column, x runs along axis -1
     x = nodes
     zq = (1.0 - x) / (2.0 * x) * q2_over_b2
     zqb = x / (2.0 * (1.0 - x)) * q2_over_b2
@@ -257,39 +258,43 @@ def _charge_bracket(l1, l2, n_bar, q2_over_b2, alpha, beta, nodes, weights):
     term_qb = E_ANTIQUARK * np.exp(-zqb / 2.0) * eval_genlaguerre(n_bar, 0, zqb)
     integrand = (chi(x, l1, alpha, beta) * chi(x, l2, alpha, beta)
                  / (4.0 * np.pi) * (term_q - term_qb))
-    return float(np.sum(weights * integrand))
+    return np.sum(weights * integrand, axis=-1)
 
 
-def _ctilde(m, l1, l2, q2, params, exponents):
-    """Charge-operator matrix element for (n=0, m) modes, l1 x l2."""
-    q2b = q2 / params.b**2
-    total = 0.0
-    for big_n, n_bar, c in _tm_terms(m):
-        fine = _charge_bracket(l1, l2, n_bar, q2b, exponents.alpha,
-                               exponents.beta, _GL_X, _GL_W)
-        coarse = _charge_bracket(l1, l2, n_bar, q2b, exponents.alpha,
-                                 exponents.beta, _GL96_NODES, _GL96_WEIGHTS)
-        if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
-            raise RuntimeError(f"longitudinal quadrature not converged at "
-                               f"Q^2 = {q2:g}: {fine} vs {coarse}")
-        total += c * (-1.0) ** big_n * fine
-    return total
-
-
-def form_factor_matrix(q2, params, exponents, block):
-    """Elastic charge operator on the basis block at one Q^2 (MeV^2)."""
-    if q2 < 0:
+def _charge_matrices(q2, params, exponents, block):
+    """Charge operator on the basis block at each Q^2 of q2, stacked along
+    axis 0; every 128-node quadrature is checked against 96 nodes."""
+    q2 = np.asarray(q2, dtype=float)
+    if np.any(q2 < 0):
         raise ValueError("Q^2 must be non-negative")
-    dim = len(block)
-    out = np.zeros((dim, dim))
+    q2b = (q2 / params.b**2)[:, None]
+    al, be = exponents.alpha, exponents.beta
+    out = np.zeros((len(q2), len(block), len(block)))
     for i, si in enumerate(block):
         if si.n != 0:
             raise ValueError("charge operator tabulated for n = 0 blocks only")
         for j, sj in enumerate(block):
             if (si.s1, si.s2) != (sj.s1, sj.s2) or si.m != sj.m:
                 continue
-            out[i, j] = _ctilde(si.m, si.l, sj.l, q2, params, exponents)
-    return HermitianObservable(out, units="dimensionless")
+            total = 0.0
+            for big_n, n_bar, c in _tm_terms(si.m):
+                fine = _charge_bracket(si.l, sj.l, n_bar, q2b, al, be, _GL_X, _GL_W)
+                coarse = _charge_bracket(si.l, sj.l, n_bar, q2b, al, be,
+                                         _GL96_NODES, _GL96_WEIGHTS)
+                bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
+                if bad.any():
+                    k = np.argmax(bad)
+                    raise RuntimeError(f"longitudinal quadrature not converged at "
+                                       f"Q^2 = {q2[k]:g}: {fine[k]} vs {coarse[k]}")
+                total += c * (-1.0) ** big_n * fine
+            out[:, i, j] = total
+    return out
+
+
+def form_factor_matrix(q2, params, exponents, block):
+    """Elastic charge operator on the basis block at one Q^2 (MeV^2)."""
+    return HermitianObservable(_charge_matrices([q2], params, exponents, block)[0],
+                               units="dimensionless")
 
 
 @dataclass(frozen=True)
@@ -314,25 +319,20 @@ class FormFactorCurve:
             raise ValueError("|F| exceeds 1")
 
 
-def default_q2_grid(params, points=52):
-    """0 .. 100 b^2 scan plus the two derivative stencil points."""
+def default_q2_grid(params):
+    """0 .. 100 b^2 scan in 52 points plus the two derivative stencil points."""
     h = params.b**2 / 100.0
-    base = np.linspace(0.0, 100.0 * params.b**2, points)
+    base = np.linspace(0.0, 100.0 * params.b**2, 52)
     return np.unique(np.concatenate([base, [h / 2.0, h]]))
 
 
-def elastic_form_factor(psi, params, q2_grid=None):
-    """F_P on a Q^2 grid (default: default_q2_grid) for a normalized
-    wave function, evaluated point by point in grid order."""
-    exps = compute_exponents(params)
-    if q2_grid is None:
-        q2_grid = default_q2_grid(params)
-    values = []
-    for q2 in q2_grid:
-        mat = form_factor_matrix(float(q2), params, exps, psi.block)
-        values.append(float(psi.coefficients @ mat.entries @ psi.coefficients))
-    return FormFactorCurve(q2=tuple(float(q) for q in q2_grid),
-                           values=tuple(values))
+def elastic_form_factor(psi, params):
+    """F_P on default_q2_grid for a normalized wave function."""
+    q2 = default_q2_grid(params)
+    mats = _charge_matrices(q2, params, compute_exponents(params), psi.block)
+    c = psi.coefficients
+    return FormFactorCurve(q2=tuple(float(q) for q in q2),
+                           values=tuple(float(c @ m @ c) for m in mats))
 
 
 def charge_radius(curve):

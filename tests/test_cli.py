@@ -1,9 +1,11 @@
 """Command-line interface tests: config handling, outputs, exit codes."""
 import csv
+import importlib.util
 import json
 import typing
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +208,8 @@ class TestOutputFiles:
         assert "config error" in capsys.readouterr().err
         assert target.read_text() == "not a directory\n"
 
-    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                  capsys):
         assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
         before = (tmp_path / "vqe_result.json").read_bytes()
 
@@ -215,8 +218,11 @@ class TestOutputFiles:
             raise OSError("disk full")
 
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            run_cli("vqe", "--seed", "3", "--out", str(tmp_path))
+        capsys.readouterr()
+        assert run_cli("vqe", "--seed", "3", "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: cannot write" in err
+        assert str(tmp_path / "vqe_result.json") in err and "disk full" in err
         assert (tmp_path / "vqe_result.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "vqe_result.json", "vqe_trace.csv"]
@@ -483,3 +489,15 @@ class TestScalingCommand:
                     "--out", str(out))
         assert (a / "scaling.csv").read_bytes() == (b / "scaling.csv").read_bytes()
         assert (a / "scaling.json").read_bytes() == (b / "scaling.json").read_bytes()
+
+
+def test_benchmark_traced_names_exist():
+    # bench/spans.py wraps these attributes by name; a missing one would
+    # only surface as an AttributeError in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, _ in spans.TRACED
+               if not hasattr(importlib.import_module(f"blfqvqe.{module}"), attr)]
+    assert spans.TRACED and not missing

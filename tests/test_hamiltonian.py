@@ -91,10 +91,11 @@ class TestEffectiveHamiltonian:
         assert np.allclose(S @ H @ S, H, atol=1e-9 * np.abs(H).max())
 
     def test_other_blocks_rejected(self):
+        block = enumerate_block(0, BasisCutoffs(n_max=1))
         with pytest.raises(UnsupportedCutoffError):
-            build_effective_hamiltonian(PARAMS, j_z=1)
+            build_h0_diagonal(PARAMS, block)
         with pytest.raises(UnsupportedCutoffError):
-            build_effective_hamiltonian(PARAMS, BasisCutoffs(n_max=1))
+            build_njl_matrix(PARAMS, compute_exponents(PARAMS), block)
 
 
 class TestDiagonalize:

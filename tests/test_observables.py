@@ -1,10 +1,12 @@
 """Observable values frozen against independent quadrature routes."""
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 from scipy.special import eval_genlaguerre, gammaln, roots_legendre
 
 from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters, WaveFunction,
                                 chi, compute_exponents, enumerate_block)
+from blfqvqe import observables
 from blfqvqe.hamiltonian import build_effective_hamiltonian, diagonalize
 from blfqvqe.observables import (E_ANTIQUARK, E_QUARK, HBARC, FormFactorCurve,
                                  PdfDensity, charge_radius, decay_constant,
@@ -166,6 +168,14 @@ class TestPdf:
         assert ratio[1] == pytest.approx(0.9774, abs=2e-3)
         assert np.all(ratio < 0.98)
 
+    def test_matches_unrounded_closed_form(self, psi):
+        # chi_0^2 / 4 pi = x^beta (1-x)^alpha / B(alpha+1, beta+1)
+        x = np.array([0.05, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95])
+        den = pdf(psi, x, EXPS)
+        a, b = EXPS.alpha, EXPS.beta
+        closed_form = x**b * (1.0 - x) ** a / beta_fn(a + 1.0, b + 1.0)
+        np.testing.assert_allclose(den.values, closed_form, rtol=1e-12, atol=0)
+
     def test_validation(self):
         x = np.array([0.5])
         good = dict(x_grid=x, values=np.array([0.1]), alpha=1.0, beta=1.0)
@@ -323,6 +333,26 @@ class TestElasticFormFactor:
             FormFactorCurve(q2=(0.0, 2.0, 1.0), values=(1.0, 0.5, 0.1))
         with pytest.raises(ValueError):
             FormFactorCurve(q2=(0.0, 1.0, 2.0), values=(1.0, 1.2, 0.1))
+
+    def test_one_pass_matches_pointwise_matrices(self, psi, curve):
+        rng = np.random.default_rng(11)
+        states = [psi.coefficients] + [v / np.linalg.norm(v)
+                                       for v in rng.normal(size=(3, 4))]
+        grid = default_q2_grid(PARAMS)
+        mats = [form_factor_matrix(q2, PARAMS, EXPS, BLOCK).entries
+                for q2 in grid]
+        for c in states:
+            got = (curve if c is psi.coefficients
+                   else elastic_form_factor(WaveFunction(c, BLOCK), PARAMS))
+            assert got.q2 == tuple(float(q) for q in grid)
+            assert got.values == tuple(float(c @ m @ c) for m in mats)
+
+    def test_unconverged_quadrature_names_q2(self, psi, monkeypatch):
+        nodes, weights = roots_legendre(8)
+        monkeypatch.setattr(observables, "_GL96_NODES", 0.5 * (nodes + 1.0))
+        monkeypatch.setattr(observables, "_GL96_WEIGHTS", 0.5 * weights)
+        with pytest.raises(RuntimeError, match=r"not converged at Q\^2 = \d"):
+            elastic_form_factor(psi, PARAMS)
 
     def test_sampled_state_curve_close_to_exact(self, psi, curve):
         h = build_effective_hamiltonian(PARAMS)
