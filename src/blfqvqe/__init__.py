@@ -23,7 +23,8 @@ from .pauli import (EncoderMatrix, PauliString, PauliSum, bk_encoder,
                     jw_to_bk_pauli, pauli_decompose, pauli_sum_to_matrix)
 from .simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
                         compact_ansatz, direct_ansatz, expectation_exact,
-                        expectation_sampled, jw_to_bk_circuit, run_circuit)
+                        expectation_sampled, jw_to_bk_circuit, run_circuit,
+                        sampled_estimates)
 from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           FormFactorCurve, MassRadiusMatrix, PdfDensity,
                           charge_radius, decay_constant, decay_projector,

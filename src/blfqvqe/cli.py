@@ -424,6 +424,7 @@ def cmd_scaling(config):
         "constant": result.constant,
         "repeats": result.repeats,
         "rows": [list(r) for r in result.rows],
+        "total_shots": result.total_shots,
         "provenance": provenance(config),
     }
     json_path = os.path.join(config.out, "scaling.json")

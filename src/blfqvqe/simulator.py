@@ -9,7 +9,10 @@ rotating X to Z with H and Y to Z with S-dagger followed by H, then
 sampling bitstrings.  A sum's non-identity terms are measured in one
 stacked pass: one row per term in axes-string order, every row drawn
 from the one generator seeded by `seed`, so a fixed seed gives
-identical results whatever order the sum lists its terms in.
+identical results whatever order the sum lists its terms in.  Repeated
+estimates add a leading repeats axis: one multinomial draw of shape
+(repeats, terms, 2^n) from that generator, reduced row by row, and the
+first repeat draws exactly what a single estimate with that seed draws.
 """
 from __future__ import annotations
 
@@ -228,14 +231,19 @@ def _confusion_power(noise, n, inverse=False):
     return _frozen(functools.reduce(np.kron, [C] * n))
 
 
-def _term_counts(state, axes, shots, seed, noise=None):
-    """Outcome counts, one row per term, all drawn from one generator."""
+def _term_counts(state, axes, shots, seed, noise=None, repeats=None):
+    """Outcome counts, one row per term, all drawn from one generator.
+
+    With `repeats` the counts gain a leading axis of that length; the
+    generator fills it repeat by repeat, each repeat in term order.
+    """
     n = state.n_qubits
     P = np.abs(_measurement_rows(axes, n)[0] @ state.amplitudes) ** 2
     P /= P.sum(axis=-1, keepdims=True)
     if noise is not None:
         P = P @ _confusion_power(noise, n).T
-    return np.random.default_rng(seed).multinomial(int(shots), P)
+    size = None if repeats is None else (repeats, len(axes))
+    return np.random.default_rng(seed).multinomial(int(shots), P, size=size)
 
 
 def _parity_estimate(freqs, signs, mitigation=None):
@@ -271,6 +279,43 @@ def corrected_frequencies(freqs, noise, n):
     return p / s
 
 
+def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
+               repeats):
+    """Estimates and standard errors; arrays over repeats unless None."""
+    if shots_per_term < 1:
+        raise ValueError("need at least one shot per term")
+    n = pauli_sum.n_qubits
+    if 2**n != state.amplitudes.size:
+        raise ValueError("state and operator dimensions differ")
+    coefficients = pauli_sum.as_dict()
+    offset = coefficients.pop("I" * n, 0.0)
+    axes = tuple(sorted(coefficients))
+    c = np.array([coefficients[a] for a in axes])
+    counts = _term_counts(state, axes, shots_per_term, seed, noise, repeats)
+    means, variances = _parity_estimate(counts / shots_per_term,
+                                        _measurement_rows(axes, n)[1],
+                                        noise if mitigate else None)
+    return (offset + means @ c,
+            np.sqrt(variances @ c**2 / shots_per_term))
+
+
+def sampled_estimates(state, pauli_sum, shots_per_term, seed, noise=None,
+                      mitigate=False, repeats=1):
+    """`repeats` independent shot-based estimates of <psi|S|psi>.
+
+    Returns two arrays of length `repeats`: the estimates and their
+    standard errors, each computed as by `expectation_sampled`.  All
+    repeats come from one multinomial draw of shape (repeats, terms,
+    2^n) on the one generator seeded by `seed`.  Repeat 0 draws the
+    counts `expectation_sampled` draws with the same seed, and with
+    repeats=1 the two agree bit for bit.
+    """
+    if repeats < 1:
+        raise ValueError("need at least one repeat")
+    return _estimates(state, pauli_sum, shots_per_term, seed, noise,
+                      mitigate, repeats)
+
+
 def expectation_sampled(state, pauli_sum, shots_per_term, seed,
                         noise=None, mitigate=False):
     """Shot-based estimate of <psi|S|psi> with its standard error.
@@ -281,20 +326,9 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     sampled bitstrings pass through per-qubit readout flips; mitigation
     inverts the known confusion matrix on the observed frequencies, and
     the standard error includes the variance that inversion amplifies.
+    This is the one-repeat case of `sampled_estimates`, drawn without
+    the repeats axis.
     """
-    if shots_per_term < 1:
-        raise ValueError("need at least one shot per term")
-    n = pauli_sum.n_qubits
-    if 2**n != state.amplitudes.size:
-        raise ValueError("state and operator dimensions differ")
-    coefficients = pauli_sum.as_dict()
-    offset = coefficients.pop("I" * n, 0.0)
-    axes = tuple(sorted(coefficients))
-    c = np.array([coefficients[a] for a in axes])
-    counts = _term_counts(state, axes, shots_per_term, seed, noise)
-    means, variances = _parity_estimate(counts / shots_per_term,
-                                        _measurement_rows(axes, n)[1],
-                                        noise if mitigate else None)
-    return (float(offset + c @ means),
-            float(np.sqrt(c**2 @ variances / shots_per_term)))
-
+    est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
+                         mitigate, None)
+    return float(est), float(se)

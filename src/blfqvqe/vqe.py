@@ -18,7 +18,7 @@ from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
 from .simulator import (Circuit, Statevector, compact_ansatz, direct_ansatz,
                         expectation_exact, expectation_sampled,
-                        jw_to_bk_circuit, run_circuit)
+                        jw_to_bk_circuit, run_circuit, sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 
@@ -255,6 +255,7 @@ class ScalingResult:
     constant: float          # A
     repeats: int
     seed: int
+    total_shots: int         # shots drawn for the whole table
 
 
 SHOTS_PER_TERM_GRID = (8, 16, 32, 64, 128, 256)
@@ -265,11 +266,13 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
     """RMS relative error of the sampled energy versus shots per term.
 
     Holds the angles fixed at the exact-mode optimum (computed here when
-    not supplied), runs `repeats` independent seeded estimates (default:
-    the encoding's scaling_repeats) at each shot count of
+    not supplied), draws `repeats` independent estimates (default: the
+    encoding's scaling_repeats) at each shot count of
     SHOTS_PER_TERM_GRID, and fits log eps against log n.  Returns the
-    fit as n ~ constant / eps^exponent.  Each (point, repeat) pair draws
-    from its own seed stream (seed, point index, repeat index).
+    fit as n ~ constant / eps^exponent.  Each grid point has one seed
+    stream (seed, point index), and all repeats of a point come from it
+    in one batched draw.  total_shots counts shots per term x measured
+    terms x repeats, summed over the grid.
     """
     enc = lookup_encoding(encoding)
     if theta is None:
@@ -281,14 +284,19 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
 
     state = prepared_state(encoding, theta)
     energy = expectation_exact(state, hamiltonian)
+    if not (np.isfinite(energy) and energy != 0.0):
+        raise ArithmeticError(f"energy {energy!r} at the fixed angles has no "
+                              f"finite relative error")
     rows = []
     for i, shots in enumerate(SHOTS_PER_TERM_GRID):
-        sq_errors = []
-        for r in range(repeats):
-            est, _ = expectation_sampled(state, hamiltonian, shots,
-                                         seed=[seed, i, r])
-            sq_errors.append(((est - energy) / energy) ** 2)
-        rows.append((shots, float(np.sqrt(np.mean(sq_errors)))))
+        est, _ = sampled_estimates(state, hamiltonian, shots, seed=[seed, i],
+                                   repeats=repeats)
+        rel = (est - energy) / energy
+        rows.append((shots, float(np.sqrt(np.mean(rel**2)))))
+    if not all(0.0 < rms < np.inf for _, rms in rows):
+        raise ArithmeticError(f"RMS errors {[rms for _, rms in rows]} are not "
+                              f"all finite and positive, so the shot-noise "
+                              f"law cannot be fitted")
 
     # noise lives in eps, so regress log eps on log n and invert the slope
     log_n = np.log([r[0] for r in rows])
@@ -296,6 +304,9 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
     slope, intercept = np.polyfit(log_n, log_e, 1)
     exponent = -1.0 / slope
     constant = float(np.exp(-intercept / slope))
+    measured = sum(1 for t in hamiltonian.terms if t.weight)
     return ScalingResult(encoding=encoding, rows=tuple(rows),
                          exponent=float(exponent), constant=constant,
-                         repeats=repeats, seed=seed)
+                         repeats=repeats, seed=seed,
+                         total_shots=sum(SHOTS_PER_TERM_GRID) * measured
+                         * repeats)

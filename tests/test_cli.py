@@ -43,6 +43,21 @@ CONFIG_BYTES = st.one_of(
              max_size=4).map(
         lambda pairs: "".join(f"{k} = {v}\n" for k, v in pairs).encode()))
 
+# the scaling subcommand's flags: --mitigate alone, the rest with a value
+# that is one of the valid choices, a number or arbitrary text
+FLAG_VALUES = st.one_of(
+    st.sampled_from(("direct", "compact", "bk", "exact", "sampled", "noisy",
+                     "simplex", "linear-trust-region")),
+    st.floats().map(repr), st.integers().map(str), st.text(max_size=8))
+SCALING_FLAGS = st.lists(
+    st.one_of(st.just(("--mitigate",)),
+              st.tuples(st.sampled_from((
+                  "--encoding", "--mode", "--shots", "--seed", "--noise-p01",
+                  "--noise-p10", "--mq", "--mbar", "--kappa", "--b", "--gpi",
+                  "--optimizer", "--max-iterations", "--tolerance")),
+                  FLAG_VALUES)),
+    max_size=5).map(lambda flags: [arg for flag in flags for arg in flag])
+
 
 class TestRunConfig:
     def test_defaults_valid(self):
@@ -480,6 +495,45 @@ class TestScalingCommand:
         assert header == ["shots_per_term", "rms_relative_error"]
         shots = [int(r[0]) for r in rows]
         assert shots == sorted(shots) and len(shots) == 6
+
+    # shots per term summed over the grid (504) x measured terms x repeats
+    @pytest.mark.parametrize("encoding,total", [("compact", 504 * 5 * 600),
+                                                ("direct", 504 * 16 * 244)])
+    def test_total_shots(self, tmp_path, encoding, total):
+        assert run_cli("scaling", "--encoding", encoding, "--seed", "3",
+                       "--out", str(tmp_path)) == EXIT_OK
+        assert read_json(tmp_path / "scaling.json")["total_shots"] == total
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(SCALING_FLAGS, CONFIG_BYTES)
+    def test_any_flags_and_config_end_in_an_exit_code(self, tmp_path, capsys,
+                                                      flags, blob):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(blob)
+        try:
+            code = run_cli("scaling", *flags, "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        except SystemExit as err:  # argparse rejects the flags
+            code = err.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE,
+                        EXIT_NUMERICAL)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == EXIT_OK:  # a written table holds no NaN or Infinity
+            text = (tmp_path / "out" / "scaling.json").read_text()
+            json.loads(text, parse_constant=pytest.fail)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+    @pytest.mark.parametrize("physics", [("--mq", "6204329972905358.0"),
+                                         ("--mq", "1e-300", "--b", "3.6e66",
+                                          "--kappa", "1e-8")])
+    def test_unfittable_table_exits_four(self, tmp_path, capsys, physics):
+        # a zero energy, or a state with no shot noise, leaves the
+        # relative-error law undefined
+        assert run_cli("scaling", *physics,
+                       "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "scaling.json").exists()
 
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -9,7 +9,7 @@ from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
                                compact_ansatz, corrected_frequencies,
                                direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
-                               run_circuit)
+                               run_circuit, sampled_estimates)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +312,55 @@ class TestExpectationSampled:
         assert abs(mean) < 1.0
         assert se == pytest.approx(2.5 * np.sqrt((1.0 - mean**2) / shots),
                                    rel=1e-12)
+
+
+class TestSampledEstimates:
+    @pytest.mark.parametrize("mode", ["sampled", "noisy", "mitigated"])
+    @pytest.mark.parametrize("encoding", ["direct", "compact"])
+    def test_one_repeat_is_expectation_sampled(self, hmat, ground, encoding,
+                                               mode):
+        _, v = ground
+        if encoding == "direct":
+            state = run_circuit(direct_ansatz(*direct_angles(v)),
+                                Statevector.zero(4))
+            s = embed_direct(hmat)
+        else:
+            state = run_circuit(compact_ansatz(*compact_angles(v)),
+                                Statevector.zero(2))
+            s = embed_compact(hmat)
+        noise = None if mode == "sampled" else ReadoutNoiseModel(0.03, 0.05)
+        options = {"noise": noise, "mitigate": mode == "mitigated"}
+        est, se = sampled_estimates(state, s, 512, 17, repeats=1, **options)
+        assert est.shape == se.shape == (1,)
+        assert (est[0], se[0]) == expectation_sampled(state, s, 512, 17,
+                                                      **options)
+
+    def test_batch_spread_matches_dense_std_error(self, hmat, ground):
+        # R estimates from one batched draw scatter with the dense
+        # single-estimate error; the sample standard deviation of R normal
+        # draws has a relative spread of about 1/sqrt(2R), so 4/sqrt(2R)
+        # is a 4-sigma band (0.141 at R = 400).  A batch that reused one
+        # draw across repeats would have zero spread.
+        _, v = ground
+        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        s = embed_compact(hmat)
+        shots, repeats = 256, 400
+        amps = state.amplitudes
+        dense_var = sum(
+            t.coefficient**2
+            * (1.0 - np.vdot(amps, pauli_string_matrix(t.axes) @ amps).real ** 2)
+            for t in s.terms if t.weight)
+        dense_se = np.sqrt(dense_var / shots)
+        est, se = sampled_estimates(state, s, shots, seed=31, repeats=repeats)
+        assert est.shape == se.shape == (repeats,)
+        tol = 4.0 / np.sqrt(2.0 * repeats)
+        assert abs(np.std(est, ddof=1) / dense_se - 1.0) <= tol
+        assert abs(np.mean(se) / dense_se - 1.0) <= tol
+
+    def test_rejects_zero_repeats(self, hmat):
+        with pytest.raises(ValueError):
+            sampled_estimates(Statevector.zero(2), embed_compact(hmat), 64,
+                              seed=0, repeats=0)
 
 
 class TestReadoutMitigation:

@@ -202,6 +202,20 @@ class TestScaling:
         got = relative_variance(Statevector(psi), sums[enc], energy)
         assert got == pytest.approx(expect / energy**2, rel=1e-12)
 
+    @pytest.mark.parametrize("enc", ["direct", "compact"])
+    def test_rows_follow_shot_noise(self, problem, results, enc):
+        # the estimator is unbiased with relative variance v_rel / n, so
+        # each row's mean of R squared errors spreads by about
+        # sqrt(2 / R) and its RMS by half that: 6/sqrt(2R) is 6 sigma
+        _, sums, _ = problem
+        res = results[enc]
+        state = prepared_state(enc, vqe_run(sums[enc], enc, mode="exact").theta)
+        v_rel = relative_variance(state, sums[enc],
+                                  expectation_exact(state, sums[enc]))
+        tol = 6.0 / np.sqrt(2.0 * res.repeats)
+        for shots, rms in res.rows:
+            assert abs(rms / np.sqrt(v_rel / shots) - 1.0) <= tol, (shots, rms)
+
     def test_shot_column_is_the_fixed_grid(self, results):
         # the rows hold 8 to 256 shots per term whatever the state and the
         # Hamiltonian; a different kappa moves the energies, not the column
