@@ -289,8 +289,8 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
                               f"finite relative error")
     rows = []
     for i, shots in enumerate(SHOTS_PER_TERM_GRID):
-        est, _ = sampled_estimates(state, hamiltonian, shots, seed=[seed, i],
-                                   repeats=repeats)
+        est = sampled_estimates(state, hamiltonian, shots, seed=[seed, i],
+                                repeats=repeats)
         rel = (est - energy) / energy
         rows.append((shots, float(np.sqrt(np.mean(rel**2)))))
     if not all(0.0 < rms < np.inf for _, rms in rows):
