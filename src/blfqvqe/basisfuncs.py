@@ -2,9 +2,9 @@
 
 The transverse degrees of freedom live in a 2D harmonic-oscillator basis
 phi_{nm} with scale b; the longitudinal direction uses Jacobi-polynomial
-modes chi_l(x; alpha, beta) on x in (0, 1).  Spin and orbital excitations
-are enumerated in blocks of fixed total angular-momentum projection J_z,
-where the combined quantum number theta labels (m, s1, s2) triples.
+modes chi_l(x; alpha, beta) on x in (0, 1).  The one tabulated basis is
+the J_z = 0 valence block at n = l = 0, |m| <= 2, where the quantum
+number theta labels its four (m, s1, s2) triples.
 
 Conventions:
   * spins are stored as +1/-1 integers (twice the spin projection), so
@@ -103,17 +103,9 @@ class WaveFunction:
             raise ValueError("wave function must have unit norm")
 
 
-# (m, s1, s2) triples per J_z, in theta order (theta = 1-based position).
-# Only the |m| <= 2 scheme is tabulated.
-THETA_TABLE = {
-    -3: ((-2, -1, -1),),
-    -2: ((-2, +1, -1), (-2, -1, +1), (-1, -1, -1)),
-    -1: ((-2, +1, +1), (-1, +1, -1), (-1, -1, +1), (0, -1, -1)),
-    0: ((-1, +1, +1), (0, +1, -1), (0, -1, +1), (+1, -1, -1)),
-    1: ((0, +1, +1), (+1, +1, -1), (+1, -1, +1), (+2, -1, -1)),
-    2: ((+1, +1, +1), (+2, +1, -1), (+2, -1, +1)),
-    3: ((+2, +1, +1),),
-}
+# (m, s1, s2) triples of the J_z = 0 block, in theta order (theta =
+# 1-based position)
+_JZ0_TRIPLES = ((-1, +1, +1), (0, +1, -1), (0, -1, +1), (+1, -1, -1))
 
 
 def compute_exponents(params):
@@ -191,22 +183,16 @@ def chi(x, l, alpha, beta):
 
 
 def enumerate_block(j_z, cutoffs):
-    """All basis states of one J_z block, ordered by the linear index
-    a(n, l, theta) = [n (l_max + 1) + l] * d_theta + (theta - 1).
+    """The basis states of the J_z block under `cutoffs`, in theta order.
 
-    Only the m_max = 2 combination table is defined; other transverse
-    cutoffs raise UnsupportedCutoffError.
+    The one home of the basis truncation: only the J_z = 0 block at the
+    default cutoffs (n = l = 0, |m| <= 2) is tabulated, and every other
+    block or cutoff raises UnsupportedCutoffError.  The Hamiltonian, the
+    observables and the CLI's settings check all take their block here.
     """
-    if cutoffs.m_max != 2:
+    if j_z != 0 or cutoffs != BasisCutoffs():
         raise UnsupportedCutoffError(
-            f"theta table is defined for m_max = 2 only, got {cutoffs.m_max}")
-    if j_z not in THETA_TABLE:
-        raise ValueError(f"|J_z| <= 3 required, got {j_z}")
-    states = []
-    for n in range(cutoffs.n_max + 1):
-        for l in range(cutoffs.l_max + 1):
-            for theta0, (m, s1, s2) in enumerate(THETA_TABLE[j_z]):
-                states.append(BasisState(n=n, m=m, l=l, s1=s1, s2=s2,
-                                         theta=theta0 + 1, j_z=j_z))
-    return states
-
+            f"the basis is tabulated for the J_z = 0 block at "
+            f"{BasisCutoffs()} only, got J_z = {j_z} at {cutoffs}")
+    return [BasisState(n=0, m=m, l=0, s1=s1, s2=s2, theta=k + 1, j_z=0)
+            for k, (m, s1, s2) in enumerate(_JZ0_TRIPLES)]

@@ -34,9 +34,9 @@ from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
-from .vqe import (ENCODINGS, OptimizerConfig, extract_amplitudes,
-                  lookup_encoding, prepared_state, scaling_experiment,
-                  vqe_run)
+from .vqe import (ENCODINGS, OPTIMIZER_METHODS, OptimizerConfig,
+                  extract_amplitudes, lookup_encoding, prepared_state,
+                  scaling_experiment, vqe_run)
 
 OUT_ENV = "BLFQVQE_OUT"
 EXIT_OK = 0
@@ -48,8 +48,10 @@ CLI_MODES = ("exact", "sampled", "noisy")
 # the settings that fix the Hamiltonian: stored angles fitted under other
 # values belong to another problem
 _PHYSICS_FIELDS = ("m", "mbar", "kappa", "b", "g_pi", "n_max", "m_max", "l_max")
-_SUPPORTED_CUTOFFS = BasisCutoffs()
-_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParameters)}
+# each default is read off the record the setting configures
+_DEFAULTS = {f.name: f.default
+             for record in (ModelParameters, BasisCutoffs, OptimizerConfig)
+             for f in fields(record)}
 
 
 class ConfigError(ValueError):
@@ -60,14 +62,14 @@ class ConfigError(ValueError):
 class RunConfig:
     """Resolved settings for one command invocation."""
 
-    m: float = _MODEL_DEFAULTS["m"]
-    mbar: float = _MODEL_DEFAULTS["mbar"]
-    kappa: float = _MODEL_DEFAULTS["kappa"]
-    b: float | None = _MODEL_DEFAULTS["b"]
-    g_pi: float = _MODEL_DEFAULTS["g_pi"]
-    n_max: int = 0
-    m_max: int = 2
-    l_max: int = 0
+    m: float = _DEFAULTS["m"]
+    mbar: float = _DEFAULTS["mbar"]
+    kappa: float = _DEFAULTS["kappa"]
+    b: float | None = _DEFAULTS["b"]
+    g_pi: float = _DEFAULTS["g_pi"]
+    n_max: int = _DEFAULTS["n_max"]
+    m_max: int = _DEFAULTS["m_max"]
+    l_max: int = _DEFAULTS["l_max"]
     encoding: str = "compact"
     mode: str = "exact"
     shots: int = 8192
@@ -75,9 +77,9 @@ class RunConfig:
     noise_p01: float | None = None
     noise_p10: float | None = None
     mitigate: bool = False
-    optimizer: str = "simplex"
-    max_iterations: int = 500
-    tolerance: float = 1.0
+    optimizer: str = _DEFAULTS["method"]
+    max_iterations: int = _DEFAULTS["max_iterations"]
+    tolerance: float = _DEFAULTS["tolerance"]
     out: str = "."
 
     def __post_init__(self):
@@ -95,23 +97,15 @@ class RunConfig:
             raise ConfigError("shots must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        cut = (self.n_max, self.m_max, self.l_max)
-        supported = (_SUPPORTED_CUTOFFS.n_max, _SUPPORTED_CUTOFFS.m_max,
-                     _SUPPORTED_CUTOFFS.l_max)
-        if cut != supported:
-            raise ConfigError(f"cutoffs (n_max, m_max, l_max) = {cut} are not "
-                              f"supported; the interaction is tabulated for "
-                              f"{supported}")
         if self.mode == "noisy":
             if self.noise_p01 is None or self.noise_p10 is None:
                 raise ConfigError("mode 'noisy' needs --noise-p01 and "
                                   "--noise-p10")
-            for p in (self.noise_p01, self.noise_p10):
-                if not 0.0 <= p < 1.0:
-                    raise ConfigError("noise probabilities must lie in [0, 1)")
         elif self.mitigate:
             raise ConfigError("--mitigate only applies to mode 'noisy'")
         try:
+            enumerate_block(0, self.cutoffs())
+            self.noise_model()
             self.optimizer_config()
             self.model_parameters()
         except ValueError as err:
@@ -120,6 +114,10 @@ class RunConfig:
     def model_parameters(self):
         return ModelParameters(m=self.m, mbar=self.mbar, kappa=self.kappa,
                                b=self.b, g_pi=self.g_pi)
+
+    def cutoffs(self):
+        return BasisCutoffs(n_max=self.n_max, m_max=self.m_max,
+                            l_max=self.l_max)
 
     def optimizer_config(self):
         return OptimizerConfig(method=self.optimizer,
@@ -324,7 +322,7 @@ def _check_provenance(stored, config, angles_path):
 
 def _state_from_config(config, h, args):
     """Wave function + mode tag, from --exact or a vqe result file."""
-    block = enumerate_block(0, BasisCutoffs())
+    block = enumerate_block(0, config.cutoffs())
     if args.exact:
         sol = diagonalize(h)
         return WaveFunction(sol.eigenvectors[:, 0], block), "exact", None
@@ -463,8 +461,7 @@ def build_parser():
         p.add_argument("--b", type=float, help="basis scale in MeV")
         p.add_argument("--gpi", dest="g_pi", type=float,
                        help="contact coupling in MeV^-2")
-        p.add_argument("--optimizer",
-                       choices=("simplex", "linear-trust-region"))
+        p.add_argument("--optimizer", choices=OPTIMIZER_METHODS)
         p.add_argument("--max-iterations", dest="max_iterations", type=int)
         p.add_argument("--tolerance", type=float)
 

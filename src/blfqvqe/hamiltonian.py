@@ -3,9 +3,9 @@
 The mass-squared operator splits into a basis-diagonal part (kinetic plus
 confinement zero-point pieces) and the contact-interaction part whose
 matrix elements are bilinear in the longitudinal integrals
-L(a, b) = L_0(a, b; alpha, beta).  At the default cutoffs the block is a
-real symmetric 4x4 matrix over the theta = 1..4 states; all entries are
-in MeV^2.
+L(a, b) = L_0(a, b; alpha, beta).  The block is a real symmetric 4x4
+matrix over the theta = 1..4 states of `enumerate_block`; all entries
+are in MeV^2.
 
 Sign conventions: the contact shift on both |m| = 1 diagonal entries
 (theta 1 and 4) is negative, and the (1,2) element carries a plus between
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basisfuncs import (BasisCutoffs, UnsupportedCutoffError, compute_exponents,
-                         enumerate_block, longitudinal_integral)
+from .basisfuncs import (BasisCutoffs, compute_exponents, enumerate_block,
+                         longitudinal_integral)
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class HermitianObservable:
         object.__setattr__(self, "entries", a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must be a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
         scale = np.abs(a).max() or 1.0
         if np.abs(a - a.T).max() > 1e-9 * scale:
             raise ValueError("matrix is not symmetric")
@@ -56,26 +58,16 @@ class Eigensolution:
     eigenvectors: np.ndarray
 
 
-def _require_minimal_block(block):
-    thetas = sorted(s.theta for s in block)
-    if thetas != [1, 2, 3, 4] or any(s.n != 0 or s.l != 0 for s in block):
-        raise UnsupportedCutoffError(
-            "contact matrix elements are available for the 4-state "
-            "n_max = l_max = 0, J_z = 0 block only")
-
-
-def build_h0_diagonal(params, block):
+def build_h0_diagonal(params):
     """Diagonal part: (m+mbar)^2 + 5 kappa^2 for |m| = 1, + 3 kappa^2 for m = 0."""
-    _require_minimal_block(block)
     msum2 = (params.m + params.mbar) ** 2
     diag = [msum2 + (5 if abs(s.m) == 1 else 3) * params.kappa**2
-            for s in sorted(block, key=lambda s: s.theta)]
+            for s in enumerate_block(0, BasisCutoffs())]
     return HermitianObservable(np.diag(diag), units="MeV^2")
 
 
-def build_njl_matrix(params, exponents, block):
+def build_njl_matrix(params, exponents):
     """Contact-interaction part of the 4x4 block, proportional to g_pi."""
-    _require_minimal_block(block)
     m, mbar, b, gp = params.m, params.mbar, params.b, params.g_pi
     al, be = exponents.alpha, exponents.beta
 
@@ -115,10 +107,8 @@ def build_njl_matrix(params, exponents, block):
 
 def build_effective_hamiltonian(params):
     """Full mass-squared matrix H = H0 + H_int in the default J_z = 0 block."""
-    block = enumerate_block(0, BasisCutoffs())
-    exponents = compute_exponents(params)
-    h0 = build_h0_diagonal(params, block)
-    hint = build_njl_matrix(params, exponents, block)
+    h0 = build_h0_diagonal(params)
+    hint = build_njl_matrix(params, compute_exponents(params))
     return HermitianObservable(h0.entries + hint.entries, units="MeV^2")
 
 

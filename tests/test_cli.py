@@ -17,6 +17,7 @@ from blfqvqe.cli import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERICAL,
                          EXIT_OK, OUT_ENV, ConfigError, RunConfig,
                          build_parser, config_hash, main, read_config_file,
                          resolve_config)
+from blfqvqe.hamiltonian import build_effective_hamiltonian
 
 
 def run_cli(*argv):
@@ -43,20 +44,47 @@ CONFIG_BYTES = st.one_of(
              max_size=4).map(
         lambda pairs: "".join(f"{k} = {v}\n" for k, v in pairs).encode()))
 
-# the scaling subcommand's flags: --mitigate alone, the rest with a value
-# that is one of the valid choices, a number or arbitrary text
+# the subcommands' flags: switches alone, the rest with a value that is
+# one of the valid choices, a number or arbitrary text
 FLAG_VALUES = st.one_of(
     st.sampled_from(("direct", "compact", "bk", "exact", "sampled", "noisy",
                      "simplex", "linear-trust-region")),
     st.floats().map(repr), st.integers().map(str), st.text(max_size=8))
-SCALING_FLAGS = st.lists(
-    st.one_of(st.just(("--mitigate",)),
-              st.tuples(st.sampled_from((
-                  "--encoding", "--mode", "--shots", "--seed", "--noise-p01",
-                  "--noise-p10", "--mq", "--mbar", "--kappa", "--b", "--gpi",
-                  "--optimizer", "--max-iterations", "--tolerance")),
-                  FLAG_VALUES)),
-    max_size=5).map(lambda flags: [arg for flag in flags for arg in flag])
+COMMON_FLAGS = ("--encoding", "--mode", "--shots", "--seed", "--noise-p01",
+                "--noise-p10", "--mq", "--mbar", "--kappa", "--b", "--gpi",
+                "--optimizer", "--max-iterations", "--tolerance")
+
+
+def flag_lists(valued, switches=("--mitigate",)):
+    return st.lists(
+        st.one_of(st.sampled_from(switches).map(lambda s: (s,)),
+                  st.tuples(st.sampled_from(valued), FLAG_VALUES)),
+        max_size=5).map(lambda flags: [arg for flag in flags for arg in flag])
+
+
+SCALING_FLAGS = VQE_FLAGS = flag_lists(COMMON_FLAGS)
+OBSERVABLES_FLAGS = flag_lists(COMMON_FLAGS + ("--angles",),
+                               ("--mitigate", "--exact"))
+
+
+def run_any(command, flags, blob, out, capsys):
+    """Run with drawn flags and config bytes; assert a clean exit code and
+    no traceback."""
+    cfg = out.parent / "run.cfg"
+    cfg.write_bytes(blob)
+    try:
+        code = run_cli(command, *flags, "--config", str(cfg),
+                       "--out", str(out))
+    except SystemExit as err:  # argparse rejects the flags
+        code = err.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERICAL)
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+def assert_finite_json(path):
+    """A written result holds no NaN or Infinity; returns it parsed."""
+    return json.loads(path.read_text(), parse_constant=pytest.fail)
 
 
 class TestRunConfig:
@@ -314,6 +342,25 @@ class TestVqeCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "noise-p01" in capsys.readouterr().err
 
+    # `--max-iterations 50` follows the drawn flags, so every run stays short
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(VQE_FLAGS, CONFIG_BYTES)
+    def test_any_flags_and_config_end_in_an_exit_code(self, tmp_path, capsys,
+                                                      flags, blob):
+        out = tmp_path / "out"
+        code = run_any("vqe", [*flags, "--max-iterations", "50"], blob, out,
+                       capsys)
+        if code in (EXIT_OK, EXIT_NONCONVERGENCE):
+            result = assert_finite_json(out / "vqe_result.json")
+            if result["energy"]["mode"] == "exact":
+                # a variational energy never lies below the ground level
+                config = RunConfig(**result["provenance"]["config"])
+                h = build_effective_hamiltonian(config.model_parameters())
+                floor = np.linalg.eigvalsh(h.entries)[0]
+                assert result["energy"]["value"] >= \
+                    floor - 1e-9 * np.abs(h.entries).max()
+
 
 @pytest.fixture(scope="module")
 def fitted_vqe_result(tmp_path_factory):
@@ -473,6 +520,22 @@ class TestObservablesCommand:
         assert table["m_pi2"]["value"] == pytest.approx(
             fitted_result["energy"]["value"], rel=1e-9)
 
+    # a default fitted result sits in the output directory, so runs without
+    # --exact or --angles read it
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(OBSERVABLES_FLAGS, CONFIG_BYTES)
+    def test_any_flags_and_config_end_in_an_exit_code(
+            self, fitted_vqe_result, tmp_path, capsys, flags, blob):
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        (out / "observables.json").unlink(missing_ok=True)
+        (out / "vqe_result.json").write_text(json.dumps(fitted_vqe_result))
+        code = run_any("observables", [*flags, "--max-iterations", "50"],
+                       blob, out, capsys)
+        if code == EXIT_OK:
+            assert_finite_json(out / "observables.json")
+
     def test_angles_and_config_files_are_closed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("encoding = compact\n")
@@ -509,26 +572,19 @@ class TestScalingCommand:
     @given(SCALING_FLAGS, CONFIG_BYTES)
     def test_any_flags_and_config_end_in_an_exit_code(self, tmp_path, capsys,
                                                       flags, blob):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(blob)
-        try:
-            code = run_cli("scaling", *flags, "--config", str(cfg),
-                           "--out", str(tmp_path / "out"))
-        except SystemExit as err:  # argparse rejects the flags
-            code = err.code
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE,
-                        EXIT_NUMERICAL)
-        assert "Traceback" not in capsys.readouterr().err
-        if code == EXIT_OK:  # a written table holds no NaN or Infinity
-            text = (tmp_path / "out" / "scaling.json").read_text()
-            json.loads(text, parse_constant=pytest.fail)
+        out = tmp_path / "out"
+        code = run_any("scaling", flags, blob, out, capsys)
+        if code == EXIT_OK:
+            assert_finite_json(out / "scaling.json")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
     @pytest.mark.parametrize("physics", [("--mq", "6204329972905358.0"),
                                          ("--mq", "1e-300", "--b", "3.6e66",
-                                          "--kappa", "1e-8")])
+                                          "--kappa", "1e-8"),
+                                         ("--kappa", "3.9e16", "--b", "7.2e16")])
     def test_unfittable_table_exits_four(self, tmp_path, capsys, physics):
-        # a zero energy, or a state with no shot noise, leaves the
+        # a non-finite Hamiltonian, or a state with no shot noise (RMS rows
+        # at zero or at the energy's rounding scale), leaves the
         # relative-error law undefined
         assert run_cli("scaling", *physics,
                        "--out", str(tmp_path)) == EXIT_NUMERICAL
@@ -543,6 +599,19 @@ class TestScalingCommand:
                     "--out", str(out))
         assert (a / "scaling.csv").read_bytes() == (b / "scaling.csv").read_bytes()
         assert (a / "scaling.json").read_bytes() == (b / "scaling.json").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+@pytest.mark.parametrize("command", [["hamiltonian"], ["vqe"],
+                                     ["observables", "--exact"], ["scaling"]],
+                         ids=["hamiltonian", "vqe", "observables", "scaling"])
+def test_non_finite_hamiltonian_exits_four(tmp_path, capsys, command):
+    # this quark mass leaves NaN in the contact matrix elements
+    out = tmp_path / "out"
+    assert run_cli(*command, "--mq", "6204329972905358.0",
+                   "--out", str(out)) == EXIT_NUMERICAL
+    assert "numerical failure: entries must be finite" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_benchmark_traced_names_exist():

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters, compute_exponents,
-                                enumerate_block, UnsupportedCutoffError)
+from blfqvqe.basisfuncs import ModelParameters, compute_exponents
 from blfqvqe.hamiltonian import (HermitianObservable, build_effective_hamiltonian,
                                  build_h0_diagonal, build_njl_matrix, diagonalize)
 
 PARAMS = ModelParameters()
-BLOCK = enumerate_block(0, BasisCutoffs())
 
 # published 4x4 reference matrix (MeV^2, rounded to integers)
 REFERENCE = np.array([
@@ -20,37 +18,37 @@ REFERENCE = np.array([
 
 class TestH0Diagonal:
     def test_frozen_values(self):
-        h0 = build_h0_diagonal(PARAMS, BLOCK)
+        h0 = build_h0_diagonal(PARAMS)
         # (m+mbar)^2 + 5 kappa^2 and + 3 kappa^2 from the Table-I point
         want = np.diag([711947.9604, 608889.9604, 608889.9604, 711947.9604])
         assert np.allclose(h0.entries, want, atol=1e-6)
 
     def test_theta_degeneracy(self):
-        h0 = build_h0_diagonal(PARAMS, BLOCK).entries
+        h0 = build_h0_diagonal(PARAMS).entries
         assert h0[0, 0] == h0[3, 3]
         assert h0[1, 1] == h0[2, 2]
         assert h0[0, 0] > h0[1, 1]
 
     def test_zero_confinement(self):
         p = ModelParameters(kappa=1e-12, b=227.0)
-        h0 = build_h0_diagonal(p, BLOCK).entries
+        h0 = build_h0_diagonal(p).entries
         assert np.allclose(np.diag(h0), (p.m + p.mbar) ** 2)
 
 
 class TestNjlMatrix:
     def test_zero_coupling(self):
         p = ModelParameters(g_pi=0.0)
-        hint = build_njl_matrix(p, compute_exponents(p), BLOCK)
+        hint = build_njl_matrix(p, compute_exponents(p))
         assert np.all(hint.entries == 0)
 
     def test_diagonal_shift(self):
-        hint = build_njl_matrix(PARAMS, compute_exponents(PARAMS), BLOCK).entries
+        hint = build_njl_matrix(PARAMS, compute_exponents(PARAMS)).entries
         assert abs(hint[0, 0]) == pytest.approx(71665.0, rel=0.02)
         assert hint[0, 0] < 0
         assert hint[0, 0] == hint[3, 3]
 
     def test_h23_closed_form(self):
-        hint = build_njl_matrix(PARAMS, compute_exponents(PARAMS), BLOCK).entries
+        hint = build_njl_matrix(PARAMS, compute_exponents(PARAMS)).entries
         assert hint[1, 2] == pytest.approx(174794.0, rel=0.02)
         assert hint[1, 2] > 0
 
@@ -75,7 +73,7 @@ class TestEffectiveHamiltonian:
     def test_zero_coupling_reduces_to_h0(self):
         p = ModelParameters(g_pi=0.0)
         H = build_effective_hamiltonian(p).entries
-        h0 = build_h0_diagonal(p, BLOCK).entries
+        h0 = build_h0_diagonal(p).entries
         assert np.allclose(H, h0)
 
     def test_exact_symmetry(self):
@@ -89,13 +87,6 @@ class TestEffectiveHamiltonian:
         S[0, 3] = S[3, 0] = 1.0
         S[1, 2] = S[2, 1] = -1.0
         assert np.allclose(S @ H @ S, H, atol=1e-9 * np.abs(H).max())
-
-    def test_other_blocks_rejected(self):
-        block = enumerate_block(0, BasisCutoffs(n_max=1))
-        with pytest.raises(UnsupportedCutoffError):
-            build_h0_diagonal(PARAMS, block)
-        with pytest.raises(UnsupportedCutoffError):
-            build_njl_matrix(PARAMS, compute_exponents(PARAMS), block)
 
 
 class TestDiagonalize:
@@ -151,3 +142,9 @@ class TestHermitianObservable:
 
     def test_dimension(self):
         assert HermitianObservable(np.eye(4)).dimension == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN passes the symmetry check, so finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            HermitianObservable(np.array([[1.0, bad], [bad, 1.0]]))

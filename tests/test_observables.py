@@ -1,4 +1,6 @@
 """Observable values frozen against independent quadrature routes."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -22,6 +24,11 @@ PARAMS = ModelParameters()
 EXPS = compute_exponents(PARAMS)
 BLOCK = enumerate_block(0, BasisCutoffs())
 B2 = PARAMS.b**2
+
+
+def radially_extended(block):
+    """The block repeated at n = 1, which enumerate_block does not build."""
+    return [replace(s, n=n) for n in (0, 1) for s in block]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +131,7 @@ class TestMassRadius:
         assert d["II"] / d["ZZ"] == pytest.approx(3.0, rel=1e-12)
 
     def test_extended_block_tridiagonal(self):
-        block = enumerate_block(0, BasisCutoffs(n_max=1))
+        block = radially_extended(BLOCK)
         m = mass_radius_matrix(block, PARAMS).mev2.entries
         assert np.abs(m - m.T).max() == 0.0
         pairs = 0
@@ -291,7 +298,7 @@ class TestFormFactorMatrix:
             form_factor_matrix(-1.0, PARAMS, EXPS, BLOCK)
 
     def test_rejects_radial_excitations(self):
-        block = enumerate_block(0, BasisCutoffs(n_max=1))
+        block = radially_extended(BLOCK)
         with pytest.raises(ValueError):
             form_factor_matrix(0.0, PARAMS, EXPS, block)
 

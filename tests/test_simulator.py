@@ -10,6 +10,7 @@ from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
                                direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
                                run_circuit, sampled_estimates)
+from blfqvqe.vqe import ENCODINGS
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +215,13 @@ class TestJwToBkCircuit:
         out = run_circuit(rev, run_circuit(circ, Statevector(amps)))
         assert np.abs(out.amplitudes - amps).max() < 1e-12
 
-    def test_unsupported_size(self):
-        with pytest.raises(ValueError):
-            jw_to_bk_circuit(8)
+    def test_one_excitations_land_on_bk_readout(self):
+        # the bk encoding reads its coefficients off these images
+        readout = ENCODINGS["bk"].readout
+        for i in range(4):
+            out = run_circuit(jw_to_bk_circuit(),
+                              Statevector(np.eye(16)[1 << i])).amplitudes
+            assert out[readout[i]] == 1.0 and np.abs(out).sum() == 1.0
 
 
 class TestExpectationExact:
