@@ -89,12 +89,13 @@ class BasisState:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Real expansion coefficients over one fixed-J_z block, unit norm."""
+    """Real expansion coefficients over the tabulated block, unit norm."""
 
     coefficients: np.ndarray
     block: tuple
 
     def __post_init__(self):
+        require_tabulated(self.block)
         c = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", c)
         if len(c) != len(self.block):
@@ -188,7 +189,8 @@ def enumerate_block(j_z, cutoffs):
     The one home of the basis truncation: only the J_z = 0 block at the
     default cutoffs (n = l = 0, |m| <= 2) is tabulated, and every other
     block or cutoff raises UnsupportedCutoffError.  The Hamiltonian, the
-    observables and the CLI's settings check all take their block here.
+    observables and the CLI's settings check all take their block here,
+    and require_tabulated refuses any other block handed in.
     """
     if j_z != 0 or cutoffs != BasisCutoffs():
         raise UnsupportedCutoffError(
@@ -196,3 +198,16 @@ def enumerate_block(j_z, cutoffs):
             f"{BasisCutoffs()} only, got J_z = {j_z} at {cutoffs}")
     return [BasisState(n=0, m=m, l=0, s1=s1, s2=s2, theta=k + 1, j_z=0)
             for k, (m, s1, s2) in enumerate(_JZ0_TRIPLES)]
+
+
+def require_tabulated(block):
+    """Refuse any block but enumerate_block(0, BasisCutoffs()), in its order.
+
+    The one refusal of another block: the wave function and the
+    observables that take a block directly call it, so their formulas
+    may assume n = l = 0 and the theta order of the four states.
+    """
+    if list(block) != enumerate_block(0, BasisCutoffs()):
+        raise UnsupportedCutoffError(
+            "only the block enumerate_block(0, BasisCutoffs()) is tabulated, "
+            "with its four states in theta order")

@@ -11,7 +11,8 @@ Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer
-non-convergence, 4 numerical failure.
+non-convergence, 4 numerical failure (model settings that overflow are
+named in the message).
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ EXIT_NUMERICAL = 4
 CLI_MODES = ("exact", "sampled", "noisy")
 # the settings that fix the Hamiltonian: stored angles fitted under other
 # values belong to another problem
-_PHYSICS_FIELDS = ("m", "mbar", "kappa", "b", "g_pi", "n_max", "m_max", "l_max")
+_MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
+_PHYSICS_FIELDS = _MODEL_FIELDS + ("n_max", "m_max", "l_max")
 # each default is read off the record the setting configures
 _DEFAULTS = {f.name: f.default
              for record in (ModelParameters, BasisCutoffs, OptimizerConfig)
@@ -93,8 +95,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.shots < 1:
-            raise ConfigError("shots must be a positive integer")
+        if not 1 <= self.shots < 2**63:
+            raise ConfigError("shots must be a positive integer below 2^63")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.mode == "noisy":
@@ -503,6 +505,12 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (OverflowError, ZeroDivisionError) as err:
+        params = config.model_parameters()
+        settings = ", ".join(f"{k} = {getattr(params, k)!r}" for k in _MODEL_FIELDS)
+        print(f"numerical failure: the model settings {settings} leave the "
+              f"floating-point range ({type(err).__name__})", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ArithmeticError, RuntimeError, ValueError,
             np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

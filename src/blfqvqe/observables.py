@@ -7,6 +7,10 @@ charge radius from the form-factor slope at the origin.  Lengths are
 presented in fm via hbar*c = 197.327 MeV fm; quark charges are the up
 and anti-down values (+2/3, +1/3 -> e_qbar = -1/3 as the antiquark
 coupling enters with its own sign).
+
+Every formula assumes the one tabulated block, the four n = l = 0 states
+of enumerate_block(0, BasisCutoffs()) in theta order; require_tabulated
+refuses a wave function or an operator on any other block.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_legendre
 
 from .basisfuncs import (_GL_W, _GL_X, chi, compute_exponents,
-                         longitudinal_integral)
+                         longitudinal_integral, require_tabulated)
 from .hamiltonian import HermitianObservable
 from .vqe import lookup_encoding
 
@@ -60,22 +64,12 @@ def decay_spec(params):
 def decay_constant(psi, params, exponents):
     """Explicit basis sum for the decay constant in MeV.
 
-    Only m = 0, spin-antialigned components enter; the (+-) and (-+)
-    spin orders contribute with opposite signs.
+    Only the m = 0, spin-antialigned states (theta = 2, 3) enter; the
+    (+-) and (-+) spin orders contribute with opposite signs.
     """
-    total = 0.0
-    for c, s in zip(psi.coefficients, psi.block):
-        if s.m != 0:
-            continue
-        if (s.s1, s.s2) == (1, -1):
-            sign = 1.0
-        elif (s.s1, s.s2) == (-1, 1):
-            sign = -1.0
-        else:
-            continue
-        total += (sign * (-1.0) ** s.n * c
-                  * longitudinal_integral(s.l, 0.5, 0.5,
-                                          exponents.alpha, exponents.beta))
+    c = psi.coefficients
+    L = longitudinal_integral(0, 0.5, 0.5, exponents.alpha, exponents.beta)
+    total = c[1] * L - c[2] * L
     return float(2.0 * np.sqrt(params.n_c) * params.b / np.sqrt(np.pi) * total)
 
 
@@ -104,22 +98,10 @@ class MassRadiusMatrix:
 
 
 def _radius_entries(block, params):
-    # <n'|r^2|n> tridiagonal in n at fixed (m, l, spins); the coordinate
-    # modes' (-1)^n phase makes the off-diagonal couplings positive
-    dim = len(block)
-    out = np.zeros((dim, dim))
-    for i, si in enumerate(block):
-        for j, sj in enumerate(block):
-            if (si.m, si.l, si.s1, si.s2) != (sj.m, sj.l, sj.s1, sj.s2):
-                continue
-            am = abs(sj.m)
-            if si.n == sj.n:
-                out[i, j] = 2 * sj.n + am + 1
-            elif si.n == sj.n - 1:
-                out[i, j] = np.sqrt(sj.n * (sj.n + am))
-            elif si.n == sj.n + 1:
-                out[i, j] = np.sqrt((sj.n + 1) * (sj.n + am + 1))
-    return 1.5 / params.b**2 * out
+    # <r^2> of the n = 0 mode is (|m| + 1) * 1.5 / b^2; the four states
+    # differ in (m, s1, s2), so no two of them couple
+    require_tabulated(block)
+    return 1.5 / params.b**2 * np.diag([abs(s.m) + 1.0 for s in block])
 
 
 def mass_radius_matrix(block, params):
@@ -136,7 +118,7 @@ def mass_radius(psi, params):
 
 @dataclass(frozen=True)
 class PdfDensity:
-    """Longitudinal density matrix rho_{l'l} and f(x) on an x grid."""
+    """1x1 longitudinal density rho (the l = 0 weight) and f(x) on an x grid."""
 
     density: np.ndarray
     x_grid: np.ndarray
@@ -150,37 +132,29 @@ class PdfDensity:
             raise ValueError("density matrix must be symmetric")
         if np.trace(rho) > 1.0 + 1e-9:
             raise ValueError("density trace exceeds 1")
-        if np.min(self.values) < -1e-12:
-            raise ValueError("negative PDF value")
+        if not np.all(self.values >= -1e-12):
+            raise ValueError("PDF values must be finite and non-negative")
 
     def normalization(self):
-        """Quadrature of f over (0,1); equals trace(rho) analytically."""
-        ls = range(self.density.shape[0])
-        chis = [chi(_GL_X, l, self.alpha, self.beta) for l in ls]
-        f = sum(self.density[l1, l2] * chis[l1] * chis[l2] / (4.0 * np.pi)
-                for l1 in ls for l2 in ls)
+        """Quadrature of f over (0,1); equals rho analytically."""
+        chi0 = chi(_GL_X, 0, self.alpha, self.beta)
+        f = self.density[0, 0] * chi0 * chi0 / (4.0 * np.pi)
         return float(np.sum(_GL_W * f))
 
 
 def pdf(psi, x_grid, exponents):
     """Valence-quark momentum-fraction distribution f(x).
 
-    The antiquark distribution is f(1-x); for the default single-l block
-    rho is the 1x1 identity and f(x) = chi_0(x)^2 / 4 pi.
+    Every state of the block has l = 0, so f(x) = rho chi_0(x)^2 / 4 pi
+    with rho the norm of the coefficients (1 for a wave function).  The
+    antiquark distribution is f(1-x).
     """
-    ls = sorted({s.l for s in psi.block})
-    index = {l: i for i, l in enumerate(ls)}
-    rho = np.zeros((len(ls), len(ls)))
-    for i, si in enumerate(psi.block):
-        for j, sj in enumerate(psi.block):
-            if (si.n, si.m, si.s1, si.s2) != (sj.n, sj.m, sj.s1, sj.s2):
-                continue
-            rho[index[si.l], index[sj.l]] += psi.coefficients[i] * psi.coefficients[j]
+    rho = sum(c * c for c in psi.coefficients)
     x = np.asarray(x_grid, dtype=float)
-    chis = [chi(x, l, exponents.alpha, exponents.beta) for l in ls]
-    f = sum(rho[a, c] * chis[a] * chis[c] / (4.0 * np.pi)
-            for a in range(len(ls)) for c in range(len(ls)))
-    return PdfDensity(density=rho, x_grid=x, values=np.asarray(f, dtype=float),
+    chi0 = chi(x, 0, exponents.alpha, exponents.beta)
+    f = rho * chi0 * chi0 / (4.0 * np.pi)
+    return PdfDensity(density=np.array([[rho]]), x_grid=x,
+                      values=np.asarray(f, dtype=float),
                       alpha=exponents.alpha, beta=exponents.beta)
 
 
@@ -249,45 +223,44 @@ def _tm_terms(m):
     return tuple(out)
 
 
-def _charge_bracket(l1, l2, n_bar, q2_over_b2, alpha, beta, nodes, weights):
+def _charge_bracket(n_bar, q2_over_b2, alpha, beta, nodes, weights):
     # one quadrature per Q^2 row: q2_over_b2 is a column, x runs along axis -1
     x = nodes
     zq = (1.0 - x) / (2.0 * x) * q2_over_b2
     zqb = x / (2.0 * (1.0 - x)) * q2_over_b2
     term_q = E_QUARK * np.exp(-zq / 2.0) * eval_genlaguerre(n_bar, 0, zq)
     term_qb = E_ANTIQUARK * np.exp(-zqb / 2.0) * eval_genlaguerre(n_bar, 0, zqb)
-    integrand = (chi(x, l1, alpha, beta) * chi(x, l2, alpha, beta)
-                 / (4.0 * np.pi) * (term_q - term_qb))
+    chi0 = chi(x, 0, alpha, beta)
+    integrand = chi0 * chi0 / (4.0 * np.pi) * (term_q - term_qb)
     return np.sum(weights * integrand, axis=-1)
 
 
 def _charge_matrices(q2, params, exponents, block):
     """Charge operator on the basis block at each Q^2 of q2, stacked along
-    axis 0; every 128-node quadrature is checked against 96 nodes."""
+    axis 0; every 128-node quadrature is checked against 96 nodes.
+
+    The operator conserves (m, s1, s2), which tells the four states apart,
+    so it is diagonal.
+    """
+    require_tabulated(block)
     q2 = np.asarray(q2, dtype=float)
     if np.any(q2 < 0):
         raise ValueError("Q^2 must be non-negative")
     q2b = (q2 / params.b**2)[:, None]
     al, be = exponents.alpha, exponents.beta
     out = np.zeros((len(q2), len(block), len(block)))
-    for i, si in enumerate(block):
-        if si.n != 0:
-            raise ValueError("charge operator tabulated for n = 0 blocks only")
-        for j, sj in enumerate(block):
-            if (si.s1, si.s2) != (sj.s1, sj.s2) or si.m != sj.m:
-                continue
-            total = 0.0
-            for big_n, n_bar, c in _tm_terms(si.m):
-                fine = _charge_bracket(si.l, sj.l, n_bar, q2b, al, be, _GL_X, _GL_W)
-                coarse = _charge_bracket(si.l, sj.l, n_bar, q2b, al, be,
-                                         _GL96_NODES, _GL96_WEIGHTS)
-                bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
-                if bad.any():
-                    k = np.argmax(bad)
-                    raise RuntimeError(f"longitudinal quadrature not converged at "
-                                       f"Q^2 = {q2[k]:g}: {fine[k]} vs {coarse[k]}")
-                total += c * (-1.0) ** big_n * fine
-            out[:, i, j] = total
+    for i, s in enumerate(block):
+        total = 0.0
+        for big_n, n_bar, c in _tm_terms(s.m):
+            fine = _charge_bracket(n_bar, q2b, al, be, _GL_X, _GL_W)
+            coarse = _charge_bracket(n_bar, q2b, al, be, _GL96_NODES, _GL96_WEIGHTS)
+            bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
+            if bad.any():
+                k = np.argmax(bad)
+                raise RuntimeError(f"longitudinal quadrature not converged at "
+                                   f"Q^2 = {q2[k]:g}: {fine[k]} vs {coarse[k]}")
+            total += c * (-1.0) ** big_n * fine
+        out[:, i, i] = total
     return out
 
 
@@ -315,8 +288,8 @@ class FormFactorCurve:
             raise ValueError("grid must be non-negative and increasing")
         if q2[0] == 0.0 and abs(vals[0] - 1.0) > 1e-6:
             raise ValueError("form factor at Q^2 = 0 must be 1")
-        if np.abs(vals).max() > 1.0 + 1e-9:
-            raise ValueError("|F| exceeds 1")
+        if not np.all(np.abs(vals) <= 1.0 + 1e-9):
+            raise ValueError("|F| must be finite and at most 1")
 
 
 def default_q2_grid(params):

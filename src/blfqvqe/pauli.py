@@ -239,22 +239,13 @@ def embed_direct(h):
 
 
 def embed_compact(h):
-    """Binary encoding: expand h over ceil(log2 N) qubits.
-
-    Non-power-of-2 dimensions are padded with a large diagonal penalty
-    (10x an upper bound on |eigenvalues|) so the padding never intrudes
-    on the low spectrum.
-    """
+    """Binary encoding: expand a 2^n x 2^n matrix h over n >= 1 qubits."""
     M = h.entries if isinstance(h, HermitianObservable) else np.asarray(h, dtype=float)
-    n_orb = M.shape[0]
-    n_qubits = max(1, int(np.ceil(np.log2(n_orb))))
-    dim = 2**n_qubits
-    if dim != n_orb:
-        penalty = 10.0 * np.abs(M).sum(axis=1).max()
-        padded = np.eye(dim) * penalty
-        padded[:n_orb, :n_orb] = M
-        M = padded
-    return pauli_decompose(M, n_qubits)
+    dim = M.shape[0]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"compact encoding needs a 2^n x 2^n matrix, n >= 1; "
+                         f"got shape {M.shape}")
+    return pauli_decompose(M, dim.bit_length() - 1)
 
 
 def bk_encoder(n_modes):

@@ -245,36 +245,20 @@ def _term_counts(state, axes, shots, seed, noise=None, repeats=None):
 
 
 def _parity_estimate(freqs, signs, mitigation=None):
-    """Row by row: each term's parity mean and single-shot variance.
+    """Row by row: each term's parity mean f.g and single-shot variance.
 
-    Without mitigation g is the sign row s; with it the mean comes from
-    the clipped corrected frequencies and g = (C^-1)^(x n, T) s, so the
-    variance f.g^2 - (f.g)^2 carries the amplification of inverting the
-    confusion (Bravyi et al., PRA 103, 042605 (2021)).
+    Without mitigation g is the sign row s.  With it g = (C^-1)^(x n, T) s,
+    so f.g is the unclipped inverse-confusion estimate, unbiased for the
+    noiseless parity, and the variance f.g^2 - (f.g)^2 carries the
+    amplification of inverting the confusion (Bravyi et al., PRA 103,
+    042605 (2021)).  A singular calibration (p01 + p10 = 1) raises.
     """
-    if mitigation is None:
-        g = signs
-        mean = (freqs * signs).sum(axis=-1)
-    else:
+    g = signs
+    if mitigation is not None:
         n = int(np.log2(signs.shape[-1]))
         g = signs @ _confusion_power(mitigation, n, inverse=True)
-        mean = (corrected_frequencies(freqs, mitigation, n) * signs).sum(axis=-1)
     fg = (freqs * g).sum(axis=-1)
-    return mean, np.maximum(0.0, (freqs * g**2).sum(axis=-1) - fg**2)
-
-
-def corrected_frequencies(freqs, noise, n):
-    """Invert the tensor-product confusion model on observed frequencies.
-
-    Works row by row on a stack of frequency vectors.  Negative entries
-    from the inversion are clipped to zero and each row renormalized.
-    Raises for a singular calibration (p01 + p10 = 1).
-    """
-    p = np.clip(freqs @ _confusion_power(noise, n, inverse=True).T, 0.0, None)
-    s = p.sum(axis=-1, keepdims=True)
-    if (s <= 0.0).any():
-        raise ValueError("mitigation produced an empty distribution")
-    return p / s
+    return fg, np.maximum(0.0, (freqs * g**2).sum(axis=-1) - fg**2)
 
 
 def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
@@ -325,8 +309,9 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     term in axes-string order, all drawn from one generator seeded by
     `seed`; identity terms contribute exactly.  With a noise model,
     sampled bitstrings pass through per-qubit readout flips; mitigation
-    inverts the known confusion matrix on the observed frequencies, and
-    the standard error includes the variance that inversion amplifies.
+    weights the observed frequencies by each parity's signs through the
+    inverse of the known confusion matrix, without clipping, and the
+    standard error includes the variance that inversion amplifies.
     This is the one-repeat case of `sampled_estimates`, drawn without
     the repeats axis.
     """

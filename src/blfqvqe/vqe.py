@@ -157,14 +157,9 @@ def minimize(cost, theta0, config=None, mode="exact"):
                      converged=bool(res.success), n_iterations=int(iterations))
 
 
-def ansatz_circuit(encoding, theta):
-    """The state-preparation circuit for one encoding."""
-    t1, t2, t3 = theta
-    return lookup_encoding(encoding).ansatz(t1, t2, t3)
-
-
 def prepared_state(encoding, theta):
-    circ = ansatz_circuit(encoding, theta)
+    t1, t2, t3 = theta
+    circ = lookup_encoding(encoding).ansatz(t1, t2, t3)
     return run_circuit(circ, Statevector.zero(circ.n_qubits))
 
 

@@ -110,6 +110,8 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(shots=0)
         with pytest.raises(ConfigError):
+            RunConfig(shots=2**63)      # beyond the sampler's integer range
+        with pytest.raises(ConfigError):
             RunConfig(n_max=1)
         with pytest.raises(ConfigError):
             RunConfig(mode="noisy")
@@ -182,6 +184,7 @@ class TestConfigFile:
                        "--out", str(tmp_path / "out")) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(CONFIG_BYTES)
@@ -343,6 +346,7 @@ class TestVqeCommand:
         assert "noise-p01" in capsys.readouterr().err
 
     # `--max-iterations 50` follows the drawn flags, so every run stays short
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(VQE_FLAGS, CONFIG_BYTES)
@@ -522,6 +526,7 @@ class TestObservablesCommand:
 
     # a default fitted result sits in the output directory, so runs without
     # --exact or --angles read it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(OBSERVABLES_FLAGS, CONFIG_BYTES)
@@ -567,6 +572,7 @@ class TestScalingCommand:
                        "--out", str(tmp_path)) == EXIT_OK
         assert read_json(tmp_path / "scaling.json")["total_shots"] == total
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(SCALING_FLAGS, CONFIG_BYTES)
@@ -611,6 +617,32 @@ def test_non_finite_hamiltonian_exits_four(tmp_path, capsys, command):
     assert run_cli(*command, "--mq", "6204329972905358.0",
                    "--out", str(out)) == EXIT_NUMERICAL
     assert "numerical failure: entries must be finite" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["vqe", "--mq", "1e200"], "m = 1e+200"),
+    (["observables", "--exact", "--mq", "1e200"], "m = 1e+200"),
+    (["scaling", "--mbar", "1e300"], "mbar = 1e+300"),
+    (["vqe", "--b", "1e200"], "b = 1e+200"),
+    (["hamiltonian", "--kappa", "1e-200"], "kappa = 1e-200"),
+], ids=["vqe-mq", "observables-mq", "scaling-mbar", "vqe-b", "hamiltonian-kappa"])
+def test_overflowing_settings_exit_four(tmp_path, capsys, argv, setting):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the model settings ")
+    assert setting in err and "g_pi = 0.000250785" in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+def test_non_finite_observables_exit_four(tmp_path, capsys):
+    # this quark mass leaves a finite Hamiltonian but NaN longitudinal modes
+    out = tmp_path / "out"
+    assert run_cli("observables", "--exact", "--mq", "6.395647384642358e16",
+                   "--out", str(out)) == EXIT_NUMERICAL
+    assert "|F| must be finite" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 

@@ -6,8 +6,9 @@ import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import eval_genlaguerre, gammaln, roots_legendre
 
-from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters, WaveFunction,
-                                chi, compute_exponents, enumerate_block)
+from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
+                                UnsupportedCutoffError, WaveFunction, chi,
+                                compute_exponents, enumerate_block)
 from blfqvqe import observables
 from blfqvqe.hamiltonian import build_effective_hamiltonian, diagonalize
 from blfqvqe.observables import (E_ANTIQUARK, E_QUARK, HBARC, FormFactorCurve,
@@ -26,9 +27,11 @@ BLOCK = enumerate_block(0, BasisCutoffs())
 B2 = PARAMS.b**2
 
 
-def radially_extended(block):
-    """The block repeated at n = 1, which enumerate_block does not build."""
-    return [replace(s, n=n) for n in (0, 1) for s in block]
+def untabulated_blocks():
+    """Four-state blocks enumerate_block does not build: at n = 1, at l = 1
+    and in reverse theta order."""
+    return [[replace(s, n=1) for s in BLOCK], [replace(s, l=1) for s in BLOCK],
+            BLOCK[::-1]]
 
 
 @pytest.fixture(scope="module")
@@ -130,20 +133,6 @@ class TestMassRadius:
         assert d["ZZ"] == pytest.approx(0.567, abs=1e-3)
         assert d["II"] / d["ZZ"] == pytest.approx(3.0, rel=1e-12)
 
-    def test_extended_block_tridiagonal(self):
-        block = radially_extended(BLOCK)
-        m = mass_radius_matrix(block, PARAMS).mev2.entries
-        assert np.abs(m - m.T).max() == 0.0
-        pairs = 0
-        for i, si in enumerate(block):
-            for j, sj in enumerate(block):
-                if (si.m, si.l, si.s1, si.s2) == (sj.m, sj.l, sj.s1, sj.s2) \
-                        and sj.n == si.n + 1:
-                    expect = 1.5 / B2 * np.sqrt(abs(si.m) + 1)
-                    assert m[i, j] == pytest.approx(expect, rel=1e-12)
-                    pairs += 1
-        assert pairs == 4
-
     def test_unknown_encoding(self):
         with pytest.raises(ValueError):
             mass_radius_matrix(BLOCK, PARAMS).pauli_expansion("gray")
@@ -191,9 +180,10 @@ class TestPdf:
                        x_grid=x, values=np.array([0.1]), alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
             PdfDensity(density=np.array([[1.5]]), **good)
-        with pytest.raises(ValueError):
-            PdfDensity(density=np.array([[1.0]]), x_grid=x,
-                       values=np.array([-0.1]), alpha=1.0, beta=1.0)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                PdfDensity(density=np.array([[1.0]]), x_grid=x,
+                           values=np.array([bad]), alpha=1.0, beta=1.0)
 
 
 class TestTmCoefficient:
@@ -298,9 +288,16 @@ class TestFormFactorMatrix:
             form_factor_matrix(-1.0, PARAMS, EXPS, BLOCK)
 
     def test_rejects_radial_excitations(self):
-        block = radially_extended(BLOCK)
-        with pytest.raises(ValueError):
-            form_factor_matrix(0.0, PARAMS, EXPS, block)
+        # the wave function and both operators refuse every block but the
+        # tabulated one, radial, longitudinal or reordered
+        c = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        for block in untabulated_blocks():
+            with pytest.raises(UnsupportedCutoffError):
+                WaveFunction(c, block)
+            with pytest.raises(UnsupportedCutoffError):
+                mass_radius_matrix(block, PARAMS)
+            with pytest.raises(UnsupportedCutoffError):
+                form_factor_matrix(0.0, PARAMS, EXPS, block)
 
 
 class TestElasticFormFactor:
@@ -338,8 +335,9 @@ class TestElasticFormFactor:
             FormFactorCurve(q2=(0.0, 1.0, 2.0), values=(0.9, 0.5, 0.1))
         with pytest.raises(ValueError):
             FormFactorCurve(q2=(0.0, 2.0, 1.0), values=(1.0, 0.5, 0.1))
-        with pytest.raises(ValueError):
-            FormFactorCurve(q2=(0.0, 1.0, 2.0), values=(1.0, 1.2, 0.1))
+        for bad in (1.2, np.nan):
+            with pytest.raises(ValueError):
+                FormFactorCurve(q2=(0.0, 1.0, 2.0), values=(1.0, bad, 0.1))
 
     def test_one_pass_matches_pointwise_matrices(self, psi, curve):
         rng = np.random.default_rng(11)

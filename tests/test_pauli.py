@@ -229,17 +229,12 @@ class TestEmbedCompact:
         M = pauli_sum_to_matrix(embed_compact(hmat)).entries
         assert np.abs(M - hmat.entries).max() < 1e-9 * np.abs(hmat.entries).max()
 
-    def test_padding_preserves_low_spectrum(self):
+    def test_refuses_non_power_of_two(self):
         rng = np.random.default_rng(9)
-        A = rng.normal(size=(3, 3))
-        h = A + A.T
-        M = pauli_sum_to_matrix(embed_compact(h)).entries
-        assert M.shape == (4, 4)
-        ev_h = np.linalg.eigvalsh(h)
-        ev_M = np.linalg.eigvalsh(M)
-        assert np.allclose(np.sort(ev_M)[:3], ev_h, atol=1e-9)
-        # the padding level clears the physical spectrum by a wide margin
-        assert ev_M.max() > 5 * np.abs(ev_h).max()
+        for dim in (1, 3):
+            A = rng.normal(size=(dim, dim))
+            with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
+                embed_compact(A + A.T)
 
 
 class TestBkEncoder:

@@ -6,8 +6,7 @@ from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
 from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
-                               compact_ansatz, corrected_frequencies,
-                               direct_ansatz, expectation_exact,
+                               compact_ansatz, direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
                                run_circuit, sampled_estimates)
 from blfqvqe.vqe import ENCODINGS
@@ -369,15 +368,21 @@ class TestReadoutMitigation:
         with pytest.raises(ValueError):
             ReadoutNoiseModel(0.0, 1.0)
 
-    def test_zero_noise_identity(self):
-        freqs = np.array([0.5, 0.25, 0.125, 0.125])
-        out = corrected_frequencies(freqs, ReadoutNoiseModel(0.0, 0.0), 2)
-        assert np.allclose(out, freqs)
+    def test_zero_noise_identity(self, hmat, ground):
+        # without flips, mitigation leaves the draws and estimates unchanged
+        _, v = ground
+        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        s = embed_compact(hmat)
+        assert (expectation_sampled(state, s, 512, 17,
+                                    noise=ReadoutNoiseModel(0.0, 0.0),
+                                    mitigate=True)
+                == expectation_sampled(state, s, 512, 17))
 
     def test_singular_calibration_raises(self):
-        with pytest.raises(ValueError):
-            corrected_frequencies(np.array([1.0, 0.0]),
-                                  ReadoutNoiseModel(0.4, 0.6), 1)
+        with pytest.raises(ValueError, match="singular"):
+            expectation_sampled(Statevector.zero(1), PauliSum([("Z", 1.0)]),
+                                64, seed=0, noise=ReadoutNoiseModel(0.4, 0.6),
+                                mitigate=True)
 
     def test_flip_recovery_on_zero_state(self):
         # |0> measured with symmetric flips p: raw <Z> = 1 - 2p

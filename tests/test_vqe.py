@@ -8,8 +8,8 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      Statevector, WaveFunction, build_effective_hamiltonian,
                      decay_projector, decay_spec, diagonalize, embed_compact,
                      embed_direct, enumerate_block, expectation_exact,
-                     jw_to_bk_pauli, mass_radius, mass_radius_matrix,
-                     pauli_sum_to_matrix)
+                     expectation_sampled, jw_to_bk_pauli, mass_radius,
+                     mass_radius_matrix, pauli_sum_to_matrix)
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
                          ScalingResult, VqeResult, extract_amplitudes,
                          lookup_encoding, minimize, prepared_state,
@@ -142,6 +142,25 @@ class TestVqeRun:
             vqe_run(sums["compact"], "compact", mode="noisy")
         with pytest.raises(ValueError):
             vqe_run(sums["compact"], "compact", mode="sampled+noise")
+
+
+@pytest.mark.parametrize("mitigate", [False, True], ids=["sampled", "mitigated"])
+@pytest.mark.parametrize("name", ENCODINGS)
+def test_sampled_error_bars_cover(problem, name, mitigate):
+    # at the exact-mode optimum, z = (estimate - exact) / std_error over 200
+    # seeds is centred and |z| <= 2 holds for ~95% of them; 0.25 is ~3.5
+    # standard errors of the mean of 200 unit-variance z
+    _, sums, _ = problem
+    state = prepared_state(name, vqe_run(sums[name], name).theta)
+    exact = expectation_exact(state, sums[name])
+    noise = ReadoutNoiseModel(0.03, 0.03) if mitigate else None
+    z = []
+    for seed in range(200):
+        est, se = expectation_sampled(state, sums[name], 8192, seed,
+                                      noise=noise, mitigate=mitigate)
+        z.append((est - exact) / se)
+    assert abs(np.mean(z)) <= 0.25
+    assert 0.90 <= np.mean(np.abs(z) <= 2.0) <= 0.99
 
 
 @pytest.fixture(scope="module")
