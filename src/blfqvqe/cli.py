@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -436,7 +437,10 @@ def cmd_scaling(config):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process; every parse_args call
+    still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="blfqvqe",
         description="Valence light-front pion on qubits: Hamiltonian, "
@@ -482,8 +486,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a non-finite value ends in one of the exit-4 messages below, so
+    # numpy's own floating-point warnings are not printed ahead of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _dispatch(args)
+
+
+def _dispatch(args):
     try:
         config = resolve_config(args)
     except ConfigError as err:

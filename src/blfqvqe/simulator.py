@@ -4,15 +4,19 @@ Conventions: qubit 0 is the least-significant bit of a basis index (and
 the rightmost character of a bitstring or axes string).  Every gate,
 Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
-[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  Pauli terms are measured by
-rotating X to Z with H and Y to Z with S-dagger followed by H, then
-sampling bitstrings.  A sum's non-identity terms are measured in one
-stacked pass: one row per term in axes-string order, every row drawn
-from the one generator seeded by `seed`, so a fixed seed gives
-identical results whatever order the sum lists its terms in.  Repeated
-estimates add a leading repeats axis: one multinomial draw of shape
-(repeats, terms, 2^n) from that generator, reduced row by row, and the
-first repeat draws exactly what a single estimate with that seed draws.
+[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  Each gate's matrix parts are
+built once per (kind, qubits, n) and cached read-only, so applying a
+gate only combines them with its angle's cosine and sine; the ansatz
+circuits' fixed gates are module constants, built and validated once.
+Pauli terms are measured by rotating X to Z with H and Y to Z with
+S-dagger followed by H, then sampling bitstrings.  A sum's non-identity
+terms are measured in one stacked pass: one row per term in axes-string
+order, every row drawn from the one generator seeded by `seed`, so a
+fixed seed gives identical results whatever order the sum lists its
+terms in.  Repeated estimates add a leading repeats axis: one
+multinomial draw of shape (repeats, terms, 2^n) from that generator,
+reduced row by row, and the first repeat draws exactly what a single
+estimate with that seed draws.
 """
 from __future__ import annotations
 
@@ -97,7 +101,7 @@ class Statevector:
         n = int(np.log2(amps.size))
         if 2**n != amps.size:
             raise ValueError(f"length {amps.size} is not a power of 2")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if abs(_norm(amps) - 1.0) > 1e-10:
             raise ValueError("amplitudes are not normalized")
         self.amplitudes = amps.copy()
         self.n_qubits = n
@@ -130,25 +134,46 @@ class ReadoutNoiseModel:
         return abs(self.p01 + self.p10 - 1.0) < 1e-12
 
 
-def _exp_pauli(axes, angle):
-    """exp(i angle P) = cos(angle) I + i sin(angle) P."""
-    return (np.cos(angle) * pauli_string_matrix("I" * len(axes))
-            + 1j * np.sin(angle) * pauli_string_matrix(axes))
+def _frozen(M):
+    M.setflags(write=False)
+    return M
+
+
+def _norm(amps):
+    return np.sqrt(np.vdot(amps, amps).real)
+
+
+@functools.lru_cache(maxsize=256)
+def _gate_parts(kind, qubits, n):
+    """Read-only 2^n matrices (A, B, C): the gate at angle a is
+    A + cos(a/2) B + sin(a/2) C, and a fixed gate is A alone (B = C = None).
+
+    Ry(a) = exp(-i a/2 Y) = cos(a/2) I + sin(a/2) (-i Y); a control c
+    folds in once, as controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U.
+    """
+    *control, target = qubits
+    eye = pauli_string_matrix("I" * n)
+    if kind in ("X", "CNOT"):
+        A, B, C = pauli_string_matrix(one_qubit_axes(n, target, "X")), None, None
+    else:
+        A, B, C = (np.zeros_like(eye), eye,
+                   -1j * pauli_string_matrix(one_qubit_axes(n, target, "Y")))
+    if control:
+        z = pauli_string_matrix(one_qubit_axes(n, control[0], "Z"))
+        on = (eye - z) / 2.0
+        A = (eye + z) / 2.0 + on @ A
+        if B is not None:
+            B, C = on @ B, on @ C
+    return tuple(P if P is None else _frozen(P) for P in (A, B, C))
 
 
 def _gate_matrix(gate, n):
-    """The gate as one 2^n matrix built from cached Pauli strings."""
-    *control, target = gate.qubits
-    if gate.kind in ("X", "CNOT"):
-        U = pauli_string_matrix(one_qubit_axes(n, target, "X"))
-    else:  # Ry(a) = exp(-i a/2 Y)
-        U = _exp_pauli(one_qubit_axes(n, target, "Y"), -gate.angle / 2.0)
-    if not control:
-        return U
-    # controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U
-    eye = pauli_string_matrix("I" * n)
-    z = pauli_string_matrix(one_qubit_axes(n, control[0], "Z"))
-    return (eye + z) / 2.0 + ((eye - z) / 2.0) @ U
+    """The gate as one 2^n matrix, combined from its cached parts."""
+    A, B, C = _gate_parts(gate.kind, gate.qubits, n)
+    if B is None:
+        return A
+    half = gate.angle / 2.0
+    return A + np.cos(half) * B + np.sin(half) * C
 
 
 def run_circuit(circuit, initial):
@@ -158,21 +183,26 @@ def run_circuit(circuit, initial):
     amps = initial.amplitudes
     for g in circuit:
         amps = _gate_matrix(g, circuit.n_qubits) @ amps
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if abs(_norm(amps) - 1.0) > 1e-10:
             raise RuntimeError(f"norm drifted after {g.kind} gate")
     return Statevector(amps)
+
+
+# the ansatz circuits' fixed gates, built and validated once
+_X_1 = Gate.x(1)
+_CNOT = {pair: Gate.cnot(*pair) for pair in ((2, 1), (0, 1), (3, 2), (1, 0))}
 
 
 def direct_ansatz(theta1, theta2, theta3):
     """4-qubit circuit spanning the real unit sphere of weight-1 states."""
     return Circuit(4, (
-        Gate.x(1),
+        _X_1,
         Gate.cry(1, 2, theta1),
-        Gate.cnot(2, 1),
+        _CNOT[2, 1],
         Gate.cry(1, 0, theta2),
         Gate.cry(2, 3, theta3),
-        Gate.cnot(0, 1),
-        Gate.cnot(3, 2),
+        _CNOT[0, 1],
+        _CNOT[3, 2],
     ))
 
 
@@ -181,7 +211,7 @@ def compact_ansatz(theta1, theta2, theta3):
     return Circuit(2, (
         Gate.ry(0, theta1),
         Gate.ry(1, theta2),
-        Gate.cnot(1, 0),
+        _CNOT[1, 0],
         Gate.ry(0, theta3),
     ))
 
@@ -197,11 +227,6 @@ def expectation_exact(state, pauli_sum):
         raise ValueError("state and operator dimensions differ")
     amps = state.amplitudes
     return float(np.vdot(amps, pauli_sum.matrix @ amps).real)
-
-
-def _frozen(M):
-    M.setflags(write=False)
-    return M
 
 
 @functools.lru_cache(maxsize=256)

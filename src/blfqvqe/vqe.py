@@ -196,7 +196,8 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     The Pauli sum must already be expressed in the requested encoding;
     its qubit count is checked against the ansatz register.  The final
     energy and angles come from the best evaluation seen; in sampled
-    modes std_error carries the combined shot noise at that point.
+    modes std_error carries the combined shot noise at that point, and a
+    final estimate or error that is not finite raises ArithmeticError.
     """
     n_qubits = lookup_encoding(encoding).n_qubits
     if mode not in MODES:
@@ -224,6 +225,9 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     state = prepared_state(encoding, result.theta)
     est, se = expectation_sampled(state, hamiltonian, shots, seed,
                                   noise=use_noise, mitigate=mitigate)
+    if not (np.isfinite(est) and np.isfinite(se)):
+        raise ArithmeticError(f"sampled energy {est!r} +- {se!r} at the "
+                              f"final angles is not finite")
     return VqeResult(theta=result.theta, energy=est, trace=result.trace,
                      mode=mode, converged=result.converged,
                      n_iterations=result.n_iterations, std_error=se)

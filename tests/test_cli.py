@@ -184,7 +184,6 @@ class TestConfigFile:
                        "--out", str(tmp_path / "out")) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(CONFIG_BYTES)
@@ -220,6 +219,21 @@ class TestPrecedence:
         args = build_parser().parse_args(
             ["hamiltonian", "--out", str(tmp_path)])
         assert resolve_config(args).out == str(tmp_path)
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_share_no_settings(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("vqe", "--seed", "5", "--encoding", "bk",
+                       "--out", str(first)) == EXIT_OK
+        assert run_cli("vqe", "--out", str(second)) == EXIT_OK
+        fitted = read_json(first / "vqe_result.json")["provenance"]["config"]
+        assert (fitted["seed"], fitted["encoding"]) == (5, "bk")
+        config = read_json(second / "vqe_result.json")["provenance"]["config"]
+        assert config == RunConfig().as_dict()
 
 
 class TestSettingChecks:
@@ -346,7 +360,6 @@ class TestVqeCommand:
         assert "noise-p01" in capsys.readouterr().err
 
     # `--max-iterations 50` follows the drawn flags, so every run stays short
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(VQE_FLAGS, CONFIG_BYTES)
@@ -526,7 +539,6 @@ class TestObservablesCommand:
 
     # a default fitted result sits in the output directory, so runs without
     # --exact or --angles read it
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(OBSERVABLES_FLAGS, CONFIG_BYTES)
@@ -572,7 +584,6 @@ class TestScalingCommand:
                        "--out", str(tmp_path)) == EXIT_OK
         assert read_json(tmp_path / "scaling.json")["total_shots"] == total
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extremes warn, then exit
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(SCALING_FLAGS, CONFIG_BYTES)
@@ -583,7 +594,6 @@ class TestScalingCommand:
         if code == EXIT_OK:
             assert_finite_json(out / "scaling.json")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
     @pytest.mark.parametrize("physics", [("--mq", "6204329972905358.0"),
                                          ("--mq", "1e-300", "--b", "3.6e66",
                                           "--kappa", "1e-8"),
@@ -607,7 +617,6 @@ class TestScalingCommand:
         assert (a / "scaling.json").read_bytes() == (b / "scaling.json").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
 @pytest.mark.parametrize("command", [["hamiltonian"], ["vqe"],
                                      ["observables", "--exact"], ["scaling"]],
                          ids=["hamiltonian", "vqe", "observables", "scaling"])
@@ -636,13 +645,37 @@ def test_overflowing_settings_exit_four(tmp_path, capsys, argv, setting):
     assert not list(out.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
 def test_non_finite_observables_exit_four(tmp_path, capsys):
     # this quark mass leaves a finite Hamiltonian but NaN longitudinal modes
     out = tmp_path / "out"
     assert run_cli("observables", "--exact", "--mq", "6.395647384642358e16",
                    "--out", str(out)) == EXIT_NUMERICAL
     assert "|F| must be finite" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hamiltonian", "--gpi", "1e300"], "entries must be finite"),
+    (["observables", "--exact", "--mq", "6.395647384642358e16"],
+     "|F| must be finite"),
+], ids=["hamiltonian-gpi", "observables-mq"])
+def test_numerical_failure_is_one_line(tmp_path, capsys, argv, message):
+    # numpy warns on the way to both failures; none of it may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_non_finite_sampled_error_exits_four(tmp_path, capsys):
+    # the energy stays finite, but its standard error overflows to NaN
+    out = tmp_path / "out"
+    assert run_cli("vqe", "--mode", "sampled", "--encoding", "direct",
+                   "--mq", "1e50", "--max-iterations", "50",
+                   "--out", str(out)) == EXIT_NUMERICAL
+    assert "is not finite" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 

@@ -1,15 +1,17 @@
 """Simulator, ansatz, sampling, and mitigation tests."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
 from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
-                               compact_ansatz, direct_ansatz, expectation_exact,
+                               _gate_matrix, _gate_parts, compact_ansatz,
+                               direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
                                run_circuit, sampled_estimates)
-from blfqvqe.vqe import ENCODINGS
+from blfqvqe.vqe import ENCODINGS, prepared_state
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,66 @@ class TestRunCircuit:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_circuit(Circuit(2), Statevector.zero(3))
+
+
+def dense_gate(kind, qubits, angle, n):
+    """The gate built independently: the one-qubit X or expm(-i a/2 Y) on
+    the target, and a control as |0><0| x I + |1><1| x U, embedded by
+    Kronecker products with the highest qubit leftmost."""
+    *control, target = qubits
+    if kind in ("X", "CNOT"):
+        u = np.array([[0, 1], [1, 0]], dtype=complex)
+    else:
+        u = scipy.linalg.expm(-0.5j * angle * np.array([[0, -1j], [1j, 0]]))
+
+    def embed(ops):
+        out = np.ones((1, 1))
+        for q in reversed(range(n)):
+            out = np.kron(out, ops.get(q, np.eye(2)))
+        return out
+
+    if not control:
+        return embed({target: u})
+    c = control[0]
+    return (embed({c: np.diag([1.0, 0.0])})
+            + embed({c: np.diag([0.0, 1.0]), target: u}))
+
+
+class TestGateParts:
+    ANGLES = (0.0, np.pi, 2 * np.pi, -4 * np.pi, 0.7, -2.3, 11.9)
+
+    @pytest.mark.parametrize("kind, n", [(kind, n) for n in (1, 2, 3, 4)
+                                         for kind in ("X", "Ry", "CNOT", "CRy")
+                                         if n > 1 or not kind.startswith("C")])
+    def test_matches_dense_construction(self, kind, n):
+        k = 2 if kind.startswith("C") else 1
+        rng = np.random.default_rng(100 * n + len(kind))
+        angles = self.ANGLES + tuple(rng.uniform(-20, 20, 5))
+        for angle in angles:
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            gate = Gate(kind, qubits, angle if kind.endswith("Ry") else None)
+            np.testing.assert_allclose(_gate_matrix(gate, n),
+                                       dense_gate(kind, qubits, angle, n),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, qubits", [("X", (1,)), ("Ry", (0,)),
+                                              ("CNOT", (2, 0)), ("CRy", (0, 3))])
+    def test_cached_parts_are_read_only(self, kind, qubits):
+        parts = [P for P in _gate_parts(kind, qubits, 4) if P is not None]
+        assert len(parts) == (3 if kind.endswith("Ry") else 1)
+        for P in parts:
+            with pytest.raises(ValueError):
+                P[0, 0] = 2.0
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_prepared_state_is_the_ansatz_circuit(self, encoding):
+        enc = ENCODINGS[encoding]
+        rng = np.random.default_rng(7)
+        for theta in [enc.good_guess, *rng.uniform(-10, 10, (20, 3))]:
+            expected = run_circuit(enc.ansatz(*theta),
+                                   Statevector.zero(enc.n_qubits))
+            got = prepared_state(encoding, tuple(theta))
+            assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 class TestDirectAnsatz:
