@@ -4,10 +4,13 @@ Conventions: qubit 0 is the least-significant bit of a basis index (and
 the rightmost character of a bitstring or axes string).  Every gate,
 Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
-[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  Each gate's matrix parts are
-built once per (kind, qubits, n) and cached read-only, so applying a
-gate only combines them with its angle's cosine and sine; the ansatz
-circuits' fixed gates are module constants, built and validated once.
+[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  A circuit's gate structure
+compiles once into fused stages, one per rotation: the stacked
+read-only parts (A; B; C) of U(a) = A + cos(a/2) B + sin(a/2) C, with
+the fixed gates before the rotation (and, for the last one, after it)
+folded in; a circuit without rotations is one fixed matrix.  Running a
+circuit applies one matrix per stage and checks the norm after each, so
+an evaluation at new angles builds no gate and no circuit.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
 S-dagger followed by H, then sampling bitstrings.  A sum's non-identity
 terms are measured in one stacked pass: one row per term in axes-string
@@ -35,6 +38,7 @@ _PARITY_1Q = {"I": np.ones(2), **dict.fromkeys("XYZ", np.array([1.0, -1.0]))}
 
 # qubit indices each gate kind takes
 _GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
+_ROTATIONS = ("Ry", "CRy")
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class Gate:
             raise ValueError(f"gate indices must be distinct and non-negative: {q}")
         if len(q) != _GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
-        if self.kind in ("Ry", "CRy") and self.angle is None:
+        if self.kind in _ROTATIONS and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
 
     @classmethod
@@ -92,6 +96,17 @@ class Circuit:
     def __iter__(self):
         return iter(self.gates)
 
+    @functools.cached_property
+    def angles(self):
+        """The rotation angles in gate order."""
+        return tuple(g.angle for g in self.gates if g.kind in _ROTATIONS)
+
+    @functools.cached_property
+    def stages(self):
+        """The fused stage matrices `run_circuit` applies (see `_compile`)."""
+        return _compile(tuple((g.kind, g.qubits) for g in self.gates),
+                        self.n_qubits)
+
 
 class Statevector:
     """Normalized complex amplitude vector over 2^n basis states."""
@@ -101,7 +116,7 @@ class Statevector:
         n = int(np.log2(amps.size))
         if 2**n != amps.size:
             raise ValueError(f"length {amps.size} is not a power of 2")
-        if abs(_norm(amps) - 1.0) > 1e-10:
+        if not abs(_norm(amps) - 1.0) <= 1e-10:
             raise ValueError("amplitudes are not normalized")
         self.amplitudes = amps.copy()
         self.n_qubits = n
@@ -167,42 +182,70 @@ def _gate_parts(kind, qubits, n):
     return tuple(P if P is None else _frozen(P) for P in (A, B, C))
 
 
-def _gate_matrix(gate, n):
-    """The gate as one 2^n matrix, combined from its cached parts."""
-    A, B, C = _gate_parts(gate.kind, gate.qubits, n)
-    if B is None:
-        return A
-    half = gate.angle / 2.0
-    return A + np.cos(half) * B + np.sin(half) * C
+@functools.lru_cache(maxsize=256)
+def _compile(structure, n):
+    """Read-only fused stages of the gate structure ((kind, qubits), ...).
+
+    Each rotation is one stage, the (3 2^n, 2^n) stack (A; B; C) of its
+    parts with the fixed gates since the previous rotation multiplied in
+    on the right, and the fixed gates after the last rotation on the
+    left.  A structure without rotations is the one (2^n, 2^n) product
+    of its fixed gates.  The fixed gates are 0/1 permutations, so the
+    folding only moves entries and the stages act exactly as the gates
+    applied one by one.
+    """
+    eye = np.eye(2**n, dtype=complex)
+    stages, fixed = [], eye
+    for kind, qubits in structure:
+        A, B, C = _gate_parts(kind, qubits, n)
+        if B is None:
+            fixed = A @ fixed
+        else:
+            stages.append([P @ fixed for P in (A, B, C)])
+            fixed = eye
+    if not stages:
+        return (_frozen(fixed),)
+    stages[-1] = [fixed @ P for P in stages[-1]]
+    return tuple(_frozen(np.vstack(parts)) for parts in stages)
 
 
-def run_circuit(circuit, initial):
-    """Apply the circuit's gates in order, checking the norm after each."""
+def run_circuit(circuit, initial, angles=None):
+    """Apply the circuit's compiled stages in order, checking the norm
+    after each.
+
+    The rotation angles come from the circuit's gates, or from `angles`
+    in gate order; a circuit compiled once then runs at any angles.
+    """
     if 2**circuit.n_qubits != initial.amplitudes.size:
         raise ValueError("state and circuit dimensions differ")
+    if angles is None:
+        angles = circuit.angles
+    elif len(angles) != len(circuit.angles):
+        raise ValueError(f"circuit has {len(circuit.angles)} rotations, "
+                         f"got {len(angles)} angles")
     amps = initial.amplitudes
-    for g in circuit:
-        amps = _gate_matrix(g, circuit.n_qubits) @ amps
-        if abs(_norm(amps) - 1.0) > 1e-10:
-            raise RuntimeError(f"norm drifted after {g.kind} gate")
+    d = amps.size
+    for i, S in enumerate(circuit.stages):
+        amps = S @ amps
+        if i < len(angles):
+            half = float(angles[i]) / 2.0
+            amps = (amps[:d] + np.cos(half) * amps[d:2 * d]
+                    + np.sin(half) * amps[2 * d:])
+        if not abs(_norm(amps) - 1.0) <= 1e-10:
+            raise RuntimeError(f"norm drifted after stage {i}")
     return Statevector(amps)
-
-
-# the ansatz circuits' fixed gates, built and validated once
-_X_1 = Gate.x(1)
-_CNOT = {pair: Gate.cnot(*pair) for pair in ((2, 1), (0, 1), (3, 2), (1, 0))}
 
 
 def direct_ansatz(theta1, theta2, theta3):
     """4-qubit circuit spanning the real unit sphere of weight-1 states."""
     return Circuit(4, (
-        _X_1,
+        Gate.x(1),
         Gate.cry(1, 2, theta1),
-        _CNOT[2, 1],
+        Gate.cnot(2, 1),
         Gate.cry(1, 0, theta2),
         Gate.cry(2, 3, theta3),
-        _CNOT[0, 1],
-        _CNOT[3, 2],
+        Gate.cnot(0, 1),
+        Gate.cnot(3, 2),
     ))
 
 
@@ -211,7 +254,7 @@ def compact_ansatz(theta1, theta2, theta3):
     return Circuit(2, (
         Gate.ry(0, theta1),
         Gate.ry(1, theta2),
-        _CNOT[1, 0],
+        Gate.cnot(1, 0),
         Gate.ry(0, theta3),
     ))
 

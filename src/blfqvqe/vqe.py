@@ -8,6 +8,7 @@ seed and configuration.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,9 @@ class Encoding:
     angles preparing (0, -1/sqrt2, +1/sqrt2, 0).  The four basis
     coefficients sit on the register indices `readout`.  scaling_repeats
     is the default repeat count per point of the shot-scaling experiment.
+    `circuit` and `zero_state` are built once: the circuit compiles into
+    one fused matrix per angle, and every evaluation runs it at its own
+    angles.
     """
 
     n_qubits: int
@@ -40,6 +44,16 @@ class Encoding:
     good_guess: tuple
     readout: tuple
     scaling_repeats: int
+
+    @functools.cached_property
+    def circuit(self):
+        return self.ansatz(*self.good_guess)
+
+    @functools.cached_property
+    def zero_state(self):
+        zero = Statevector.zero(self.n_qubits)
+        zero.amplitudes.setflags(write=False)
+        return zero
 
 
 # occupancy -> parity-tree CNOT network appended to the direct ansatz
@@ -158,9 +172,9 @@ def minimize(cost, theta0, config=None, mode="exact"):
 
 
 def prepared_state(encoding, theta):
-    t1, t2, t3 = theta
-    circ = lookup_encoding(encoding).ansatz(t1, t2, t3)
-    return run_circuit(circ, Statevector.zero(circ.n_qubits))
+    """The encoding's ansatz state at the three angles `theta`."""
+    enc = lookup_encoding(encoding)
+    return run_circuit(enc.circuit, enc.zero_state, theta)
 
 
 def extract_amplitudes(state, encoding, tol=1e-8):

@@ -7,7 +7,7 @@ from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
 from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
-                               _gate_matrix, _gate_parts, compact_ansatz,
+                               _gate_parts, compact_ansatz,
                                direct_ansatz, expectation_exact,
                                expectation_sampled, jw_to_bk_circuit,
                                run_circuit, sampled_estimates)
@@ -74,6 +74,10 @@ class TestStatevector:
         with pytest.raises(ValueError):
             Statevector([1.0, 0.0, 0.0])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            Statevector([np.nan, 0.0])
+
 
 class TestRunCircuit:
     def test_empty_circuit(self):
@@ -121,6 +125,15 @@ class TestRunCircuit:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_circuit(Circuit(2), Statevector.zero(3))
+        circ = compact_ansatz(0.1, 0.2, 0.3)
+        for angles in ((), (0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+            with pytest.raises(ValueError, match="3 rotations"):
+                run_circuit(circ, Statevector.zero(2), angles)
+
+    def test_nan_angle_fails_the_norm_check(self):
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run_circuit(Circuit(1, (Gate.ry(0, float("nan")),)),
+                        Statevector.zero(1))
 
 
 def dense_gate(kind, qubits, angle, n):
@@ -156,10 +169,14 @@ class TestGateParts:
         k = 2 if kind.startswith("C") else 1
         rng = np.random.default_rng(100 * n + len(kind))
         angles = self.ANGLES + tuple(rng.uniform(-20, 20, 5))
+        basis = np.eye(2**n)
         for angle in angles:
             qubits = tuple(int(q) for q in rng.permutation(n)[:k])
             gate = Gate(kind, qubits, angle if kind.endswith("Ry") else None)
-            np.testing.assert_allclose(_gate_matrix(gate, n),
+            circ = Circuit(n, (gate,))
+            columns = [run_circuit(circ, Statevector(e)).amplitudes
+                       for e in basis]
+            np.testing.assert_allclose(np.column_stack(columns),
                                        dense_gate(kind, qubits, angle, n),
                                        rtol=0, atol=1e-12)
 
@@ -181,6 +198,77 @@ class TestGateParts:
                                    Statevector.zero(enc.n_qubits))
             got = prepared_state(encoding, tuple(theta))
             assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def gate_by_gate(circuit, amps):
+    """The circuit applied one gate at a time, each as the matrix
+    (A + cos(a/2) B + sin(a/2) C) or A from its cached parts."""
+    for g in circuit:
+        A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
+        if B is not None:
+            A = A + np.cos(g.angle / 2.0) * B + np.sin(g.angle / 2.0) * C
+        amps = A @ amps
+    return amps
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+class TestFusedStages:
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_prepared_states_match_gate_by_gate(self, encoding):
+        enc = ENCODINGS[encoding]
+        zero = Statevector.zero(enc.n_qubits).amplitudes
+        rng = np.random.default_rng(31)
+        for theta in [enc.good_guess, *rng.uniform(-10, 10, (1000, 3))]:
+            got = prepared_state(encoding, theta).amplitudes
+            expected = gate_by_gate(enc.ansatz(*theta), zero)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_one_stage_per_rotation(self):
+        for enc in ENCODINGS.values():
+            d = 2**enc.n_qubits
+            assert [S.shape for S in enc.circuit.stages] == [(3 * d, d)] * 3
+            for S in enc.circuit.stages:
+                with pytest.raises(ValueError):
+                    S[0, 0] = 2.0
+
+    def test_bk_network_alone(self):
+        circ = jw_to_bk_circuit()
+        assert circ.angles == () and [S.shape for S in circ.stages] == [(16, 16)]
+        rng = np.random.default_rng(32)
+        for amps in [*np.eye(16), *(random_state(rng, 4) for _ in range(50))]:
+            got = run_circuit(circ, Statevector(amps)).amplitudes
+            assert got.tobytes() == gate_by_gate(circ, amps + 0j).tobytes()
+
+    def test_trailing_fixed_gates(self):
+        # From a basis state no output amplitude sums two nonzero
+        # products, so the stages match the gates bit for bit.  From a
+        # general state the gate-by-gate matrix product may round a row's
+        # two products in one fused multiply-add: equal to an ulp.
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            a, b = rng.uniform(-10, 10, 2)
+            circ = Circuit(3, (Gate.x(1), Gate.ry(0, a), Gate.cnot(0, 1),
+                               Gate.cry(1, 2, b), Gate.x(2), Gate.cnot(2, 0)))
+            assert len(circ.stages) == 2
+            for amps in np.eye(8) + 0j:
+                got = run_circuit(circ, Statevector(amps)).amplitudes
+                assert got.tobytes() == gate_by_gate(circ, amps).tobytes()
+            amps = random_state(rng, 3)
+            np.testing.assert_allclose(
+                run_circuit(circ, Statevector(amps)).amplitudes,
+                gate_by_gate(circ, amps), rtol=0, atol=1e-15)
+
+    def test_empty_circuit(self):
+        rng = np.random.default_rng(34)
+        amps = random_state(rng, 2)
+        circ = Circuit(2)
+        assert [S.shape for S in circ.stages] == [(4, 4)]
+        got = run_circuit(circ, Statevector(amps)).amplitudes
+        assert got.tobytes() == gate_by_gate(circ, amps).tobytes()
 
 
 class TestDirectAnsatz:

@@ -10,6 +10,7 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      embed_direct, enumerate_block, expectation_exact,
                      expectation_sampled, jw_to_bk_pauli, mass_radius,
                      mass_radius_matrix, pauli_sum_to_matrix)
+from blfqvqe.simulator import Circuit, Gate
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
                          ScalingResult, VqeResult, extract_amplitudes,
                          lookup_encoding, minimize, prepared_state,
@@ -98,6 +99,20 @@ class TestVqeRun:
         rb = vqe_run(sums["bk"], "bk", mode="exact")
         rd = vqe_run(sums["direct"], "direct", mode="exact")
         assert rb.energy == pytest.approx(rd.energy, rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(ENCODINGS))
+    def test_evaluations_build_no_gate_or_circuit(self, problem, name,
+                                                  monkeypatch):
+        _, sums, _ = problem
+        prepared_state(name, GOOD_GUESS[name])
+        built = []
+        for cls in (Gate, Circuit):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: (built.append(self),
+                                                           check(self)))
+        res = vqe_run(sums[name], name, mode="exact")
+        assert len(res.trace) > 100 and built == []
 
     def test_good_guess_state(self, problem):
         for enc in ("direct", "compact"):
