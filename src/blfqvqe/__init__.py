@@ -21,9 +21,9 @@ from .hamiltonian import (Eigensolution, HermitianObservable,
 from .pauli import (EncoderMatrix, PauliString, PauliSum, bk_encoder,
                     embed_compact, embed_direct, jw_hopping_pauli,
                     jw_to_bk_pauli, pauli_decompose, pauli_sum_to_matrix)
-from .simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
-                        compact_ansatz, direct_ansatz, expectation_exact,
-                        expectation_sampled, jw_to_bk_circuit, run_circuit,
+from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
+                        Circuit, Gate, ReadoutNoiseModel, Statevector,
+                        expectation_exact, expectation_sampled, run_circuit,
                         sampled_estimates)
 from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           FormFactorCurve, MassRadiusMatrix, PdfDensity,

@@ -36,7 +36,7 @@ from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
-from .vqe import (ENCODINGS, OPTIMIZER_METHODS, OptimizerConfig,
+from .vqe import (ENCODINGS, MODES, OPTIMIZER_METHODS, OptimizerConfig,
                   extract_amplitudes, lookup_encoding, prepared_state,
                   scaling_experiment, vqe_run)
 
@@ -323,6 +323,11 @@ def _check_provenance(stored, config, angles_path):
                           + "; ".join(differ))
 
 
+def _finite(value):
+    """True for a JSON number in the finite float range; a bool is not one."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _state_from_config(config, h, args):
     """Wave function + mode tag, from --exact or a vqe result file."""
     block = enumerate_block(0, config.cutoffs())
@@ -345,22 +350,26 @@ def _state_from_config(config, h, args):
     if encoding != config.encoding:
         raise ConfigError(f"angles file used encoding {encoding!r} but this "
                           f"run is configured for {config.encoding!r}")
-    try:
-        theta = np.array(stored.get("theta"), dtype=float)
-    except (TypeError, ValueError):
-        theta = np.empty(0)
-    if theta.shape != (3,) or not np.isfinite(theta).all():
+    theta = stored.get("theta")
+    if not (isinstance(theta, list) and len(theta) == 3
+            and all(map(_finite, theta))):
         raise ConfigError(f"{angles_path}: 'theta' must be a list of three "
-                          f"finite angles, got {stored.get('theta')!r}")
+                          f"finite angles, got {theta!r}")
     energy = stored.get("energy", {})
     if not isinstance(energy, dict):
         raise ConfigError(f"{angles_path}: 'energy' must be a JSON object, "
                           f"got {energy!r}")
-    _check_provenance(stored, config, angles_path)
-    state = prepared_state(config.encoding, tuple(theta.tolist()))
-    coeffs = extract_amplitudes(state, config.encoding)
     mode = energy.get("mode", "exact")
+    if mode not in MODES:
+        raise ConfigError(f"{angles_path}: 'energy.mode' must be one of "
+                          f"{MODES}, got {mode!r}")
     vqe_energy = energy.get("value")
+    if "value" in energy and not _finite(vqe_energy):
+        raise ConfigError(f"{angles_path}: 'energy.value' must be a finite "
+                          f"number, got {vqe_energy!r}")
+    _check_provenance(stored, config, angles_path)
+    state = prepared_state(config.encoding, tuple(theta))
+    coeffs = extract_amplitudes(state, config.encoding)
     return WaveFunction(coeffs, block), mode, vqe_energy
 
 

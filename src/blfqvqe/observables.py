@@ -93,9 +93,6 @@ class MassRadiusMatrix:
     def fm2(self):
         return self.mev2.entries * HBARC**2
 
-    def pauli_expansion(self, encoding="compact"):
-        return lookup_encoding(encoding).embed(self.fm2)
-
 
 def _radius_entries(block, params):
     # <r^2> of the n = 0 mode is (|m| + 1) * 1.5 / b^2; the four states
@@ -118,27 +115,24 @@ def mass_radius(psi, params):
 
 @dataclass(frozen=True)
 class PdfDensity:
-    """1x1 longitudinal density rho (the l = 0 weight) and f(x) on an x grid."""
+    """Longitudinal norm rho (the l = 0 weight) and f(x) on an x grid."""
 
-    density: np.ndarray
+    rho: float
     x_grid: np.ndarray
     values: np.ndarray
     alpha: float
     beta: float
 
     def __post_init__(self):
-        rho = np.asarray(self.density, dtype=float)
-        if np.abs(rho - rho.T).max() > 1e-9:
-            raise ValueError("density matrix must be symmetric")
-        if np.trace(rho) > 1.0 + 1e-9:
-            raise ValueError("density trace exceeds 1")
+        if self.rho > 1.0 + 1e-9:
+            raise ValueError("density norm rho exceeds 1")
         if not np.all(self.values >= -1e-12):
             raise ValueError("PDF values must be finite and non-negative")
 
     def normalization(self):
         """Quadrature of f over (0,1); equals rho analytically."""
         chi0 = chi(_GL_X, 0, self.alpha, self.beta)
-        f = self.density[0, 0] * chi0 * chi0 / (4.0 * np.pi)
+        f = self.rho * chi0 * chi0 / (4.0 * np.pi)
         return float(np.sum(_GL_W * f))
 
 
@@ -153,8 +147,7 @@ def pdf(psi, x_grid, exponents):
     x = np.asarray(x_grid, dtype=float)
     chi0 = chi(x, 0, exponents.alpha, exponents.beta)
     f = rho * chi0 * chi0 / (4.0 * np.pi)
-    return PdfDensity(density=np.array([[rho]]), x_grid=x,
-                      values=np.asarray(f, dtype=float),
+    return PdfDensity(rho=rho, x_grid=x, values=np.asarray(f, dtype=float),
                       alpha=exponents.alpha, beta=exponents.beta)
 
 

@@ -4,13 +4,15 @@ Conventions: qubit 0 is the least-significant bit of a basis index (and
 the rightmost character of a bitstring or axes string).  Every gate,
 Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
-[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  A circuit's gate structure
-compiles once into fused stages, one per rotation: the stacked
-read-only parts (A; B; C) of U(a) = A + cos(a/2) B + sin(a/2) C, with
-the fixed gates before the rotation (and, for the last one, after it)
-folded in; a circuit without rotations is one fixed matrix.  Running a
-circuit applies one matrix per stage and checks the norm after each, so
-an evaluation at new angles builds no gate and no circuit.
+[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  A gate is structure only:
+the ansätze are fixed circuits, and `run_circuit` takes one angle per
+rotation, in gate order.  A circuit's gates compile once into fused
+stages, one per rotation: the stacked read-only parts (A; B; C) of
+U(a) = A + cos(a/2) B + sin(a/2) C, with the fixed gates before the
+rotation (and, for the last one, after it) folded in; a circuit without
+rotations is one fixed matrix.  Running a circuit applies one matrix per
+stage and checks the norm after each, so an evaluation at new angles
+builds no gate and no circuit.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
 S-dagger followed by H, then sampling bitstrings.  A sum's non-identity
 terms are measured in one stacked pass: one row per term in axes-string
@@ -38,16 +40,14 @@ _PARITY_1Q = {"I": np.ones(2), **dict.fromkeys("XYZ", np.array([1.0, -1.0]))}
 
 # qubit indices each gate kind takes
 _GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
-_ROTATIONS = ("Ry", "CRy")
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive gate; build with the class methods."""
+    """One primitive gate, without an angle; build with the class methods."""
 
     kind: str
     qubits: tuple = ()
-    angle: float = None
 
     def __post_init__(self):
         if self.kind not in _GATE_KINDS:
@@ -58,24 +58,22 @@ class Gate:
             raise ValueError(f"gate indices must be distinct and non-negative: {q}")
         if len(q) != _GATE_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
-        if self.kind in _ROTATIONS and self.angle is None:
-            raise ValueError(f"{self.kind} needs an angle")
 
     @classmethod
     def x(cls, qubit):
         return cls("X", (qubit,))
 
     @classmethod
-    def ry(cls, qubit, angle):
-        return cls("Ry", (qubit,), angle=float(angle))
+    def ry(cls, qubit):
+        return cls("Ry", (qubit,))
 
     @classmethod
     def cnot(cls, control, target):
         return cls("CNOT", (control, target))
 
     @classmethod
-    def cry(cls, control, target, angle):
-        return cls("CRy", (control, target), angle=float(angle))
+    def cry(cls, control, target):
+        return cls("CRy", (control, target))
 
 
 @dataclass(frozen=True)
@@ -90,22 +88,10 @@ class Circuit:
                 raise ValueError(f"gate {g.kind} on {g.qubits} exceeds "
                                  f"{self.n_qubits} qubits")
 
-    def __len__(self):
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
-
-    @functools.cached_property
-    def angles(self):
-        """The rotation angles in gate order."""
-        return tuple(g.angle for g in self.gates if g.kind in _ROTATIONS)
-
     @functools.cached_property
     def stages(self):
         """The fused stage matrices `run_circuit` applies (see `_compile`)."""
-        return _compile(tuple((g.kind, g.qubits) for g in self.gates),
-                        self.n_qubits)
+        return _compile(self.gates, self.n_qubits)
 
 
 class Statevector:
@@ -113,7 +99,7 @@ class Statevector:
 
     def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(np.log2(amps.size))
+        n = amps.size.bit_length() - 1
         if 2**n != amps.size:
             raise ValueError(f"length {amps.size} is not a power of 2")
         if not abs(_norm(amps) - 1.0) <= 1e-10:
@@ -183,21 +169,21 @@ def _gate_parts(kind, qubits, n):
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(structure, n):
-    """Read-only fused stages of the gate structure ((kind, qubits), ...).
+def _compile(gates, n):
+    """Read-only fused stages of the gate sequence `gates` on n qubits.
 
     Each rotation is one stage, the (3 2^n, 2^n) stack (A; B; C) of its
     parts with the fixed gates since the previous rotation multiplied in
     on the right, and the fixed gates after the last rotation on the
-    left.  A structure without rotations is the one (2^n, 2^n) product
+    left.  A sequence without rotations is the one (2^n, 2^n) product
     of its fixed gates.  The fixed gates are 0/1 permutations, so the
     folding only moves entries and the stages act exactly as the gates
     applied one by one.
     """
     eye = np.eye(2**n, dtype=complex)
     stages, fixed = [], eye
-    for kind, qubits in structure:
-        A, B, C = _gate_parts(kind, qubits, n)
+    for g in gates:
+        A, B, C = _gate_parts(g.kind, g.qubits, n)
         if B is None:
             fixed = A @ fixed
         else:
@@ -209,25 +195,23 @@ def _compile(structure, n):
     return tuple(_frozen(np.vstack(parts)) for parts in stages)
 
 
-def run_circuit(circuit, initial, angles=None):
-    """Apply the circuit's compiled stages in order, checking the norm
-    after each.
-
-    The rotation angles come from the circuit's gates, or from `angles`
-    in gate order; a circuit compiled once then runs at any angles.
-    """
+def run_circuit(circuit, initial, angles=()):
+    """Apply the circuit's compiled stages in order at `angles`, one per
+    rotation in gate order, checking the norm after each stage."""
     if 2**circuit.n_qubits != initial.amplitudes.size:
         raise ValueError("state and circuit dimensions differ")
-    if angles is None:
-        angles = circuit.angles
-    elif len(angles) != len(circuit.angles):
-        raise ValueError(f"circuit has {len(circuit.angles)} rotations, "
-                         f"got {len(angles)} angles")
     amps = initial.amplitudes
     d = amps.size
-    for i, S in enumerate(circuit.stages):
+    stages = circuit.stages
+    # a rotation's stage stacks its three parts; without rotations the
+    # one stage is the (d, d) product of the fixed gates
+    rotations = len(stages) if len(stages[0]) == 3 * d else 0
+    if len(angles) != rotations:
+        raise ValueError(f"circuit has {rotations} rotations, "
+                         f"got {len(angles)} angles")
+    for i, S in enumerate(stages):
         amps = S @ amps
-        if i < len(angles):
+        if rotations:
             half = float(angles[i]) / 2.0
             amps = (amps[:d] + np.cos(half) * amps[d:2 * d]
                     + np.sin(half) * amps[2 * d:])
@@ -236,32 +220,27 @@ def run_circuit(circuit, initial, angles=None):
     return Statevector(amps)
 
 
-def direct_ansatz(theta1, theta2, theta3):
-    """4-qubit circuit spanning the real unit sphere of weight-1 states."""
-    return Circuit(4, (
-        Gate.x(1),
-        Gate.cry(1, 2, theta1),
-        Gate.cnot(2, 1),
-        Gate.cry(1, 0, theta2),
-        Gate.cry(2, 3, theta3),
-        Gate.cnot(0, 1),
-        Gate.cnot(3, 2),
-    ))
+# 4-qubit circuit spanning the real unit sphere of weight-1 states
+DIRECT_ANSATZ = Circuit(4, (
+    Gate.x(1),
+    Gate.cry(1, 2),
+    Gate.cnot(2, 1),
+    Gate.cry(1, 0),
+    Gate.cry(2, 3),
+    Gate.cnot(0, 1),
+    Gate.cnot(3, 2),
+))
 
+# 2-qubit circuit spanning all real two-qubit states
+COMPACT_ANSATZ = Circuit(2, (
+    Gate.ry(0),
+    Gate.ry(1),
+    Gate.cnot(1, 0),
+    Gate.ry(0),
+))
 
-def compact_ansatz(theta1, theta2, theta3):
-    """2-qubit circuit spanning all real two-qubit states."""
-    return Circuit(2, (
-        Gate.ry(0, theta1),
-        Gate.ry(1, theta2),
-        Gate.cnot(1, 0),
-        Gate.ry(0, theta3),
-    ))
-
-
-def jw_to_bk_circuit():
-    """4-qubit CNOT network converting occupancies to parity-tree coordinates."""
-    return Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
+# 4-qubit CNOT network converting occupancies to parity-tree coordinates
+JW_TO_BK_NETWORK = Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
 
 
 def expectation_exact(state, pauli_sum):

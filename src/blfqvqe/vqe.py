@@ -17,9 +17,9 @@ import scipy.optimize
 
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
-from .simulator import (Circuit, Statevector, compact_ansatz, direct_ansatz,
-                        expectation_exact, expectation_sampled,
-                        jw_to_bk_circuit, run_circuit, sampled_estimates)
+from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
+                        Circuit, Statevector, expectation_exact,
+                        expectation_sampled, run_circuit, sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 
@@ -28,26 +28,25 @@ MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 class Encoding:
     """Everything that tells one qubit encoding of the 4x4 block apart.
 
-    embed maps a one-body matrix to its PauliSum on n_qubits; ansatz maps
-    the three angles to the state-preparation circuit; good_guess are the
-    angles preparing (0, -1/sqrt2, +1/sqrt2, 0).  The four basis
-    coefficients sit on the register indices `readout`.  scaling_repeats
-    is the default repeat count per point of the shot-scaling experiment.
-    `circuit` and `zero_state` are built once: the circuit compiles into
-    one fused matrix per angle, and every evaluation runs it at its own
-    angles.
+    ansatz is the fixed state-preparation Circuit on the n_qubits
+    register, and each evaluation runs it at its own three angles, one
+    per rotation in gate order; embed maps a one-body matrix to its
+    PauliSum on that register; good_guess are the angles preparing
+    (0, -1/sqrt2, +1/sqrt2, 0).  The four basis coefficients sit on the
+    register indices `readout`.  scaling_repeats is the default repeat
+    count per point of the shot-scaling experiment.  `zero_state` is
+    built once.
     """
 
-    n_qubits: int
     embed: Callable
-    ansatz: Callable
+    ansatz: Circuit
     good_guess: tuple
     readout: tuple
     scaling_repeats: int
 
-    @functools.cached_property
-    def circuit(self):
-        return self.ansatz(*self.good_guess)
+    @property
+    def n_qubits(self):
+        return self.ansatz.n_qubits
 
     @functools.cached_property
     def zero_state(self):
@@ -56,16 +55,8 @@ class Encoding:
         return zero
 
 
-# occupancy -> parity-tree CNOT network appended to the direct ansatz
-_BK_GATES = jw_to_bk_circuit().gates
-
-
 def _embed_bk(h):
     return jw_to_bk_pauli(embed_direct(h))
-
-
-def _bk_ansatz(t1, t2, t3):
-    return Circuit(4, direct_ansatz(t1, t2, t3).gates + _BK_GATES)
 
 
 # the one-excitation indices 2^i; the bk network only permutes basis
@@ -74,12 +65,14 @@ _ONE_EXCITATION = tuple(1 << i for i in range(4))
 _BK_READOUT = (11, 10, 12, 8)
 
 ENCODINGS = {
-    "direct": Encoding(4, embed_direct, direct_ansatz,
-                       (1.5 * np.pi, 0.0, 0.0), _ONE_EXCITATION, 244),
-    "compact": Encoding(2, embed_compact, compact_ansatz,
+    "direct": Encoding(embed_direct, DIRECT_ANSATZ, (1.5 * np.pi, 0.0, 0.0),
+                       _ONE_EXCITATION, 244),
+    "compact": Encoding(embed_compact, COMPACT_ANSATZ,
                         (0.0, 0.5 * np.pi, -np.pi), (0, 1, 2, 3), 600),
-    "bk": Encoding(4, _embed_bk, _bk_ansatz, (1.5 * np.pi, 0.0, 0.0),
-                   _BK_READOUT, 244),
+    # the direct ansatz, then the occupancy -> parity-tree network
+    "bk": Encoding(_embed_bk,
+                   Circuit(4, DIRECT_ANSATZ.gates + JW_TO_BK_NETWORK.gates),
+                   (1.5 * np.pi, 0.0, 0.0), _BK_READOUT, 244),
 }
 
 
@@ -174,7 +167,7 @@ def minimize(cost, theta0, config=None, mode="exact"):
 def prepared_state(encoding, theta):
     """The encoding's ansatz state at the three angles `theta`."""
     enc = lookup_encoding(encoding)
-    return run_circuit(enc.circuit, enc.zero_state, theta)
+    return run_circuit(enc.ansatz, enc.zero_state, theta)
 
 
 def extract_amplitudes(state, encoding, tol=1e-8):

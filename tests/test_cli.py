@@ -1,4 +1,5 @@
 """Command-line interface tests: config handling, outputs, exit codes."""
+import ast
 import csv
 import importlib.util
 import json
@@ -452,28 +453,47 @@ class TestObservablesCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "encoding" in capsys.readouterr().err
 
+    # each file is the fitted result with one field spoiled, so the
+    # refusal can only come from that field
     @pytest.mark.parametrize("theta", ["absent", [0.1, 0.2], [0.1, 0.2, 0.3, 0.4],
-                                       ["a", 0.2, 0.3], "123", None],
+                                       ["a", 0.2, 0.3], "123", None,
+                                       ["0.1", "0.2", "0.3"],
+                                       [True, False, True], [10**400, 0.2, 0.3]],
                              ids=["absent", "two", "four", "non-numeric",
-                                  "string", "null"])
-    def test_bad_stored_angles_exit_two(self, tmp_path, capsys, theta):
-        stored = {"encoding": "compact", "energy": {"value": 1.0, "mode": "exact"}}
+                                  "string", "null", "numeric-strings",
+                                  "booleans", "beyond-float"])
+    def test_bad_stored_angles_exit_two(self, fitted_result, tmp_path, capsys,
+                                        theta):
+        del fitted_result["theta"]
         if theta != "absent":
-            stored["theta"] = theta
+            fitted_result["theta"] = theta
         angles = tmp_path / "vqe_result.json"
-        angles.write_text(json.dumps(stored))
+        angles.write_text(json.dumps(fitted_result))
         assert run_cli("observables", "--angles", str(angles),
                        "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and "'theta'" in err
         assert not (tmp_path / "observables.json").exists()
 
-    def test_non_object_stored_energy_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("energy, field", [
+        (5, "'energy'"),
+        ({"value": "19476.1", "mode": "exact"}, "'energy.value'"),
+        ({"value": float("nan"), "mode": "exact"}, "'energy.value'"),
+        ({"value": True, "mode": "exact"}, "'energy.value'"),
+        ({"value": None, "mode": "exact"}, "'energy.value'"),
+        ({"value": 19476.1, "mode": {"a": 1}}, "'energy.mode'"),
+        ({"value": 19476.1, "mode": "banana"}, "'energy.mode'"),
+    ], ids=["non-object", "string-value", "nan-value", "boolean-value",
+            "null-value", "object-mode", "unknown-mode"])
+    def test_non_object_stored_energy_exits_two(self, fitted_result, tmp_path,
+                                                capsys, energy, field):
+        fitted_result["energy"] = energy
         angles = tmp_path / "vqe_result.json"
-        angles.write_text(json.dumps({"encoding": "compact",
-                                      "theta": [0.1, 0.2, 0.3], "energy": 5}))
+        angles.write_text(json.dumps(fitted_result))
         assert run_cli("observables", "--angles", str(angles),
                        "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vqe_result.json"]
 
     @pytest.mark.parametrize("blob", [b'{"encoding": "compact\xff"}',
@@ -689,3 +709,48 @@ def test_benchmark_traced_names_exist():
     missing = [(module, attr) for module, attr, _ in spans.TRACED
                if not hasattr(importlib.import_module(f"blfqvqe.{module}"), attr)]
     assert spans.TRACED and not missing
+
+
+def test_benchmark_workload_names_exist():
+    # bench/workloads.py reaches the package as `pkg` or `self.pkg`, and
+    # through locals such as `vqe = self.pkg.vqe`; a renamed export would
+    # only surface as failed benchmark jobs
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {}
+
+    def package_path(node):
+        """The names after the package in an attribute chain, or None."""
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        if node.id == "self" and names[:1] == ["pkg"]:
+            return names[1:]
+        if node.id == "pkg":
+            return names
+        return aliases[node.id] + names if node.id in aliases else None
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            names = package_path(node.value)
+            if names:
+                aliases[node.targets[0].id] = names
+    looked_up = {tuple(names) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and (names := package_path(node))}
+
+    def exists(names):
+        obj = importlib.import_module("blfqvqe")
+        for name in names:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    assert {("vqe", "prepared_state"), ("vqe", "GOOD_GUESS"),
+            ("cli", "main"), ("embed_direct",)} <= looked_up
+    assert sorted(".".join(n) for n in looked_up if not exists(n)) == []

@@ -19,7 +19,8 @@ from blfqvqe.observables import (E_ANTIQUARK, E_QUARK, HBARC, FormFactorCurve,
                                  tm_coefficient)
 from blfqvqe.pauli import embed_compact, pauli_sum_to_matrix
 from blfqvqe.simulator import Statevector, expectation_exact
-from blfqvqe.vqe import extract_amplitudes, prepared_state, vqe_run
+from blfqvqe.vqe import (extract_amplitudes, lookup_encoding, prepared_state,
+                         vqe_run)
 
 PARAMS = ModelParameters()
 EXPS = compute_exponents(PARAMS)
@@ -126,23 +127,19 @@ class TestMassRadius:
         assert r == pytest.approx(np.sqrt(r2), rel=1e-12)
 
     def test_compact_pauli_expansion(self):
-        expansion = mass_radius_matrix(BLOCK, PARAMS).pauli_expansion("compact")
+        expansion = lookup_encoding("compact").embed(
+            mass_radius_matrix(BLOCK, PARAMS).fm2)
         d = expansion.as_dict()
         assert set(d) == {"II", "ZZ"}
         assert d["II"] == pytest.approx(1.700, abs=1e-3)
         assert d["ZZ"] == pytest.approx(0.567, abs=1e-3)
         assert d["II"] / d["ZZ"] == pytest.approx(3.0, rel=1e-12)
 
-    def test_unknown_encoding(self):
-        with pytest.raises(ValueError):
-            mass_radius_matrix(BLOCK, PARAMS).pauli_expansion("gray")
-
 
 class TestPdf:
     def test_density_is_unit_for_default_block(self, psi):
         den = pdf(psi, np.linspace(0.05, 0.95, 19), EXPS)
-        assert den.density.shape == (1, 1)
-        assert den.density[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert den.rho == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization(self, psi):
         den = pdf(psi, np.linspace(0.05, 0.95, 19), EXPS)
@@ -176,14 +173,11 @@ class TestPdf:
         x = np.array([0.5])
         good = dict(x_grid=x, values=np.array([0.1]), alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
-            PdfDensity(density=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                       x_grid=x, values=np.array([0.1]), alpha=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            PdfDensity(density=np.array([[1.5]]), **good)
+            PdfDensity(rho=1.5, **good)
         for bad in (-0.1, np.nan):
             with pytest.raises(ValueError):
-                PdfDensity(density=np.array([[1.0]]), x_grid=x,
-                           values=np.array([bad]), alpha=1.0, beta=1.0)
+                PdfDensity(rho=1.0, x_grid=x, values=np.array([bad]),
+                           alpha=1.0, beta=1.0)
 
 
 class TestTmCoefficient:

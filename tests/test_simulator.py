@@ -6,10 +6,10 @@ import scipy.linalg
 from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
 from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
                            pauli_string_matrix)
-from blfqvqe.simulator import (Circuit, Gate, ReadoutNoiseModel, Statevector,
-                               _gate_parts, compact_ansatz,
-                               direct_ansatz, expectation_exact,
-                               expectation_sampled, jw_to_bk_circuit,
+from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
+                               JW_TO_BK_NETWORK, Circuit, Gate,
+                               ReadoutNoiseModel, Statevector, _gate_parts,
+                               expectation_exact, expectation_sampled,
                                run_circuit, sampled_estimates)
 from blfqvqe.vqe import ENCODINGS, prepared_state
 
@@ -51,10 +51,6 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate.cnot(1, 1)
 
-    def test_missing_angle(self):
-        with pytest.raises(ValueError):
-            Gate("Ry", (0,))
-
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate.x(2),))
@@ -70,9 +66,10 @@ class TestStatevector:
         with pytest.raises(ValueError):
             Statevector([1.0, 1.0])
 
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            Statevector([1.0, 0.0, 0.0])
+    @pytest.mark.parametrize("amps", [[1.0, 0.0, 0.0], []])
+    def test_rejects_bad_length(self, amps):
+        with pytest.raises(ValueError, match="is not a power of 2"):
+            Statevector(amps)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -90,7 +87,8 @@ class TestRunCircuit:
         assert out.amplitudes[1] == 1.0
 
     def test_ry_convention(self):
-        out = run_circuit(Circuit(1, (Gate.ry(0, np.pi / 3),)), Statevector.zero(1))
+        out = run_circuit(Circuit(1, (Gate.ry(0),)), Statevector.zero(1),
+                          (np.pi / 3,))
         assert out.amplitudes[0] == pytest.approx(np.cos(np.pi / 6))
         assert out.amplitudes[1] == pytest.approx(np.sin(np.pi / 6))
 
@@ -101,12 +99,13 @@ class TestRunCircuit:
         out = run_circuit(Circuit(2, (Gate.cnot(0, 1),)), Statevector(amps))
         assert out.amplitudes[3] == 1.0
         # CRy acts only when control set
-        out = run_circuit(Circuit(2, (Gate.cry(1, 0, 2.0),)), Statevector(amps))
+        out = run_circuit(Circuit(2, (Gate.cry(1, 0),)), Statevector(amps),
+                          (2.0,))
         assert np.array_equal(out.amplitudes, amps)
 
     def test_norm_preserved_random_circuit(self):
         rng = np.random.default_rng(0)
-        gates = []
+        gates, angles = [], []
         for _ in range(40):
             kind = rng.integers(4)
             q = int(rng.integers(3))
@@ -114,26 +113,43 @@ class TestRunCircuit:
             if kind == 0:
                 gates.append(Gate.x(q))
             elif kind == 1:
-                gates.append(Gate.ry(q, rng.uniform(-np.pi, np.pi)))
+                gates.append(Gate.ry(q))
+                angles.append(rng.uniform(-np.pi, np.pi))
             elif kind == 2:
                 gates.append(Gate.cnot(q, r))
             else:
-                gates.append(Gate.cry(q, r, rng.uniform(-np.pi, np.pi)))
-        out = run_circuit(Circuit(3, gates), Statevector.zero(3))
+                gates.append(Gate.cry(q, r))
+                angles.append(rng.uniform(-np.pi, np.pi))
+        out = run_circuit(Circuit(3, gates), Statevector.zero(3), angles)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_circuit(Circuit(2), Statevector.zero(3))
-        circ = compact_ansatz(0.1, 0.2, 0.3)
         for angles in ((), (0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
             with pytest.raises(ValueError, match="3 rotations"):
-                run_circuit(circ, Statevector.zero(2), angles)
+                run_circuit(COMPACT_ANSATZ, Statevector.zero(2), angles)
+        with pytest.raises(ValueError, match="0 rotations"):
+            run_circuit(JW_TO_BK_NETWORK, Statevector.zero(4), (0.1,))
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_ansatz_needs_its_angles(self, encoding):
+        # an ansatz holds no angles of its own, so none are run by default
+        enc = ENCODINGS[encoding]
+        with pytest.raises(ValueError, match="3 rotations, got 0 angles"):
+            run_circuit(enc.ansatz, enc.zero_state)
+
+    @pytest.mark.parametrize("encoding, kind", [("direct", "CRy"),
+                                                ("compact", "Ry"),
+                                                ("bk", "CRy")])
+    def test_rotation_kinds(self, encoding, kind):
+        gates = ENCODINGS[encoding].ansatz.gates
+        assert [g.kind for g in gates if g.kind.endswith("Ry")] == [kind] * 3
 
     def test_nan_angle_fails_the_norm_check(self):
         with pytest.raises(RuntimeError, match="norm drifted"):
-            run_circuit(Circuit(1, (Gate.ry(0, float("nan")),)),
-                        Statevector.zero(1))
+            run_circuit(Circuit(1, (Gate.ry(0),)), Statevector.zero(1),
+                        (float("nan"),))
 
 
 def dense_gate(kind, qubits, angle, n):
@@ -172,9 +188,9 @@ class TestGateParts:
         basis = np.eye(2**n)
         for angle in angles:
             qubits = tuple(int(q) for q in rng.permutation(n)[:k])
-            gate = Gate(kind, qubits, angle if kind.endswith("Ry") else None)
-            circ = Circuit(n, (gate,))
-            columns = [run_circuit(circ, Statevector(e)).amplitudes
+            circ = Circuit(n, (Gate(kind, qubits),))
+            run_at = (angle,) if kind.endswith("Ry") else ()
+            columns = [run_circuit(circ, Statevector(e), run_at).amplitudes
                        for e in basis]
             np.testing.assert_allclose(np.column_stack(columns),
                                        dense_gate(kind, qubits, angle, n),
@@ -194,19 +210,22 @@ class TestGateParts:
         enc = ENCODINGS[encoding]
         rng = np.random.default_rng(7)
         for theta in [enc.good_guess, *rng.uniform(-10, 10, (20, 3))]:
-            expected = run_circuit(enc.ansatz(*theta),
-                                   Statevector.zero(enc.n_qubits))
+            expected = run_circuit(enc.ansatz, Statevector.zero(enc.n_qubits),
+                                   theta)
             got = prepared_state(encoding, tuple(theta))
             assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
-def gate_by_gate(circuit, amps):
+def gate_by_gate(circuit, amps, angles=()):
     """The circuit applied one gate at a time, each as the matrix
-    (A + cos(a/2) B + sin(a/2) C) or A from its cached parts."""
-    for g in circuit:
+    (A + cos(a/2) B + sin(a/2) C) or A from its cached parts, with the
+    rotations taking `angles` in gate order."""
+    angles = iter(angles)
+    for g in circuit.gates:
         A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
         if B is not None:
-            A = A + np.cos(g.angle / 2.0) * B + np.sin(g.angle / 2.0) * C
+            a = float(next(angles))
+            A = A + np.cos(a / 2.0) * B + np.sin(a / 2.0) * C
         amps = A @ amps
     return amps
 
@@ -224,20 +243,21 @@ class TestFusedStages:
         rng = np.random.default_rng(31)
         for theta in [enc.good_guess, *rng.uniform(-10, 10, (1000, 3))]:
             got = prepared_state(encoding, theta).amplitudes
-            expected = gate_by_gate(enc.ansatz(*theta), zero)
+            expected = gate_by_gate(enc.ansatz, zero, theta)
             assert got.tobytes() == expected.tobytes()
 
     def test_one_stage_per_rotation(self):
         for enc in ENCODINGS.values():
             d = 2**enc.n_qubits
-            assert [S.shape for S in enc.circuit.stages] == [(3 * d, d)] * 3
-            for S in enc.circuit.stages:
+            assert [S.shape for S in enc.ansatz.stages] == [(3 * d, d)] * 3
+            for S in enc.ansatz.stages:
                 with pytest.raises(ValueError):
                     S[0, 0] = 2.0
 
     def test_bk_network_alone(self):
-        circ = jw_to_bk_circuit()
-        assert circ.angles == () and [S.shape for S in circ.stages] == [(16, 16)]
+        circ = JW_TO_BK_NETWORK
+        assert {g.kind for g in circ.gates} == {"CNOT"}
+        assert [S.shape for S in circ.stages] == [(16, 16)]
         rng = np.random.default_rng(32)
         for amps in [*np.eye(16), *(random_state(rng, 4) for _ in range(50))]:
             got = run_circuit(circ, Statevector(amps)).amplitudes
@@ -249,18 +269,19 @@ class TestFusedStages:
         # general state the gate-by-gate matrix product may round a row's
         # two products in one fused multiply-add: equal to an ulp.
         rng = np.random.default_rng(33)
+        circ = Circuit(3, (Gate.x(1), Gate.ry(0), Gate.cnot(0, 1),
+                           Gate.cry(1, 2), Gate.x(2), Gate.cnot(2, 0)))
+        assert len(circ.stages) == 2
         for _ in range(200):
-            a, b = rng.uniform(-10, 10, 2)
-            circ = Circuit(3, (Gate.x(1), Gate.ry(0, a), Gate.cnot(0, 1),
-                               Gate.cry(1, 2, b), Gate.x(2), Gate.cnot(2, 0)))
-            assert len(circ.stages) == 2
+            angles = rng.uniform(-10, 10, 2)
             for amps in np.eye(8) + 0j:
-                got = run_circuit(circ, Statevector(amps)).amplitudes
-                assert got.tobytes() == gate_by_gate(circ, amps).tobytes()
+                got = run_circuit(circ, Statevector(amps), angles).amplitudes
+                expected = gate_by_gate(circ, amps, angles)
+                assert got.tobytes() == expected.tobytes()
             amps = random_state(rng, 3)
             np.testing.assert_allclose(
-                run_circuit(circ, Statevector(amps)).amplitudes,
-                gate_by_gate(circ, amps), rtol=0, atol=1e-15)
+                run_circuit(circ, Statevector(amps), angles).amplitudes,
+                gate_by_gate(circ, amps, angles), rtol=0, atol=1e-15)
 
     def test_empty_circuit(self):
         rng = np.random.default_rng(34)
@@ -273,12 +294,12 @@ class TestFusedStages:
 
 class TestDirectAnsatz:
     def test_zero_angles_single_station(self):
-        out = run_circuit(direct_ansatz(0.0, 0.0, 0.0), Statevector.zero(4))
+        out = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), (0.0, 0.0, 0.0))
         assert out.amplitudes[2] == pytest.approx(1.0)
 
     def test_good_guess(self):
-        out = run_circuit(direct_ansatz(3 * np.pi / 2, 0.0, 0.0),
-                          Statevector.zero(4))
+        out = run_circuit(DIRECT_ANSATZ, Statevector.zero(4),
+                          (3 * np.pi / 2, 0.0, 0.0))
         w1 = np.array([out.amplitudes[1 << i].real for i in range(4)])
         assert np.allclose(w1, [0.0, -1 / np.sqrt(2), 1 / np.sqrt(2), 0.0],
                            atol=1e-12)
@@ -292,7 +313,7 @@ class TestDirectAnsatz:
         worst_imag = 0.0
         for _ in range(10_000):
             t = rng.uniform(-2 * np.pi, 2 * np.pi, size=3)
-            out = run_circuit(direct_ansatz(*t), Statevector.zero(4)).amplitudes
+            out = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), t).amplitudes
             worst_leak = max(worst_leak, np.abs(out[off]).max())
             worst_imag = max(worst_imag, np.abs(out.imag).max())
         assert worst_leak < 1e-12
@@ -300,7 +321,7 @@ class TestDirectAnsatz:
 
     def test_amplitude_map(self):
         t1, t2, t3 = 0.9, -1.3, 2.2
-        out = run_circuit(direct_ansatz(t1, t2, t3), Statevector.zero(4))
+        out = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), (t1, t2, t3))
         c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
         c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
         c3, s3 = np.cos(t3 / 2), np.sin(t3 / 2)
@@ -309,44 +330,44 @@ class TestDirectAnsatz:
 
     def test_reaches_ground_vector(self, ground):
         _, v = ground
-        out = run_circuit(direct_ansatz(*direct_angles(v)), Statevector.zero(4))
+        out = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), direct_angles(v))
         w1 = np.array([out.amplitudes[1 << i].real for i in range(4)])
         assert np.abs(w1 - v).max() < 1e-12
 
 
 class TestCompactAnsatz:
     def test_zero_angles(self):
-        out = run_circuit(compact_ansatz(0.0, 0.0, 0.0), Statevector.zero(2))
+        out = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), (0.0, 0.0, 0.0))
         assert out.amplitudes[0] == pytest.approx(1.0)
 
     def test_real_amplitudes(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             t = rng.uniform(-2 * np.pi, 2 * np.pi, size=3)
-            out = run_circuit(compact_ansatz(*t), Statevector.zero(2)).amplitudes
+            out = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), t).amplitudes
             assert np.abs(out.imag).max() < 1e-12
 
     def test_prepares_printed_ground_vector(self):
         target = np.array([0.34, -0.62, 0.62, 0.34])  # unit norm as printed
-        t1, t2, t3 = compact_angles(target)
-        out = run_circuit(compact_ansatz(t1, t2, t3), Statevector.zero(2))
+        out = run_circuit(COMPACT_ANSATZ, Statevector.zero(2),
+                          compact_angles(target))
         assert np.abs(out.amplitudes.real - target).max() < 1e-6
 
     def test_good_guess(self):
-        out = run_circuit(compact_ansatz(0.0, np.pi / 2, -np.pi),
-                          Statevector.zero(2))
+        out = run_circuit(COMPACT_ANSATZ, Statevector.zero(2),
+                          (0.0, np.pi / 2, -np.pi))
         assert np.allclose(out.amplitudes.real,
                            [0.0, -1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-12)
 
 
 class TestJwToBkCircuit:
     def test_vacuum_fixed(self):
-        out = run_circuit(jw_to_bk_circuit(), Statevector.zero(4))
+        out = run_circuit(JW_TO_BK_NETWORK, Statevector.zero(4))
         assert out.amplitudes[0] == 1.0
 
     def test_all_basis_states_follow_encoder(self):
         P = bk_encoder(4)
-        circ = jw_to_bk_circuit()
+        circ = JW_TO_BK_NETWORK
         for f in range(16):
             amps = np.zeros(16)
             amps[f] = 1.0
@@ -356,7 +377,7 @@ class TestJwToBkCircuit:
             assert out[target] == pytest.approx(1.0)
 
     def test_self_inverse_reversed(self):
-        circ = jw_to_bk_circuit()
+        circ = JW_TO_BK_NETWORK
         rev = Circuit(4, tuple(reversed(circ.gates)))
         rng = np.random.default_rng(4)
         amps = rng.normal(size=16)
@@ -368,7 +389,7 @@ class TestJwToBkCircuit:
         # the bk encoding reads its coefficients off these images
         readout = ENCODINGS["bk"].readout
         for i in range(4):
-            out = run_circuit(jw_to_bk_circuit(),
+            out = run_circuit(JW_TO_BK_NETWORK,
                               Statevector(np.eye(16)[1 << i])).amplitudes
             assert out[readout[i]] == 1.0 and np.abs(out).sum() == 1.0
 
@@ -387,14 +408,14 @@ class TestExpectationExact:
 
     def test_ground_energy_compact(self, hmat, ground):
         e0, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         e = expectation_exact(state, embed_compact(hmat))
         assert e == pytest.approx(e0, rel=1e-10)
         assert e == pytest.approx(19488.0, rel=1e-3)
 
     def test_ground_energy_direct(self, hmat, ground):
         e0, v = ground
-        state = run_circuit(direct_ansatz(*direct_angles(v)), Statevector.zero(4))
+        state = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), direct_angles(v))
         e = expectation_exact(state, embed_direct(hmat))
         assert e == pytest.approx(e0, rel=1e-10)
 
@@ -418,14 +439,14 @@ class TestExpectationSampled:
 
     def test_converges_to_exact(self, hmat, ground):
         e0, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         est, se = expectation_sampled(state, s, shots_per_term=1_000_000, seed=123)
         assert abs(est - e0) < 3 * se
 
     def test_unbiased_mean(self, hmat, ground):
         e0, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         repeats = 200
         ests, ses = [], []
@@ -439,7 +460,7 @@ class TestExpectationSampled:
 
     def test_bit_reproducible(self, hmat, ground):
         _, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         a = expectation_sampled(state, s, 512, seed=9)
         b = expectation_sampled(state, s, 512, seed=9)
@@ -458,7 +479,8 @@ class TestExpectationSampled:
 
     def test_std_error_is_the_sample_spread(self):
         # one +-1 outcome per shot: the sample variance is 1 - mean^2
-        state = run_circuit(Circuit(1, (Gate.ry(0, 1.1),)), Statevector.zero(1))
+        state = run_circuit(Circuit(1, (Gate.ry(0),)), Statevector.zero(1),
+                            (1.1,))
         shots = 1000
         est, se = expectation_sampled(state, PauliSum([("Z", 2.5)]), shots,
                                       seed=4)
@@ -473,12 +495,12 @@ class TestSampledEstimates:
     def test_one_repeat_is_expectation_sampled(self, hmat, ground, encoding):
         _, v = ground
         if encoding == "direct":
-            state = run_circuit(direct_ansatz(*direct_angles(v)),
-                                Statevector.zero(4))
+            state = run_circuit(DIRECT_ANSATZ,
+                                Statevector.zero(4), direct_angles(v))
             s = embed_direct(hmat)
         else:
-            state = run_circuit(compact_ansatz(*compact_angles(v)),
-                                Statevector.zero(2))
+            state = run_circuit(COMPACT_ANSATZ,
+                                Statevector.zero(2), compact_angles(v))
             s = embed_compact(hmat)
         est = sampled_estimates(state, s, 512, 17, repeats=1)
         assert est.shape == (1,)
@@ -491,7 +513,7 @@ class TestSampledEstimates:
         # is a 4-sigma band (0.141 at R = 400).  A batch that reused one
         # draw across repeats would have zero spread.
         _, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         shots, repeats = 256, 400
         amps = state.amplitudes
@@ -521,7 +543,7 @@ class TestReadoutMitigation:
     def test_zero_noise_identity(self, hmat, ground):
         # without flips, mitigation leaves the draws and estimates unchanged
         _, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         assert (expectation_sampled(state, s, 512, 17,
                                     noise=ReadoutNoiseModel(0.0, 0.0),
@@ -571,7 +593,7 @@ class TestReadoutMitigation:
         # single-shot variance to (1 - seen^2) / (1 - 2p)^(2w), where
         # seen = (1 - 2p)^w <P> is the parity the noisy readout sees
         _, v = ground
-        state = run_circuit(compact_ansatz(*compact_angles(v)), Statevector.zero(2))
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), compact_angles(v))
         s = embed_compact(hmat)
         p, shots = 0.03, 8192
         noise = ReadoutNoiseModel(p, p)
@@ -595,7 +617,7 @@ class TestTermOrder:
         # rows are drawn in axes order, so the order a sum lists its
         # terms in does not reach the draws
         _, v = ground
-        state = run_circuit(direct_ansatz(*direct_angles(v)), Statevector.zero(4))
+        state = run_circuit(DIRECT_ANSATZ, Statevector.zero(4), direct_angles(v))
         s = embed_direct(hmat)
         flipped = PauliSum(reversed(s.terms))
         assert [t.axes for t in flipped] == [t.axes for t in s][::-1]

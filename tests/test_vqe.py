@@ -313,7 +313,7 @@ def test_encoding_table(name, problem):
     assert np.abs(dense[np.ix_(readout, readout)] - h.entries).max() < 1e-9
 
     v = np.asarray(decay_spec(params).reference_vector)
-    radius = mass_radius_matrix(block, params).pauli_expansion(name)
+    radius = enc.embed(mass_radius_matrix(block, params).fm2)
     for theta in [(0.3, -1.1, 2.0), (2.5, 0.7, -0.4)]:
         state = prepared_state(name, theta)
         c = extract_amplitudes(state, name)
