@@ -18,9 +18,8 @@ from .basisfuncs import (BasisCutoffs, BasisState, LongitudinalExponents,
 from .hamiltonian import (Eigensolution, HermitianObservable,
                           build_effective_hamiltonian, build_h0_diagonal,
                           build_njl_matrix, diagonalize)
-from .pauli import (EncoderMatrix, PauliString, PauliSum, bk_encoder,
-                    embed_compact, embed_direct, jw_hopping_pauli,
-                    jw_to_bk_pauli, pauli_decompose, pauli_sum_to_matrix)
+from .pauli import (PauliString, PauliSum, embed_compact, embed_direct,
+                    jw_hopping_pauli, jw_to_bk_pauli, pauli_sum_to_matrix)
 from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
                         Circuit, Gate, ReadoutNoiseModel, Statevector,
                         expectation_exact, expectation_sampled, run_circuit,

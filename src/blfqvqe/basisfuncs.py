@@ -1,27 +1,26 @@
 """Basis functions for the valence light-front pion and their integrals.
 
 The transverse degrees of freedom live in a 2D harmonic-oscillator basis
-phi_{nm} with scale b; the longitudinal direction uses Jacobi-polynomial
-modes chi_l(x; alpha, beta) on x in (0, 1).  The one tabulated basis is
-the J_z = 0 valence block at n = l = 0, |m| <= 2, where the quantum
-number theta labels its four (m, s1, s2) triples.
+phi_{nm} with scale b; the longitudinal direction uses the l = 0 mode
+chi(x; alpha, beta) ~ x^(beta/2) (1-x)^(alpha/2) on x in (0, 1).  The one
+tabulated basis is the J_z = 0 valence block at n = l = 0, |m| <= 2,
+where the quantum number theta labels its four (m, s1, s2) triples.
 
 Conventions:
   * spins are stored as +1/-1 integers (twice the spin projection), so
     every quantum number stays integral;
-  * chi_l includes the sqrt(4*pi*(2l+alpha+beta+1)) normalization, hence
-    the orthonormality relation reads  integral chi_l chi_l' dx / (4 pi)
-    = delta_{ll'};
-  * the longitudinal integrals L_l(a, b; alpha, beta) are evaluated by
-    closed-form recurrences in log-Gamma space (Gamma(19.6) ~ 4e16, so
-    naive products overflow the comfortable range).
+  * chi includes the sqrt(4*pi*(alpha+beta+1)) normalization, hence
+    integral chi^2 dx / (4 pi) = 1;
+  * the longitudinal integrals L(a, b; alpha, beta) are evaluated in
+    closed form in log-Gamma space (Gamma(19.6) ~ 4e16, so naive
+    products overflow the comfortable range).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 
 class UnsupportedCutoffError(ValueError):
@@ -117,7 +116,7 @@ def compute_exponents(params):
 
 
 def _c00(a, b_exp, alpha, beta):
-    # seed coefficient, all Gamma factors in log space
+    # the coefficient C_00 of the l = 0 mode, all Gamma factors in log space
     args = (alpha + beta + 1, alpha + 1, beta + 1,
             beta / 2 + b_exp + 1, alpha / 2 + a + 1,
             beta / 2 + b_exp + alpha / 2 + a + 2)
@@ -130,27 +129,11 @@ def _c00(a, b_exp, alpha, beta):
     return np.exp(lg)
 
 
-def longitudinal_integral(l, a, b_exp, alpha, beta):
-    """L_l(a, b; alpha, beta) = integral_0^1 x^b (1-x)^a chi_l(x; alpha, beta) dx / (4 pi).
-
-    Evaluated by generating C_{0,0}, walking the l-recurrence to C_{l,0},
-    then the in-row m-recurrence for C_{l,m}, and summing row l.
-    """
-    if l < 0 or l != int(l):
-        raise ValueError("l must be a nonnegative integer")
-    l = int(l)
-    c = _c00(a, b_exp, alpha, beta)
-    for j in range(1, l + 1):
-        c *= (-np.sqrt((j + beta) * (j + alpha + beta) / (j * (j + alpha)))
-              * (alpha / 2 + a + j) / (beta / 2 + b_exp + alpha / 2 + a + j + 1))
-    total = c
-    cm = c
-    for mm in range(1, l + 1):
-        cm *= (-(l + alpha - mm + 1) * (l - mm + 1)
-               / (mm * (beta + mm) * (alpha / 2 + a + l - mm + 1))
-               * (beta / 2 + b_exp + mm))
-        total += cm
-    return float(np.sqrt((2 * l + alpha + beta + 1) / (4 * np.pi)) * total)
+def longitudinal_integral(a, b_exp, alpha, beta):
+    """L(a, b; alpha, beta) = integral_0^1 x^b (1-x)^a chi(x) dx / (4 pi), in
+    closed form: chi's normalization times C_00."""
+    return float(np.sqrt((alpha + beta + 1) / (4 * np.pi))
+                 * _c00(a, b_exp, alpha, beta))
 
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(128)
@@ -158,28 +141,15 @@ _GL_X = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
-def longitudinal_integral_quadrature(l, a, b_exp, alpha, beta):
-    """Same integral by 128-node Gauss-Legendre; the independent cross-check.
-
-    The integrand vanishes like x^(beta/2) at the endpoints for the
-    physical exponents, so no singular treatment is needed.
-    """
-    x = _GL_X
-    vals = chi(x, l, alpha, beta) * x**b_exp * (1 - x) ** a
-    return float(np.sum(_GL_W * vals) / (4 * np.pi))
-
-
-def chi(x, l, alpha, beta):
-    """Longitudinal mode chi_l(x; alpha, beta), vectorized over x in (0,1)."""
+def chi(x, alpha, beta):
+    """Longitudinal mode chi(x; alpha, beta), vectorized over x in (0,1)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or np.any(x >= 1):
         raise ValueError("chi is defined on the open interval (0, 1)")
-    log_norm = 0.5 * (np.log(2 * l + alpha + beta + 1)
-                      + gammaln(l + 1) + gammaln(l + alpha + beta + 1)
-                      - gammaln(l + alpha + 1) - gammaln(l + beta + 1))
+    log_norm = 0.5 * (np.log(alpha + beta + 1) + gammaln(alpha + beta + 1)
+                      - gammaln(alpha + 1) - gammaln(beta + 1))
     val = (np.sqrt(4 * np.pi) * np.exp(log_norm)
-           * x ** (beta / 2) * (1 - x) ** (alpha / 2)
-           * eval_jacobi(l, alpha, beta, 2 * x - 1))
+           * x ** (beta / 2) * (1 - x) ** (alpha / 2))
     return val if val.shape else float(val)
 
 

@@ -108,11 +108,14 @@ class RunConfig:
             raise ConfigError("--mitigate only applies to mode 'noisy'")
         try:
             enumerate_block(0, self.cutoffs())
-            self.noise_model()
+            noise = self.noise_model()
             self.optimizer_config()
             self.model_parameters()
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        if self.mitigate and noise.is_singular:
+            raise ConfigError("--mitigate needs an invertible calibration, "
+                              "but noise_p01 + noise_p10 = 1 is singular")
 
     def model_parameters(self):
         return ModelParameters(m=self.m, mbar=self.mbar, kappa=self.kappa,
@@ -424,7 +427,10 @@ def cmd_scaling(config):
     params = config.model_parameters()
     h = build_effective_hamiltonian(params)
     ham = lookup_encoding(config.encoding).embed(h)
-    result = scaling_experiment(ham, config.encoding, seed=config.seed)
+    # the table holds the exact-mode optimum under this run's optimizer
+    fit = vqe_run(ham, config.encoding, config=config.optimizer_config())
+    result = scaling_experiment(ham, config.encoding, seed=config.seed,
+                                theta=fit.theta)
     csv_path = os.path.join(config.out, "scaling.csv")
     _write_csv(csv_path, ("shots_per_term", "rms_relative_error"),
                result.rows)
@@ -441,9 +447,10 @@ def cmd_scaling(config):
     _write_json(json_path, payload)
     print(f"scaling [{config.encoding}]: shots ~ "
           f"{result.constant:.1f} / eps^{result.exponent:.3f} "
-          f"({result.repeats} repeats per point)")
+          f"({result.repeats} repeats per point)"
+          + ("" if fit.converged else "  (ANGLE FIT DID NOT CONVERGE)"))
     print(f"wrote {csv_path}, {json_path}")
-    return EXIT_OK
+    return EXIT_OK if fit.converged else EXIT_NONCONVERGENCE
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,7 +28,6 @@ class HermitianObservable:
     """Dense real symmetric matrix in the basis representation."""
 
     entries: np.ndarray
-    units: str = "MeV^2"
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -40,10 +39,6 @@ class HermitianObservable:
         scale = np.abs(a).max() or 1.0
         if np.abs(a - a.T).max() > 1e-9 * scale:
             raise ValueError("matrix is not symmetric")
-
-    @property
-    def dimension(self):
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ def build_h0_diagonal(params):
     msum2 = (params.m + params.mbar) ** 2
     diag = [msum2 + (5 if abs(s.m) == 1 else 3) * params.kappa**2
             for s in enumerate_block(0, BasisCutoffs())]
-    return HermitianObservable(np.diag(diag), units="MeV^2")
+    return HermitianObservable(np.diag(diag))
 
 
 def build_njl_matrix(params, exponents):
@@ -72,7 +67,7 @@ def build_njl_matrix(params, exponents):
     al, be = exponents.alpha, exponents.beta
 
     def L(a, b_exp):
-        return longitudinal_integral(0, a, b_exp, al, be)
+        return longitudinal_integral(a, b_exp, al, be)
 
     c4 = gp * b**4 / np.pi
     c3 = gp * b**3 / np.pi
@@ -102,14 +97,14 @@ def build_njl_matrix(params, exponents):
     H[2, 3] = -4 * c3 * (m * L(0.5, -0.5) * (L(0, 1) + L(0, 0))
                          + mbar * L(-0.5, 0.5) * L(0, 0))
     H = H + H.T - np.diag(np.diag(H))
-    return HermitianObservable(H, units="MeV^2")
+    return HermitianObservable(H)
 
 
 def build_effective_hamiltonian(params):
     """Full mass-squared matrix H = H0 + H_int in the default J_z = 0 block."""
     h0 = build_h0_diagonal(params)
     hint = build_njl_matrix(params, compute_exponents(params))
-    return HermitianObservable(h0.entries + hint.entries, units="MeV^2")
+    return HermitianObservable(h0.entries + hint.entries)
 
 
 def diagonalize(observable):

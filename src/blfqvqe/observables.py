@@ -55,7 +55,7 @@ def decay_spec(params):
     """Reference vector and MeV prefactor for the lowest J_z = 0 block."""
     exps = compute_exponents(params)
     base = (2.0 * np.sqrt(params.n_c) * params.b / np.sqrt(np.pi)
-            * longitudinal_integral(0, 0.5, 0.5, exps.alpha, exps.beta))
+            * longitudinal_integral(0.5, 0.5, exps.alpha, exps.beta))
     s = 1.0 / np.sqrt(2.0)
     return DecayConstantSpec(reference_vector=(0.0, s, -s, 0.0),
                              prefactor=base * np.sqrt(2.0))
@@ -68,7 +68,7 @@ def decay_constant(psi, params, exponents):
     (+-) and (-+) spin orders contribute with opposite signs.
     """
     c = psi.coefficients
-    L = longitudinal_integral(0, 0.5, 0.5, exponents.alpha, exponents.beta)
+    L = longitudinal_integral(0.5, 0.5, exponents.alpha, exponents.beta)
     total = c[1] * L - c[2] * L
     return float(2.0 * np.sqrt(params.n_c) * params.b / np.sqrt(np.pi) * total)
 
@@ -94,21 +94,17 @@ class MassRadiusMatrix:
         return self.mev2.entries * HBARC**2
 
 
-def _radius_entries(block, params):
+def mass_radius_matrix(block, params):
     # <r^2> of the n = 0 mode is (|m| + 1) * 1.5 / b^2; the four states
     # differ in (m, s1, s2), so no two of them couple
     require_tabulated(block)
-    return 1.5 / params.b**2 * np.diag([abs(s.m) + 1.0 for s in block])
-
-
-def mass_radius_matrix(block, params):
-    return MassRadiusMatrix(HermitianObservable(_radius_entries(block, params),
-                                                units="MeV^-2"))
+    return MassRadiusMatrix(HermitianObservable(
+        1.5 / params.b**2 * np.diag([abs(s.m) + 1.0 for s in block])))
 
 
 def mass_radius(psi, params):
     """Mass radius of a normalized wave function: (<r^2> in fm^2, r in fm)."""
-    mat = _radius_entries(psi.block, params) * HBARC**2
+    mat = mass_radius_matrix(psi.block, params).fm2
     r2 = float(psi.coefficients @ mat @ psi.coefficients)
     return r2, float(np.sqrt(r2))
 
@@ -131,7 +127,7 @@ class PdfDensity:
 
     def normalization(self):
         """Quadrature of f over (0,1); equals rho analytically."""
-        chi0 = chi(_GL_X, 0, self.alpha, self.beta)
+        chi0 = chi(_GL_X, self.alpha, self.beta)
         f = self.rho * chi0 * chi0 / (4.0 * np.pi)
         return float(np.sum(_GL_W * f))
 
@@ -145,7 +141,7 @@ def pdf(psi, x_grid, exponents):
     """
     rho = sum(c * c for c in psi.coefficients)
     x = np.asarray(x_grid, dtype=float)
-    chi0 = chi(x, 0, exponents.alpha, exponents.beta)
+    chi0 = chi(x, exponents.alpha, exponents.beta)
     f = rho * chi0 * chi0 / (4.0 * np.pi)
     return PdfDensity(rho=rho, x_grid=x, values=np.asarray(f, dtype=float),
                       alpha=exponents.alpha, beta=exponents.beta)
@@ -223,7 +219,7 @@ def _charge_bracket(n_bar, q2_over_b2, alpha, beta, nodes, weights):
     zqb = x / (2.0 * (1.0 - x)) * q2_over_b2
     term_q = E_QUARK * np.exp(-zq / 2.0) * eval_genlaguerre(n_bar, 0, zq)
     term_qb = E_ANTIQUARK * np.exp(-zqb / 2.0) * eval_genlaguerre(n_bar, 0, zqb)
-    chi0 = chi(x, 0, alpha, beta)
+    chi0 = chi(x, alpha, beta)
     integrand = chi0 * chi0 / (4.0 * np.pi) * (term_q - term_qb)
     return np.sum(weights * integrand, axis=-1)
 
@@ -259,8 +255,7 @@ def _charge_matrices(q2, params, exponents, block):
 
 def form_factor_matrix(q2, params, exponents, block):
     """Elastic charge operator on the basis block at one Q^2 (MeV^2)."""
-    return HermitianObservable(_charge_matrices([q2], params, exponents, block)[0],
-                               units="dimensionless")
+    return HermitianObservable(_charge_matrices([q2], params, exponents, block)[0])
 
 
 @dataclass(frozen=True)

@@ -106,42 +106,6 @@ class PauliSum:
         return f"PauliSum({inner or '0'})"
 
 
-@dataclass(frozen=True)
-class EncoderMatrix:
-    """Binary lower-triangular encoder over GF(2): b = P f (mod 2)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=np.uint8) & 1
-        object.__setattr__(self, "matrix", P)
-        n = P.shape[0]
-        if P.shape != (n, n):
-            raise ValueError("encoder must be square")
-        if np.any(np.diag(P) != 1) or np.any(np.triu(P, 1) != 0):
-            raise ValueError("encoder must be lower-triangular with unit diagonal")
-
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
-    def encode(self, bits):
-        return (self.matrix @ (np.asarray(bits, dtype=np.uint8) & 1)) & 1
-
-    def inverse(self):
-        """GF(2) inverse by Gaussian elimination."""
-        n = self.size
-        aug = np.concatenate([self.matrix.copy(), np.eye(n, dtype=np.uint8)], axis=1)
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r, col])
-            if pivot != col:
-                aug[[col, pivot]] = aug[[pivot, col]]
-            for r in range(n):
-                if r != col and aug[r, col]:
-                    aug[r] ^= aug[col]
-        return aug[:, n:]
-
-
 def kron_axes(axes, letters):
     """Kronecker product of letters[ch] over an axes string, as a new array;
     the leftmost letter acts on the highest qubit.  Every axes-string
@@ -149,32 +113,12 @@ def kron_axes(axes, letters):
     return functools.reduce(np.kron, [letters[ch] for ch in axes], np.ones((1, 1)))
 
 
-@functools.lru_cache(maxsize=1024)  # bounded: pauli_decompose visits all 4^n
+@functools.lru_cache(maxsize=1024)  # bounded: embed_compact visits all 4^n
 def pauli_string_matrix(axes):
     """Dense 2^n matrix of one axes string, cached per string; read-only."""
     M = kron_axes(axes, _PAULI_1Q)
     M.setflags(write=False)
     return M
-
-
-def pauli_decompose(matrix, n_qubits):
-    """Expand a real symmetric matrix as sum_a c_a P_a, c_a = tr(M P_a)/2^n.
-
-    Coefficients below 1e-9 * max|M| are dropped as numeric dust.
-    """
-    M = matrix.entries if isinstance(matrix, HermitianObservable) else np.asarray(matrix)
-    dim = 2**n_qubits
-    if M.shape != (dim, dim):
-        raise ValueError(f"matrix shape {M.shape} does not match {n_qubits} qubits")
-    threshold = 1e-9 * (np.abs(M).max() or 1.0)
-    terms = []
-    for axes in map("".join, itertools.product(_AXES, repeat=n_qubits)):
-        c = np.trace(pauli_string_matrix(axes) @ M) / dim
-        if abs(c.imag) > 1e-9 * max(1.0, abs(c.real)):
-            raise ValueError("matrix is not real symmetric")
-        if abs(c.real) > threshold:
-            terms.append((axes, c.real))
-    return PauliSum(terms, n_qubits=n_qubits)
 
 
 def pauli_sum_to_matrix(pauli_sum):
@@ -183,7 +127,7 @@ def pauli_sum_to_matrix(pauli_sum):
     if np.abs(M.imag).max() > 1e-12 * max(1.0, np.abs(M.real).max()):
         raise ValueError("sum has an imaginary matrix part; not representable "
                          "as a real symmetric observable")
-    return HermitianObservable(M.real, units="dimensionless")
+    return HermitianObservable(M.real)
 
 
 def one_qubit_axes(n_qubits, qubit, letter):
@@ -239,37 +183,31 @@ def embed_direct(h):
 
 
 def embed_compact(h):
-    """Binary encoding: expand a 2^n x 2^n matrix h over n >= 1 qubits."""
+    """Binary encoding: expand a real symmetric 2^n x 2^n matrix h over
+    n >= 1 qubits as sum_a c_a P_a, c_a = tr(h P_a) / 2^n.
+
+    Coefficients below 1e-9 * max|h| are dropped as numeric dust.
+    """
     M = h.entries if isinstance(h, HermitianObservable) else np.asarray(h, dtype=float)
     dim = M.shape[0]
-    if dim < 2 or dim & (dim - 1):
+    if M.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ValueError(f"compact encoding needs a 2^n x 2^n matrix, n >= 1; "
                          f"got shape {M.shape}")
-    return pauli_decompose(M, dim.bit_length() - 1)
+    n_qubits = dim.bit_length() - 1
+    threshold = 1e-9 * (np.abs(M).max() or 1.0)
+    terms = []
+    for axes in map("".join, itertools.product(_AXES, repeat=n_qubits)):
+        c = np.trace(pauli_string_matrix(axes) @ M) / dim
+        if abs(c.imag) > 1e-9 * max(1.0, abs(c.real)):
+            raise ValueError("matrix is not real symmetric")
+        if abs(c.real) > threshold:
+            terms.append((axes, c.real))
+    return PauliSum(terms, n_qubits=n_qubits)
 
 
-def bk_encoder(n_modes):
-    """Parity-tree encoder matrix: b_i = sum_j P_ij f_j over GF(2).
-
-    Defined for n_modes = 2^k by the standard doubling construction
-    P_2N = [[P_N, 0], [rows of ones on the last row, P_N]].
-    """
-    n = n_modes
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"encoder defined for power-of-2 sizes, got {n}")
-    P = np.array([[1]], dtype=np.uint8)
-    while P.shape[0] < n:
-        k = P.shape[0]
-        top = np.concatenate([P, np.zeros((k, k), dtype=np.uint8)], axis=1)
-        lower_left = np.zeros((k, k), dtype=np.uint8)
-        lower_left[-1, :] = 1
-        bottom = np.concatenate([lower_left, P], axis=1)
-        P = np.concatenate([top, bottom], axis=0)
-    return EncoderMatrix(P)
-
-
-# CNOT network (control, target) realizing |f> -> |P f> for 4 modes,
-# in application order.
+# CNOT network (control, target), in application order, realizing the 4-mode
+# parity-tree encoder |f> -> |b> over GF(2): b0 = f0, b1 = f0+f1, b2 = f2,
+# b3 = f0+f1+f2+f3.
 BK_CNOTS_4 = ((0, 3), (1, 3), (0, 1), (2, 3))
 
 
@@ -285,28 +223,24 @@ def _conjugate_by_cnot(x, z, control, target):
     return sign
 
 
-def jw_to_bk_pauli(pauli_sum, cnots=None):
-    """Conjugate every string by the occupancy-to-parity CNOT network.
+def jw_to_bk_pauli(pauli_sum):
+    """Conjugate every string of a 4-qubit sum by the occupancy-to-parity
+    CNOT network BK_CNOTS_4.
 
     Pauli strings map one-to-one onto Pauli strings (possibly with a sign),
     so the term count never increases and the spectrum is untouched.
-    Passing an explicit (control, target) sequence conjugates by that
-    network instead; the default covers the 4-mode register.
     """
-    if cnots is None:
-        if pauli_sum.n_qubits != 4:
-            raise ValueError("the tabulated CNOT network covers 4 qubits")
-        cnots = BK_CNOTS_4
+    if pauli_sum.n_qubits != 4:
+        raise ValueError("the tabulated CNOT network covers 4 qubits")
     out = []
     for t in pauli_sum.terms:
-        n = t.n_qubits
-        # axes string leftmost = qubit n-1
+        # axes string leftmost = qubit 3
         x = [ch in "XY" for ch in reversed(t.axes)]
         z = [ch in "ZY" for ch in reversed(t.axes)]
         coeff = t.coefficient
-        for c, tq in cnots:
+        for c, tq in BK_CNOTS_4:
             coeff *= _conjugate_by_cnot(x, z, c, tq)
         axes = "".join("Y" if x[q] and z[q] else "X" if x[q] else "Z" if z[q] else "I"
-                       for q in reversed(range(n)))
+                       for q in reversed(range(4)))
         out.append((axes, coeff))
-    return PauliSum(out, n_qubits=pauli_sum.n_qubits)
+    return PauliSum(out, n_qubits=4)

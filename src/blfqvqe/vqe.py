@@ -22,6 +22,7 @@ from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
                         expectation_sampled, run_circuit, sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
+_READOUT_TOL = 1e-8  # imaginary amplitude and leak extract_amplitudes allows
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def minimize(cost, theta0, config=None, mode="exact"):
     method = _METHODS[config.method]
     options = {"maxiter": config.max_iterations}
     if method == "Nelder-Mead":
-        options.update(fatol=config.tolerance, adaptive=True)
+        options.update({"fatol": config.tolerance, "adaptive": True})
     res = scipy.optimize.minimize(wrapped, np.asarray(theta0, dtype=float),
                                   method=method, options=options)
     iterations = res.nit if method == "Nelder-Mead" else res.nfev
@@ -170,7 +171,7 @@ def prepared_state(encoding, theta):
     return run_circuit(enc.ansatz, enc.zero_state, theta)
 
 
-def extract_amplitudes(state, encoding, tol=1e-8):
+def extract_amplitudes(state, encoding):
     """Real basis coefficients encoded in a prepared qubit state.
 
     Inverts the encoding map: reads the four coefficients off the
@@ -179,15 +180,15 @@ def extract_amplitudes(state, encoding, tol=1e-8):
     under the bk network).  The global sign is fixed so the
     largest-magnitude coefficient is positive.  Raises if the state
     leaks outside the encoded subspace or carries imaginary amplitude
-    beyond tol.
+    beyond _READOUT_TOL.
     """
     enc = lookup_encoding(encoding)
     amps = state.amplitudes
-    if np.abs(amps.imag).max() > tol:
+    if np.abs(amps.imag).max() > _READOUT_TOL:
         raise ValueError("state has imaginary amplitudes")
     coeffs = amps.real[list(enc.readout)]
     leak = np.linalg.norm(amps) ** 2 - np.linalg.norm(coeffs) ** 2
-    if leak > tol:
+    if leak > _READOUT_TOL:
         raise ValueError(f"state leaks outside the encoded subspace "
                          f"by {leak:.3e}")
     coeffs = coeffs / np.linalg.norm(coeffs)

@@ -1,0 +1,75 @@
+"""Independent reference implementations that the tests check the package
+against: the parity-tree encoder matrix behind the Bravyi-Kitaev CNOT
+network, and a quadrature form of the longitudinal integral."""
+from dataclasses import dataclass
+
+import numpy as np
+
+from blfqvqe.basisfuncs import _GL_W, _GL_X, chi
+
+
+@dataclass(frozen=True)
+class EncoderMatrix:
+    """Binary lower-triangular encoder over GF(2): b = P f (mod 2)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        P = np.asarray(self.matrix, dtype=np.uint8) & 1
+        object.__setattr__(self, "matrix", P)
+        n = P.shape[0]
+        if P.shape != (n, n):
+            raise ValueError("encoder must be square")
+        if np.any(np.diag(P) != 1) or np.any(np.triu(P, 1) != 0):
+            raise ValueError("encoder must be lower-triangular with unit diagonal")
+
+    @property
+    def size(self):
+        return self.matrix.shape[0]
+
+    def encode(self, bits):
+        return (self.matrix @ (np.asarray(bits, dtype=np.uint8) & 1)) & 1
+
+    def inverse(self):
+        """GF(2) inverse by Gaussian elimination."""
+        n = self.size
+        aug = np.concatenate([self.matrix.copy(), np.eye(n, dtype=np.uint8)], axis=1)
+        for col in range(n):
+            pivot = next(r for r in range(col, n) if aug[r, col])
+            if pivot != col:
+                aug[[col, pivot]] = aug[[pivot, col]]
+            for r in range(n):
+                if r != col and aug[r, col]:
+                    aug[r] ^= aug[col]
+        return aug[:, n:]
+
+
+def bk_encoder(n_modes):
+    """Parity-tree encoder matrix: b_i = sum_j P_ij f_j over GF(2).
+
+    Defined for n_modes = 2^k by the standard doubling construction
+    P_2N = [[P_N, 0], [rows of ones on the last row, P_N]].
+    """
+    n = n_modes
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"encoder defined for power-of-2 sizes, got {n}")
+    P = np.array([[1]], dtype=np.uint8)
+    while P.shape[0] < n:
+        k = P.shape[0]
+        top = np.concatenate([P, np.zeros((k, k), dtype=np.uint8)], axis=1)
+        lower_left = np.zeros((k, k), dtype=np.uint8)
+        lower_left[-1, :] = 1
+        bottom = np.concatenate([lower_left, P], axis=1)
+        P = np.concatenate([top, bottom], axis=0)
+    return EncoderMatrix(P)
+
+
+def longitudinal_integral_quadrature(a, b_exp, alpha, beta):
+    """L(a, b; alpha, beta) by 128-node Gauss-Legendre.
+
+    The integrand vanishes like x^(beta/2) at the endpoints for the
+    physical exponents, so no singular treatment is needed.
+    """
+    x = _GL_X
+    vals = chi(x, alpha, beta) * x**b_exp * (1 - x) ** a
+    return float(np.sum(_GL_W * vals) / (4 * np.pi))

@@ -7,8 +7,8 @@ from scipy.special import j0, roots_legendre
 from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
                                 UnsupportedCutoffError, WaveFunction, chi,
                                 compute_exponents, enumerate_block,
-                                longitudinal_integral,
-                                longitudinal_integral_quadrature)
+                                longitudinal_integral)
+from oracles import longitudinal_integral_quadrature
 
 PARAMS = ModelParameters()
 EXP = compute_exponents(PARAMS)
@@ -53,80 +53,67 @@ class TestExponents:
 
 class TestLongitudinalIntegral:
     def test_flat_weight_seed(self):
-        # chi_0(x; 0, 0) = sqrt(4 pi), so L_0(0,0;0,0) = 1/(2 sqrt(pi))
-        assert longitudinal_integral(0, 0, 0, 0.0, 0.0) == pytest.approx(
+        # chi(x; 0, 0) = sqrt(4 pi), so L(0,0;0,0) = 1/(2 sqrt(pi))
+        assert longitudinal_integral(0, 0, 0.0, 0.0) == pytest.approx(
             1 / (2 * np.sqrt(np.pi)), rel=1e-14)
 
     def test_frozen_model_values(self):
         frozen = {
-            (0, 0.0, 0.0): 0.205536294525,
-            (0, 0.5, 0.5): 0.098132123303,
-            (0, -0.5, 0.5): 0.216257645907,
-            (0, 0.5, -0.5): 0.216257645907,
-            (0, -0.5, -0.5): 0.432515291813,
-            (0, 0.5, 1.5): 0.049066061651,
-            (0, -0.5, 1.5): 0.118125522604,
-            (0, 1.0, 0.0): 0.102768147262,
-            (0, 0.0, 1.0): 0.102768147262,
-            (0, 1.0, 1.0): 0.047035554026,
-            (2, 0.5, 0.5): 0.045437655977,
-            (3, 0.0, 1.0): 0.034582795008,
+            (0.0, 0.0): 0.205536294525,
+            (0.5, 0.5): 0.098132123303,
+            (-0.5, 0.5): 0.216257645907,
+            (0.5, -0.5): 0.216257645907,
+            (-0.5, -0.5): 0.432515291813,
+            (0.5, 1.5): 0.049066061651,
+            (-0.5, 1.5): 0.118125522604,
+            (1.0, 0.0): 0.102768147262,
+            (0.0, 1.0): 0.102768147262,
+            (1.0, 1.0): 0.047035554026,
         }
-        for (l, a, b_exp), want in frozen.items():
-            got = longitudinal_integral(l, a, b_exp, AL, BE)
-            assert got == pytest.approx(want, abs=1e-11), (l, a, b_exp)
-
-    def test_l1_orthogonality_zero(self):
-        # chi_1 is orthogonal to the bare weight at a = b = 0
-        assert abs(longitudinal_integral(1, 0, 0, AL, BE)) < 1e-15
+        for (a, b_exp), want in frozen.items():
+            got = longitudinal_integral(a, b_exp, AL, BE)
+            assert got == pytest.approx(want, abs=1e-11), (a, b_exp)
 
     def test_recurrence_matches_quadrature(self):
-        for l in range(5):
-            for a, b_exp in itertools.product((0.0, 0.5, -0.5, 1.0), repeat=2):
-                rec = longitudinal_integral(l, a, b_exp, AL, BE)
-                quad = longitudinal_integral_quadrature(l, a, b_exp, AL, BE)
-                assert rec == pytest.approx(quad, rel=1e-10, abs=1e-13), (l, a, b_exp)
+        for a, b_exp in itertools.product((0.0, 0.5, -0.5, 1.0), repeat=2):
+            rec = longitudinal_integral(a, b_exp, AL, BE)
+            quad = longitudinal_integral_quadrature(a, b_exp, AL, BE)
+            assert rec == pytest.approx(quad, rel=1e-10, abs=1e-13), (a, b_exp)
 
     def test_gamma_domain_error(self):
         with pytest.raises(ValueError):
-            longitudinal_integral(0, -5.0, 0, 0.0, 0.0)
-
-    def test_negative_l_rejected(self):
-        with pytest.raises(ValueError):
-            longitudinal_integral(-1, 0, 0, AL, BE)
+            longitudinal_integral(-5.0, 0, 0.0, 0.0)
 
 
 class TestChi:
     def test_flat_case_constant(self):
         x = np.linspace(0.05, 0.95, 7)
-        assert np.allclose(chi(x, 0, 0.0, 0.0), np.sqrt(4 * np.pi))
+        assert np.allclose(chi(x, 0.0, 0.0), np.sqrt(4 * np.pi))
 
     def test_orthonormality(self):
         nodes, weights = roots_legendre(128)
         x = 0.5 * (nodes + 1)
         w = 0.5 * weights
-        for l in range(5):
-            for lp in range(l, 5):
-                val = np.sum(w * chi(x, l, AL, BE) * chi(x, lp, AL, BE)) / (4 * np.pi)
-                assert val == pytest.approx(1.0 if l == lp else 0.0, abs=1e-8)
+        val = np.sum(w * chi(x, AL, BE) ** 2) / (4 * np.pi)
+        assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            chi(0.0, 0, AL, BE)
+            chi(0.0, AL, BE)
         with pytest.raises(ValueError):
-            chi(np.array([0.5, 1.0]), 0, AL, BE)
+            chi(np.array([0.5, 1.0]), AL, BE)
 
     def test_ground_mode_closed_form(self):
-        # chi_0(x)^2 = (2985.8895... * x^4.40823 * (1-x)^4.40823)^2 exactly;
+        # chi(x)^2 = (2985.8895... * x^4.40823 * (1-x)^4.40823)^2 exactly;
         # the rounded display constants (2986, exponent 4.4) sit 2.26% away
         # at x = 0.5, so only the exact form is pinned here.
         pref = 2985.88953443296
         for x in (0.3, 0.5, 0.7):
-            exact = chi(x, 0, AL, BE) ** 2
+            exact = chi(x, AL, BE) ** 2
             closed = (pref * x ** (BE / 2) * (1 - x) ** (AL / 2)) ** 2
             assert exact == pytest.approx(closed, rel=1e-10)
         rounded = (2986 * 0.5**4.4 * 0.5**4.4) ** 2
-        assert chi(0.5, 0, AL, BE) ** 2 / rounded == pytest.approx(0.9774, abs=2e-3)
+        assert chi(0.5, AL, BE) ** 2 / rounded == pytest.approx(0.9774, abs=2e-3)
 
 
 class TestEnumeration:

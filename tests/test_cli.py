@@ -134,6 +134,14 @@ class TestRunConfig:
                         mitigate=True)
         assert mit.vqe_mode() == "sampled+noise+mitigation"
 
+    def test_singular_calibration_refused_only_for_mitigation(self):
+        # p01 + p10 = 1 leaves no confusion-matrix inverse to mitigate with;
+        # raw noisy sampling under it is still well defined
+        with pytest.raises(ConfigError, match="singular"):
+            RunConfig(mode="noisy", noise_p01=0.3, noise_p10=0.7,
+                      mitigate=True)
+        RunConfig(mode="noisy", noise_p01=0.3, noise_p10=0.7)
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -359,6 +367,14 @@ class TestVqeCommand:
         assert run_cli("vqe", "--mode", "noisy",
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "noise-p01" in capsys.readouterr().err
+
+    def test_singular_mitigation_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("vqe", "--mode", "noisy", "--noise-p01", "0.5",
+                       "--noise-p10", "0.5", "--mitigate",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     # `--max-iterations 50` follows the drawn flags, so every run stays short
     @settings(max_examples=50, deadline=None,
@@ -604,14 +620,35 @@ class TestScalingCommand:
                        "--out", str(tmp_path)) == EXIT_OK
         assert read_json(tmp_path / "scaling.json")["total_shots"] == total
 
+    def test_nonconverged_angle_fit_exits_three(self, tmp_path, capsys):
+        # the tables are still written, at the angles the fit stopped at
+        assert run_cli("scaling", "--max-iterations", "1",
+                       "--out", str(tmp_path)) == EXIT_NONCONVERGENCE
+        assert "DID NOT CONVERGE" in capsys.readouterr().out
+        summary = assert_finite_json(tmp_path / "scaling.json")
+        assert summary["provenance"]["config"]["max_iterations"] == 1
+
+    @pytest.mark.parametrize("flags", [("--max-iterations", "1"),
+                                       ("--optimizer", "linear-trust-region")])
+    def test_angle_fit_follows_optimizer_settings(self, tmp_path, flags):
+        # provenance.config records the optimizer settings, so the table's
+        # fixed angles must come from a fit under them
+        default, tuned = tmp_path / "default", tmp_path / "tuned"
+        assert run_cli("scaling", "--out", str(default)) == EXIT_OK
+        run_cli("scaling", *flags, "--out", str(tuned))
+        assert ((tuned / "scaling.csv").read_bytes()
+                != (default / "scaling.csv").read_bytes())
+
+    # `--max-iterations 50` follows the drawn flags, so every run stays short
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(SCALING_FLAGS, CONFIG_BYTES)
     def test_any_flags_and_config_end_in_an_exit_code(self, tmp_path, capsys,
                                                       flags, blob):
         out = tmp_path / "out"
-        code = run_any("scaling", flags, blob, out, capsys)
-        if code == EXIT_OK:
+        code = run_any("scaling", [*flags, "--max-iterations", "50"], blob,
+                       out, capsys)
+        if code in (EXIT_OK, EXIT_NONCONVERGENCE):
             assert_finite_json(out / "scaling.json")
 
     @pytest.mark.parametrize("physics", [("--mq", "6204329972905358.0"),

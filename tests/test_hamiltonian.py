@@ -140,9 +140,6 @@ class TestHermitianObservable:
         with pytest.raises(ValueError):
             HermitianObservable(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_dimension(self):
-        assert HermitianObservable(np.eye(4)).dimension == 4
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # a NaN passes the symmetry check, so finiteness is checked first

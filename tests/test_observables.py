@@ -148,7 +148,7 @@ class TestPdf:
     def test_values_match_chi_squared(self, psi):
         x = np.linspace(0.01, 0.99, 99)
         den = pdf(psi, x, EXPS)
-        expect = chi(x, 0, EXPS.alpha, EXPS.beta) ** 2 / (4.0 * np.pi)
+        expect = chi(x, EXPS.alpha, EXPS.beta) ** 2 / (4.0 * np.pi)
         assert np.abs(den.values - expect).max() < 1e-12
         assert np.min(den.values) >= 0.0
 
@@ -247,7 +247,7 @@ def transverse_ctilde(m, q2):
         fqb = np.conj(mode(ux + sqb, uy)) * mode(ux - sqb, uy)
         val = float(np.sum(weight * (E_QUARK * fq - E_ANTIQUARK * fqb)).real)
         val *= b**2 / (2.0 * np.pi) ** 2
-        total += wx * chi(x, 0, EXPS.alpha, EXPS.beta) ** 2 / (4.0 * np.pi) * val
+        total += wx * chi(x, EXPS.alpha, EXPS.beta) ** 2 / (4.0 * np.pi) * val
     return total
 
 

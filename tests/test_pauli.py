@@ -5,14 +5,16 @@ and 2-qubit compact expansions of the effective Hamiltonian, rounded to
 the MeV^2; they pin both the physics numbers and the qubit-ordering
 convention (leftmost letter = highest qubit, basis state i+1 on qubit i).
 """
+import itertools
+
 import numpy as np
 import pytest
 
 from blfqvqe import ModelParameters, build_effective_hamiltonian
-from blfqvqe.pauli import (BK_CNOTS_4, EncoderMatrix, PauliString, PauliSum,
-                           bk_encoder, embed_compact, embed_direct,
-                           jw_hopping_pauli, jw_to_bk_pauli, pauli_decompose,
+from blfqvqe.pauli import (BK_CNOTS_4, PauliString, PauliSum, embed_compact,
+                           embed_direct, jw_hopping_pauli, jw_to_bk_pauli,
                            pauli_string_matrix, pauli_sum_to_matrix)
+from oracles import EncoderMatrix, bk_encoder
 
 # Published 17-term occupation-encoding expansion, MeV^2.
 DIRECT_REF = {
@@ -127,7 +129,7 @@ class TestDecompose:
             dim = 2**n
             A = rng.normal(size=(dim, dim))
             M = A + A.T
-            s = pauli_decompose(M, n)
+            s = embed_compact(M)
             back = pauli_sum_to_matrix(s).entries
             assert np.abs(back - M).max() < 1e-9 * np.abs(M).max()
 
@@ -137,23 +139,23 @@ class TestDecompose:
         even_y = [a for a in ("II", "XX", "YY", "ZZ", "XZ", "ZX", "IX", "ZI")]
         coeffs = {a: rng.normal() for a in even_y}
         s = PauliSum(coeffs.items())
-        back = pauli_decompose(pauli_sum_to_matrix(s).entries, 2).as_dict()
+        back = embed_compact(pauli_sum_to_matrix(s).entries).as_dict()
         for a, c in coeffs.items():
             assert back[a] == pytest.approx(c, abs=1e-12)
 
     def test_prunes_dust(self):
         M = np.diag([1.0, 1.0])  # = I exactly
-        s = pauli_decompose(M, 1)
+        s = embed_compact(M)
         assert s.as_dict() == {"I": 1.0}
 
     def test_rejects_nonsymmetric(self):
         M = np.array([[0.0, 1.0], [-1.0, 0.0]])  # antisymmetric -> iY
         with pytest.raises(ValueError):
-            pauli_decompose(M, 1)
+            embed_compact(M)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            pauli_decompose(np.eye(3), 2)
+        with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
+            embed_compact(np.eye(4)[:, :2])
 
     def test_sum_to_matrix_rejects_imaginary(self):
         with pytest.raises(ValueError):
@@ -306,18 +308,18 @@ class TestBkTransform:
             col = U[:, f]
             assert col[target] == 1.0 and col.sum() == 1.0
 
-    def test_conjugation_rule_matches_dense(self):
-        # every 2-qubit Pauli, both CNOT orientations
-        axes_list = [a + b for a in "IXYZ" for b in "IXYZ"]
-        for c, t in ((0, 1), (1, 0)):
-            U = _dense_cnot(c, t, 2)
-            for axes in axes_list:
-                out = jw_to_bk_pauli(PauliSum([(axes, 1.0)]), cnots=[(c, t)])
-                assert len(out) == 1
-                term = out.terms[0]
-                expected = U @ pauli_string_matrix(axes) @ U.T
-                got = term.coefficient * pauli_string_matrix(term.axes)
-                assert np.abs(got - expected).max() < 1e-12
+    def test_matches_dense_network_conjugation(self):
+        # every 4-qubit Pauli string P maps to U P U^T, U the CNOT network
+        U = np.eye(16)
+        for c, t in BK_CNOTS_4:
+            U = _dense_cnot(c, t, 4) @ U
+        for axes in map("".join, itertools.product("IXYZ", repeat=4)):
+            out = jw_to_bk_pauli(PauliSum([(axes, 1.0)]))
+            assert len(out) == 1
+            term = out.terms[0]
+            expected = U @ pauli_string_matrix(axes) @ U.T
+            got = term.coefficient * pauli_string_matrix(term.axes)
+            assert np.abs(got - expected).max() < 1e-12, axes
 
     def test_term_count_preserved(self, hmat):
         s = embed_direct(hmat)
@@ -330,17 +332,6 @@ class TestBkTransform:
         ev_s = np.linalg.eigvalsh(pauli_sum_to_matrix(s).entries)
         ev_b = np.linalg.eigvalsh(pauli_sum_to_matrix(b).entries)
         assert np.abs(ev_s - ev_b).max() < 1e-9 * np.abs(ev_s).max()
-
-    def test_involution_on_network(self, hmat):
-        # the network is self-inverse up to reversal; conjugating twice
-        # (forward then reversed) restores the original sum
-        s = embed_direct(hmat)
-        fwd = jw_to_bk_pauli(s)
-        back = jw_to_bk_pauli(fwd, cnots=tuple(reversed(BK_CNOTS_4)))
-        a, b = s.as_dict(), back.as_dict()
-        assert set(a) == set(b)
-        for k in a:
-            assert a[k] == pytest.approx(b[k], rel=1e-12)
 
     def test_default_requires_four_qubits(self):
         with pytest.raises(ValueError):

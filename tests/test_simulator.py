@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 
 from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
-from blfqvqe.pauli import (PauliSum, bk_encoder, embed_compact, embed_direct,
+from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
                                JW_TO_BK_NETWORK, Circuit, Gate,
@@ -12,6 +12,7 @@ from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
                                expectation_exact, expectation_sampled,
                                run_circuit, sampled_estimates)
 from blfqvqe.vqe import ENCODINGS, prepared_state
+from oracles import bk_encoder
 
 
 @pytest.fixture(scope="module")
