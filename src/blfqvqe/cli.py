@@ -217,7 +217,15 @@ def resolve_config(args):
         flag = getattr(args, name, None)
         if flag is not None:
             settings[name] = flag
-    return RunConfig(**settings)
+    config = RunConfig(**settings)
+    # `scaling` samples its own shot grid at the exact-mode optimum, so it
+    # refuses a mode or shot count that provenance would record unused
+    for name in ("mode", "shots"):
+        default, value = getattr(RunConfig, name), getattr(config, name)
+        if args.command == "scaling" and value != default:
+            raise ConfigError(f"{name} must stay {default!r} for scaling, which "
+                              f"draws its own shot grid; got {value!r}")
+    return config
 
 
 @contextlib.contextmanager

@@ -112,7 +112,6 @@ def diagonalize(observable):
     mat = observable.entries if isinstance(observable, HermitianObservable) \
         else np.asarray(observable, dtype=float)
     vals, vecs = np.linalg.eigh(mat)
-    vecs = vecs.copy()
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
         if col[np.argmax(np.abs(col))] < 0:

@@ -2,8 +2,9 @@
 
 Covers the decay constant (explicit sum and projector routes), the mass
 radius, the valence parton distribution, the elastic form factor through
-a Talmi-Moshinsky separation of the two-body harmonic modes, and the
-charge radius from the form-factor slope at the origin.  Lengths are
+a Talmi-Moshinsky separation of the two-body harmonic modes (each relative
+mode's longitudinal bracket computed once per curve), and the charge
+radius from the form-factor slope at the origin.  Lengths are
 presented in fm via hbar*c = 197.327 MeV fm; quark charges are the up
 and anti-down values (+2/3, +1/3 -> e_qbar = -1/3 as the antiquark
 coupling enters with its own sign).
@@ -157,7 +158,6 @@ def _mode_polynomial(n, m, qx, qy):
             * np.exp(1j * m * phase))
 
 
-@functools.lru_cache(maxsize=None)
 def tm_coefficient(n_prime, m_prime, n, m, big_n, big_m, n_bar, m_bar):
     """Two-mode to center-of-mass/relative expansion coefficient.
 
@@ -224,38 +224,36 @@ def _charge_bracket(n_bar, q2_over_b2, alpha, beta, nodes, weights):
     return np.sum(weights * integrand, axis=-1)
 
 
-def _charge_matrices(q2, params, exponents, block):
-    """Charge operator on the basis block at each Q^2 of q2, stacked along
-    axis 0; every 128-node quadrature is checked against 96 nodes.
-
-    The operator conserves (m, s1, s2), which tells the four states apart,
-    so it is diagonal.
-    """
+def _charge_diagonal(q2, params, exponents, block):
+    """(Q^2, state) diagonal of the charge operator on the basis block at
+    each Q^2 of q2: it conserves (m, s1, s2), which tells the four states
+    apart.  Each relative mode's bracket is computed once, at 128 nodes
+    checked against 96."""
     require_tabulated(block)
     q2 = np.asarray(q2, dtype=float)
     if np.any(q2 < 0):
         raise ValueError("Q^2 must be non-negative")
     q2b = (q2 / params.b**2)[:, None]
     al, be = exponents.alpha, exponents.beta
-    out = np.zeros((len(q2), len(block), len(block)))
-    for i, s in enumerate(block):
-        total = 0.0
-        for big_n, n_bar, c in _tm_terms(s.m):
-            fine = _charge_bracket(n_bar, q2b, al, be, _GL_X, _GL_W)
-            coarse = _charge_bracket(n_bar, q2b, al, be, _GL96_NODES, _GL96_WEIGHTS)
-            bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
-            if bad.any():
-                k = np.argmax(bad)
-                raise RuntimeError(f"longitudinal quadrature not converged at "
-                                   f"Q^2 = {q2[k]:g}: {fine[k]} vs {coarse[k]}")
-            total += c * (-1.0) ** big_n * fine
-        out[:, i, i] = total
-    return out
+    brackets = {}  # relative mode nbar -> its bracket at each Q^2
+    for n_bar in dict.fromkeys(t[1] for s in block for t in _tm_terms(s.m)):
+        fine = _charge_bracket(n_bar, q2b, al, be, _GL_X, _GL_W)
+        coarse = _charge_bracket(n_bar, q2b, al, be, _GL96_NODES, _GL96_WEIGHTS)
+        bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
+        if bad.any():
+            k = np.argmax(bad)
+            raise RuntimeError(f"longitudinal quadrature not converged at "
+                               f"Q^2 = {q2[k]:g}: {fine[k]} vs {coarse[k]}")
+        brackets[n_bar] = fine
+    return np.column_stack([sum(c * (-1.0) ** big_n * brackets[n_bar]
+                                for big_n, n_bar, c in _tm_terms(s.m))
+                            for s in block])
 
 
 def form_factor_matrix(q2, params, exponents, block):
     """Elastic charge operator on the basis block at one Q^2 (MeV^2)."""
-    return HermitianObservable(_charge_matrices([q2], params, exponents, block)[0])
+    return HermitianObservable(
+        np.diag(_charge_diagonal([q2], params, exponents, block)[0]))
 
 
 @dataclass(frozen=True)
@@ -290,10 +288,10 @@ def default_q2_grid(params):
 def elastic_form_factor(psi, params):
     """F_P on default_q2_grid for a normalized wave function."""
     q2 = default_q2_grid(params)
-    mats = _charge_matrices(q2, params, compute_exponents(params), psi.block)
+    diag = _charge_diagonal(q2, params, compute_exponents(params), psi.block)
     c = psi.coefficients
     return FormFactorCurve(q2=tuple(float(q) for q in q2),
-                           values=tuple(float(c @ m @ c) for m in mats))
+                           values=tuple(float((c * d) @ c) for d in diag))
 
 
 def charge_radius(curve):

@@ -63,8 +63,7 @@ class PauliSum:
     """
 
     def __init__(self, terms, n_qubits=None):
-        merged = {}
-        order = []
+        merged = {}  # insertion-ordered: first appearance of each axes
         for t in terms:
             if isinstance(t, PauliString):
                 axes, coeff = t.axes, t.coefficient
@@ -74,15 +73,12 @@ class PauliSum:
                 n_qubits = len(axes)
             if len(axes) != n_qubits:
                 raise ValueError("all strings must act on the same register")
-            if axes not in merged:
-                merged[axes] = 0.0
-                order.append(axes)
-            merged[axes] += float(coeff)
+            merged[axes] = merged.get(axes, 0.0) + float(coeff)
         if n_qubits is None:
             raise ValueError("empty sum needs an explicit n_qubits")
         self.n_qubits = n_qubits
-        self.terms = tuple(PauliString(a, merged[a]) for a in order
-                           if merged[a] != 0.0)
+        self.terms = tuple(PauliString(a, c) for a, c in merged.items()
+                           if c != 0.0)
 
     def as_dict(self):
         return {t.axes: t.coefficient for t in self.terms}

@@ -144,10 +144,9 @@ def _norm(amps):
     return np.sqrt(np.vdot(amps, amps).real)
 
 
-@functools.lru_cache(maxsize=256)
 def _gate_parts(kind, qubits, n):
-    """Read-only 2^n matrices (A, B, C): the gate at angle a is
-    A + cos(a/2) B + sin(a/2) C, and a fixed gate is A alone (B = C = None).
+    """2^n matrices (A, B, C), built by `_compile` once per circuit: the gate
+    at angle a is A + cos(a/2) B + sin(a/2) C; a fixed gate is A (B = C = None).
 
     Ry(a) = exp(-i a/2 Y) = cos(a/2) I + sin(a/2) (-i Y); a control c
     folds in once, as controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U.
@@ -165,12 +164,11 @@ def _gate_parts(kind, qubits, n):
         A = (eye + z) / 2.0 + on @ A
         if B is not None:
             B, C = on @ B, on @ C
-    return tuple(P if P is None else _frozen(P) for P in (A, B, C))
+    return A, B, C
 
 
-@functools.lru_cache(maxsize=256)
 def _compile(gates, n):
-    """Read-only fused stages of the gate sequence `gates` on n qubits.
+    """Read-only fused stages of `gates` on n qubits; `Circuit.stages` caches them.
 
     Each rotation is one stage, the (3 2^n, 2^n) stack (A; B; C) of its
     parts with the fixed gates since the previous rotation multiplied in

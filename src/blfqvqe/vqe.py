@@ -9,7 +9,7 @@ seed and configuration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,10 +60,11 @@ def _embed_bk(h):
     return jw_to_bk_pauli(embed_direct(h))
 
 
-# the one-excitation indices 2^i; the bk network only permutes basis
-# states and maps 1, 2, 4, 8 onto 11, 10, 12, 8
+# the one-excitation indices 2^i; the bk network is one permutation
+# stage, and bk reads their images 11, 10, 12, 8 under it
 _ONE_EXCITATION = tuple(1 << i for i in range(4))
-_BK_READOUT = (11, 10, 12, 8)
+_BK_READOUT = tuple(int(JW_TO_BK_NETWORK.stages[0][:, i].real.argmax())
+                    for i in _ONE_EXCITATION)
 
 ENCODINGS = {
     "direct": Encoding(embed_direct, DIRECT_ANSATZ, (1.5 * np.pi, 0.0, 0.0),
@@ -203,9 +204,10 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
 
     The Pauli sum must already be expressed in the requested encoding;
     its qubit count is checked against the ansatz register.  The final
-    energy and angles come from the best evaluation seen; in sampled
-    modes std_error carries the combined shot noise at that point, and a
-    final estimate or error that is not finite raises ArithmeticError.
+    energy and angles come from the best evaluation seen, the first to
+    reach the lowest energy; in sampled modes std_error is that
+    evaluation's own combined shot noise, with no further draw, and an
+    estimate or error there that is not finite raises ArithmeticError.
     """
     n_qubits = lookup_encoding(encoding).n_qubits
     if mode not in MODES:
@@ -217,28 +219,26 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
         raise ValueError(f"mode {mode!r} needs a noise model")
     mitigate = mode == "sampled+noise+mitigation"
     use_noise = noise if mode != "sampled" else None
+    errors = {}  # each energy's error at the first evaluation reaching it
 
     def cost(theta):
         state = prepared_state(encoding, theta)
         if mode == "exact":
             return expectation_exact(state, hamiltonian)
-        est, _ = expectation_sampled(state, hamiltonian, shots, seed,
-                                     noise=use_noise, mitigate=mitigate)
+        est, se = expectation_sampled(state, hamiltonian, shots, seed,
+                                      noise=use_noise, mitigate=mitigate)
+        errors.setdefault(est, se)
         return est
 
     theta0 = GOOD_GUESS[encoding] if initial is None else initial
     result = minimize(cost, theta0, config=config, mode=mode)
     if mode == "exact":
         return result
-    state = prepared_state(encoding, result.theta)
-    est, se = expectation_sampled(state, hamiltonian, shots, seed,
-                                  noise=use_noise, mitigate=mitigate)
+    est, se = result.energy, errors.get(result.energy, np.nan)
     if not (np.isfinite(est) and np.isfinite(se)):
         raise ArithmeticError(f"sampled energy {est!r} +- {se!r} at the "
                               f"final angles is not finite")
-    return VqeResult(theta=result.theta, energy=est, trace=result.trace,
-                     mode=mode, converged=result.converged,
-                     n_iterations=result.n_iterations, std_error=se)
+    return replace(result, std_error=se)
 
 
 def relative_variance(state, pauli_sum, reference_energy):

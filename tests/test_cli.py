@@ -664,6 +664,32 @@ class TestScalingCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "scaling.json").exists()
 
+    @pytest.mark.parametrize("flags, setting", [
+        (["--mode", "sampled"], "mode"),
+        (["--mode", "noisy", "--noise-p01", "0.2", "--noise-p10", "0.1"],
+         "mode"),
+        (["--mode", "noisy", "--noise-p01", "0.2", "--noise-p10", "0.1",
+          "--mitigate"], "mode"),
+        (["--shots", "7"], "shots"),
+    ], ids=["sampled", "noisy", "mitigated", "shots"])
+    def test_sampling_settings_exit_two(self, tmp_path, capsys, flags,
+                                        setting):
+        # the table never uses them, so provenance must not record them
+        out = tmp_path / "out"
+        assert run_cli("scaling", *flags, "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {setting} must stay ")
+        assert not out.exists()
+
+    def test_sampling_mode_in_config_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = noisy\nnoise_p01 = 0.03\nnoise_p10 = 0.03\n")
+        out = tmp_path / "out"
+        assert run_cli("scaling", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "config error: mode must stay 'exact'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -346,6 +346,19 @@ class TestElasticFormFactor:
             assert got.q2 == tuple(float(q) for q in grid)
             assert got.values == tuple(float(c @ m @ c) for m in mats)
 
+    def test_each_relative_mode_bracket_once(self, psi, monkeypatch):
+        # the block's modes nbar = 0 and 1, each at 128 and 96 nodes
+        calls = []
+        bracket = observables._charge_bracket
+
+        def counted(n_bar, *args):
+            calls.append(n_bar)
+            return bracket(n_bar, *args)
+
+        monkeypatch.setattr(observables, "_charge_bracket", counted)
+        elastic_form_factor(psi, PARAMS)
+        assert sorted(calls) == [0, 0, 1, 1]
+
     def test_unconverged_quadrature_names_q2(self, psi, monkeypatch):
         nodes, weights = roots_legendre(8)
         monkeypatch.setattr(observables, "_GL96_NODES", 0.5 * (nodes + 1.0))

@@ -1,6 +1,7 @@
-"""The README's Python quick start runs as printed."""
+"""The README's quick starts, shell and Python, run as printed."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,17 +9,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blfqvqe import cli
 from blfqvqe import (BasisCutoffs, ModelParameters, WaveFunction,
                      build_effective_hamiltonian, charge_radius,
                      compute_exponents, decay_constant, diagonalize,
                      elastic_form_factor, enumerate_block, mass_radius)
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def test_shell_quick_start(tmp_path, monkeypatch, capsys):
+    # every documented command succeeds and writes what the CLI table lists
+    commands = [shlex.split(line) for line in README.splitlines()
+                if line.startswith("blfqvqe ")]
+    assert [argv[1] for argv in commands] == ["hamiltonian", "vqe",
+                                              "observables", "scaling"]
+    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
+    table = dict(re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", section, re.M))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == cli.EXIT_OK, capsys.readouterr().err
+        out = tmp_path / argv[argv.index("--out") + 1]
+        written = re.findall(r"`([\w.]+\.(?:json|csv))`", table[argv[1]])
+        assert written and all((out / name).is_file() for name in written)
 
 
 def test_python_quick_start():
-    blocks = re.findall(r"```python\n(.*?)```",
-                        (ROOT / "README.md").read_text(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
     assert len(blocks) == 1
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -197,15 +197,6 @@ class TestGateParts:
                                        dense_gate(kind, qubits, angle, n),
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind, qubits", [("X", (1,)), ("Ry", (0,)),
-                                              ("CNOT", (2, 0)), ("CRy", (0, 3))])
-    def test_cached_parts_are_read_only(self, kind, qubits):
-        parts = [P for P in _gate_parts(kind, qubits, 4) if P is not None]
-        assert len(parts) == (3 if kind.endswith("Ry") else 1)
-        for P in parts:
-            with pytest.raises(ValueError):
-                P[0, 0] = 2.0
-
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_prepared_state_is_the_ansatz_circuit(self, encoding):
         enc = ENCODINGS[encoding]
@@ -219,7 +210,7 @@ class TestGateParts:
 
 def gate_by_gate(circuit, amps, angles=()):
     """The circuit applied one gate at a time, each as the matrix
-    (A + cos(a/2) B + sin(a/2) C) or A from its cached parts, with the
+    (A + cos(a/2) B + sin(a/2) C) or A from `_gate_parts`, with the
     rotations taking `angles` in gate order."""
     angles = iter(angles)
     for g in circuit.gates:

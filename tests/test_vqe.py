@@ -10,6 +10,7 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      embed_direct, enumerate_block, expectation_exact,
                      expectation_sampled, jw_to_bk_pauli, mass_radius,
                      mass_radius_matrix, pauli_sum_to_matrix)
+from blfqvqe import vqe
 from blfqvqe.simulator import Circuit, Gate
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
                          ScalingResult, VqeResult, extract_amplitudes,
@@ -176,6 +177,57 @@ def test_sampled_error_bars_cover(problem, name, mitigate):
         z.append((est - exact) / se)
     assert abs(np.mean(z)) <= 0.25
     assert 0.90 <= np.mean(np.abs(z) <= 2.0) <= 0.99
+
+
+def counted_solve(monkeypatch, hamiltonian, name, mode, seed):
+    """A vqe_run whose state preparations and sampled estimates are
+    recorded; returns the result, the preparation count and the
+    (estimate, std_error) pairs in evaluation order."""
+    prepared, draws = [], []
+    run_circuit, sampled = vqe.run_circuit, vqe.expectation_sampled
+
+    def counting_run(*args):
+        prepared.append(args)
+        return run_circuit(*args)
+
+    def recording_draw(*args, **kwargs):
+        draws.append(sampled(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(vqe, "run_circuit", counting_run)
+    monkeypatch.setattr(vqe, "expectation_sampled", recording_draw)
+    res = vqe_run(hamiltonian, name, mode=mode, seed=seed,
+                  noise=ReadoutNoiseModel(0.03, 0.05))
+    return res, len(prepared), draws
+
+
+@pytest.mark.parametrize("mode", ["sampled", "sampled+noise",
+                                  "sampled+noise+mitigation"])
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+def test_sampled_solve_draws_once_per_evaluation(problem, monkeypatch, name,
+                                                 mode):
+    # the result is the best evaluation's own estimate: no state is
+    # prepared and no shot drawn after the optimizer stops
+    _, sums, _ = problem
+    res, prepared, draws = counted_solve(monkeypatch, sums[name], name, mode,
+                                         seed=11)
+    assert prepared == len(draws) == len(res.trace)
+    first = next(se for est, se in draws if est == res.energy)
+    assert res.std_error == first
+
+
+def test_tied_estimates_keep_the_first_error(problem, monkeypatch):
+    # equal estimates at different angles carry different errors; the
+    # reported error is the one of the first evaluation reaching the minimum
+    _, sums, _ = problem
+    res, _, draws = counted_solve(monkeypatch, sums["direct"], "direct",
+                                  "sampled", seed=11)
+    errors = {}
+    for est, se in draws:
+        errors.setdefault(est, set()).add(se)
+    assert any(len(ses) > 1 for ses in errors.values())
+    assert res.energy == min(est for est, _ in draws)
+    assert res.std_error == next(se for est, se in draws if est == res.energy)
 
 
 @pytest.fixture(scope="module")
