@@ -104,8 +104,13 @@ class RunConfig:
             if self.noise_p01 is None or self.noise_p10 is None:
                 raise ConfigError("mode 'noisy' needs --noise-p01 and "
                                   "--noise-p10")
-        elif self.mitigate:
-            raise ConfigError("--mitigate only applies to mode 'noisy'")
+        else:
+            # provenance would record a readout setting nothing reads
+            for flag, given in (("--noise-p01", self.noise_p01 is not None),
+                                ("--noise-p10", self.noise_p10 is not None),
+                                ("--mitigate", self.mitigate)):
+                if given:
+                    raise ConfigError(f"{flag} only applies to mode 'noisy'")
         try:
             enumerate_block(0, self.cutoffs())
             noise = self.noise_model()

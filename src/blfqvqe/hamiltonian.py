@@ -15,6 +15,7 @@ the assembled matrix satisfies to machine precision.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ def build_njl_matrix(params, exponents):
     m, mbar, b, gp = params.m, params.mbar, params.b, params.g_pi
     al, be = exponents.alpha, exponents.beta
 
+    @functools.cache  # one build reads 8 distinct integrals 49 times
     def L(a, b_exp):
         return longitudinal_integral(a, b_exp, al, be)
 

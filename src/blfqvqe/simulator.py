@@ -14,14 +14,15 @@ rotations is one fixed matrix.  Running a circuit applies one matrix per
 stage and checks the norm after each, so an evaluation at new angles
 builds no gate and no circuit.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
-S-dagger followed by H, then sampling bitstrings.  A sum's non-identity
-terms are measured in one stacked pass: one row per term in axes-string
-order, every row drawn from the one generator seeded by `seed`, so a
-fixed seed gives identical results whatever order the sum lists its
-terms in.  Repeated estimates add a leading repeats axis: one
-multinomial draw of shape (repeats, terms, 2^n) from that generator,
-reduced row by row, and the first repeat draws exactly what a single
-estimate with that seed draws.
+S-dagger followed by H, then sampling bitstrings.  Each sum's
+measurement is compiled once per readout model (`_measurement`): its
+basis changes, readout response and weight rows, one row per
+non-identity term in axes-string order.  An evaluation draws every row
+from the one generator seeded by `seed`, so a fixed seed gives
+identical results whatever order the sum lists its terms in.  Repeated
+estimates add a leading repeats axis: one multinomial draw of shape
+(repeats, terms, 2^n) from that generator, reduced row by row, and the
+first repeat draws exactly what a single estimate with that seed draws.
 """
 from __future__ import annotations
 
@@ -249,86 +250,71 @@ def expectation_exact(state, pauli_sum):
     return float(np.vdot(amps, pauli_sum.matrix @ amps).real)
 
 
-@functools.lru_cache(maxsize=256)
-def _measurement_rows(axes, n):
-    """Stacked basis changes and parity-sign rows of the terms `axes`.
+@functools.lru_cache(maxsize=64)
+def _measurement(pauli_sum, noise, mitigate):
+    """A sum's measurement under one readout model, compiled once: the
+    one sampling cache, keyed on the sum object (sums are never changed).
 
-    Row k rotates each X (by H) and Y (by H S-dagger) of axes[k] onto Z;
-    its sign row holds (-1)^(parity of the term's support bits) for every
-    outcome.
+    Returns, arrays read-only: the identity offset; the non-identity
+    coefficients c in axes-string order and c^2; the stacked basis
+    changes (each X to Z by H, each Y by H S-dagger); the n-fold
+    confusion response (None without noise); and the weight rows g, g^2.
+    g is each term's sign row s, (-1)^(support parity) per outcome, or
+    with mitigation s (C^-1)^(x n): f.g is then the unclipped, unbiased
+    inverse-confusion estimate, and f.g^2 - (f.g)^2 carries the variance
+    inversion amplifies (Bravyi et al., PRA 103, 042605 (2021)).
+    Mitigation without a noise model, or with a singular one, raises.
     """
+    if mitigate and noise is None:
+        raise ValueError("mitigation needs a readout noise model")
+    n = pauli_sum.n_qubits
     d = 2**n
+    coefficients = pauli_sum.as_dict()
+    offset = coefficients.pop("I" * n, 0.0)
+    axes = sorted(coefficients)
+    c = np.array([coefficients[a] for a in axes])
     U = np.array([kron_axes(a, _MEASURE_1Q) for a in axes]).reshape(-1, d, d)
-    signs = np.array([kron_axes(a, _PARITY_1Q) for a in axes]).reshape(-1, d)
-    return _frozen(U), _frozen(signs)
-
-
-@functools.lru_cache(maxsize=1024)
-def _confusion_power(noise, n, inverse=False):
-    """n-fold Kronecker power of the confusion matrix or of its inverse."""
-    C = noise.confusion_matrix()
-    if inverse:
+    g = np.array([kron_axes(a, _PARITY_1Q) for a in axes]).reshape(-1, d)
+    response = None
+    if noise is not None:
+        C = noise.confusion_matrix()
+        response = _frozen(functools.reduce(np.kron, [C] * n))
+    if mitigate:
         if noise.is_singular:
             raise ValueError("confusion matrix is singular: p01 + p10 = 1")
-        C = np.linalg.inv(C)
-    return _frozen(functools.reduce(np.kron, [C] * n))
-
-
-def _term_counts(state, axes, shots, seed, noise=None, repeats=None):
-    """Outcome counts, one row per term, all drawn from one generator.
-
-    With `repeats` the counts gain a leading axis of that length; the
-    generator fills it repeat by repeat, each repeat in term order.
-    """
-    n = state.n_qubits
-    P = np.abs(_measurement_rows(axes, n)[0] @ state.amplitudes) ** 2
-    P /= P.sum(axis=-1, keepdims=True)
-    if noise is not None:
-        P = P @ _confusion_power(noise, n).T
-    size = None if repeats is None else (repeats, len(axes))
-    return np.random.default_rng(seed).multinomial(int(shots), P, size=size)
-
-
-def _parity_estimate(freqs, signs, mitigation=None):
-    """Row by row: each term's parity mean f.g and single-shot variance.
-
-    Without mitigation g is the sign row s.  With it g = (C^-1)^(x n, T) s,
-    so f.g is the unclipped inverse-confusion estimate, unbiased for the
-    noiseless parity, and the variance f.g^2 - (f.g)^2 carries the
-    amplification of inverting the confusion (Bravyi et al., PRA 103,
-    042605 (2021)).  A singular calibration (p01 + p10 = 1) raises.
-    """
-    g = signs
-    if mitigation is not None:
-        n = int(np.log2(signs.shape[-1]))
-        g = signs @ _confusion_power(mitigation, n, inverse=True)
-    fg = (freqs * g).sum(axis=-1)
-    return fg, np.maximum(0.0, (freqs * g**2).sum(axis=-1) - fg**2)
+        g = g @ functools.reduce(np.kron, [np.linalg.inv(C)] * n)
+    return (offset, _frozen(c), _frozen(c**2), _frozen(U), response,
+            _frozen(g), _frozen(g**2))
 
 
 def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
                repeats):
     """Estimates and standard errors; arrays over repeats unless None.
 
+    Only what changes with the state is done here: the probabilities of
+    the compiled bases through the readout response, one multinomial
+    draw of frequencies f (rows in axes-string order; a leading repeats
+    axis, filled repeat by repeat), and f.g, f.g^2 - (f.g)^2 per term.
     The unsized draw for repeats=None consumes the stream exactly as a
-    one-repeat batch but skips its array overhead: ~6 us a call, 5-9% of
-    the noisy-vqe benchmark's job_ms on a 2-CPU machine.
+    one-repeat batch but skips its array overhead (~6 us a call on a
+    2-CPU machine).
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
-    n = pauli_sum.n_qubits
-    if 2**n != state.amplitudes.size:
+    if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
-    coefficients = pauli_sum.as_dict()
-    offset = coefficients.pop("I" * n, 0.0)
-    axes = tuple(sorted(coefficients))
-    c = np.array([coefficients[a] for a in axes])
-    counts = _term_counts(state, axes, shots_per_term, seed, noise, repeats)
-    means, variances = _parity_estimate(counts / shots_per_term,
-                                        _measurement_rows(axes, n)[1],
-                                        noise if mitigate else None)
-    return (offset + means @ c,
-            np.sqrt(variances @ c**2 / shots_per_term))
+    offset, c, c2, U, response, g, g2 = _measurement(pauli_sum, noise,
+                                                     mitigate)
+    P = np.abs(U @ state.amplitudes) ** 2
+    P /= P.sum(axis=-1, keepdims=True)
+    if response is not None:
+        P = P @ response.T
+    size = None if repeats is None else (repeats, len(c))
+    f = np.random.default_rng(seed).multinomial(int(shots_per_term), P,
+                                                size=size) / shots_per_term
+    fg = (f * g).sum(axis=-1)
+    variances = np.maximum(0.0, (f * g2).sum(axis=-1) - fg**2)
+    return offset + fg @ c, np.sqrt(variances @ c2 / shots_per_term)
 
 
 def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
@@ -353,12 +339,10 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     The non-identity terms are measured in one stacked pass, one row per
     term in axes-string order, all drawn from one generator seeded by
     `seed`; identity terms contribute exactly.  With a noise model,
-    sampled bitstrings pass through per-qubit readout flips; mitigation
-    weights the observed frequencies by each parity's signs through the
-    inverse of the known confusion matrix, without clipping, and the
-    standard error includes the variance that inversion amplifies.
-    This is the one-repeat case of `sampled_estimates`, drawn without
-    the repeats axis.
+    sampled bitstrings pass through per-qubit readout flips; `mitigate`
+    (which needs the model) inverts the confusion, as `_measurement`
+    describes.  This is the one-repeat case of `sampled_estimates`,
+    drawn without the repeats axis.
     """
     est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
                          mitigate, None)

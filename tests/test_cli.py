@@ -268,6 +268,31 @@ class TestSettingChecks:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["vqe"], ["scaling"],
+                                         ["observables", "--exact"]],
+                             ids=["vqe", "scaling", "observables"])
+    def test_noise_outside_noisy_mode_exits_two(self, tmp_path, capsys,
+                                                command):
+        # nothing outside mode noisy reads the flip probabilities, so
+        # provenance must not record them
+        out = tmp_path / "out"
+        assert run_cli(*command, "--noise-p01", "0.2", "--noise-p10", "0.1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: --noise-p01 only applies to mode 'noisy'")
+        assert not out.exists()
+
+    def test_noise_in_config_file_outside_noisy_mode_exits_two(self, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = sampled\nnoise_p10 = 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli("vqe", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: --noise-p10 only applies to mode 'noisy'")
+        assert not out.exists()
+
 
 class TestOutputFiles:
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from blfqvqe.basisfuncs import ModelParameters, compute_exponents
+from blfqvqe import hamiltonian
+from blfqvqe.basisfuncs import (ModelParameters, compute_exponents,
+                                longitudinal_integral)
 from blfqvqe.hamiltonian import (HermitianObservable, build_effective_hamiltonian,
                                  build_h0_diagonal, build_njl_matrix, diagonalize)
 
@@ -51,6 +53,18 @@ class TestNjlMatrix:
         hint = build_njl_matrix(PARAMS, compute_exponents(PARAMS)).entries
         assert hint[1, 2] == pytest.approx(174794.0, rel=0.02)
         assert hint[1, 2] > 0
+
+    def test_each_longitudinal_integral_once(self, monkeypatch):
+        # the entries read 8 distinct integrals, 49 times in all
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return longitudinal_integral(*args)
+
+        monkeypatch.setattr(hamiltonian, "longitudinal_integral", counting)
+        build_njl_matrix(PARAMS, compute_exponents(PARAMS))
+        assert len(calls) == len(set(calls)) == 8
 
 
 class TestEffectiveHamiltonian:

@@ -9,8 +9,9 @@ from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
 from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
                                JW_TO_BK_NETWORK, Circuit, Gate,
                                ReadoutNoiseModel, Statevector, _gate_parts,
-                               expectation_exact, expectation_sampled,
-                               run_circuit, sampled_estimates)
+                               _measurement, expectation_exact,
+                               expectation_sampled, run_circuit,
+                               sampled_estimates)
 from blfqvqe.vqe import ENCODINGS, prepared_state
 from oracles import bk_encoder
 
@@ -547,6 +548,20 @@ class TestReadoutMitigation:
             expectation_sampled(Statevector.zero(1), PauliSum([("Z", 1.0)]),
                                 64, seed=0, noise=ReadoutNoiseModel(0.4, 0.6),
                                 mitigate=True)
+
+    def test_mitigation_without_noise_model_raises(self):
+        # there is no calibration to invert, so no mitigated estimate
+        with pytest.raises(ValueError, match="noise model"):
+            expectation_sampled(Statevector.zero(1), PauliSum([("Z", 1.0)]),
+                                64, seed=0, mitigate=True)
+
+    @pytest.mark.parametrize("mode", ["sampled", "noisy", "mitigated"])
+    def test_compiled_measurement_is_read_only(self, hmat, mode):
+        noise = None if mode == "sampled" else ReadoutNoiseModel(0.03, 0.05)
+        compiled = _measurement(embed_direct(hmat), noise, mode == "mitigated")
+        arrays = [a for a in compiled[1:] if a is not None]
+        assert len(arrays) == (5 if mode == "sampled" else 6)
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_flip_recovery_on_zero_state(self):
         # |0> measured with symmetric flips p: raw <Z> = 1 - 2p

@@ -10,7 +10,7 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      embed_direct, enumerate_block, expectation_exact,
                      expectation_sampled, jw_to_bk_pauli, mass_radius,
                      mass_radius_matrix, pauli_sum_to_matrix)
-from blfqvqe import vqe
+from blfqvqe import simulator, vqe
 from blfqvqe.simulator import Circuit, Gate
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
                          ScalingResult, VqeResult, extract_amplitudes,
@@ -228,6 +228,23 @@ def test_tied_estimates_keep_the_first_error(problem, monkeypatch):
     assert any(len(ses) > 1 for ses in errors.values())
     assert res.energy == min(est for est, _ in draws)
     assert res.std_error == next(se for est, se in draws if est == res.energy)
+
+
+def test_each_measurement_compiles_once(problem):
+    # every evaluation of a solve reads its sum's measurement back from
+    # the one compile per (sum, noise model, mitigation)
+    _, sums, _ = problem
+    simulator._measurement.cache_clear()
+    evaluations = 0
+    for name in sorted(ENCODINGS):
+        for mode in ("sampled", "sampled+noise", "sampled+noise+mitigation"):
+            res = vqe_run(sums[name], name, mode=mode, shots=256, seed=11,
+                          noise=ReadoutNoiseModel(0.03, 0.05),
+                          config=OptimizerConfig(max_iterations=20))
+            evaluations += len(res.trace)
+    info = simulator._measurement.cache_info()
+    assert info.misses == info.currsize == 9
+    assert info.hits == evaluations - 9
 
 
 @pytest.fixture(scope="module")
