@@ -5,7 +5,8 @@ go to JSON, curves and traces to CSV with units in the header row.
 Settings resolve as flags > config file (key = value lines) > defaults;
 the BLFQVQE_OUT environment variable supplies the default output
 directory.  Outputs embed the resolved configuration and its hash, never
-wall-clock data, so a fixed seed reruns byte-identically.
+wall-clock data, so a fixed seed reruns byte-identically.  A setting the
+run does not read (`_COMMAND_READS`, `_MODE_READS`) must keep its default.
 
 Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
@@ -46,11 +47,21 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
-CLI_MODES = ("exact", "sampled", "noisy")
 # the settings that fix the Hamiltonian: stored angles fitted under other
 # values belong to another problem
 _MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
 _PHYSICS_FIELDS = _MODEL_FIELDS + ("n_max", "m_max", "l_max")
+# the settings each run reads beyond _PHYSICS_FIELDS, `seed` and `out`;
+# a command that reads `mode` also reads that mode's settings
+_MODE_READS = {"exact": (), "sampled": ("shots",),
+               "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")}
+CLI_MODES = tuple(_MODE_READS)
+_COMMAND_READS = {"hamiltonian": (), "observables": ("encoding",),
+                  "observables --exact": (),
+                  "vqe": ("encoding", "mode", "optimizer", "max_iterations",
+                          "tolerance"),
+                  "scaling": ("encoding", "optimizer", "max_iterations",
+                              "tolerance")}
 # each default is read off the record the setting configures
 _DEFAULTS = {f.name: f.default
              for record in (ModelParameters, BasisCutoffs, OptimizerConfig)
@@ -100,17 +111,8 @@ class RunConfig:
             raise ConfigError("shots must be a positive integer below 2^63")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.mode == "noisy":
-            if self.noise_p01 is None or self.noise_p10 is None:
-                raise ConfigError("mode 'noisy' needs --noise-p01 and "
-                                  "--noise-p10")
-        else:
-            # provenance would record a readout setting nothing reads
-            for flag, given in (("--noise-p01", self.noise_p01 is not None),
-                                ("--noise-p10", self.noise_p10 is not None),
-                                ("--mitigate", self.mitigate)):
-                if given:
-                    raise ConfigError(f"{flag} only applies to mode 'noisy'")
+        if self.mode == "noisy" and None in (self.noise_p01, self.noise_p10):
+            raise ConfigError("mode 'noisy' needs --noise-p01 and --noise-p10")
         try:
             enumerate_block(0, self.cutoffs())
             noise = self.noise_model()
@@ -118,7 +120,7 @@ class RunConfig:
             self.model_parameters()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if self.mitigate and noise.is_singular:
+        if self.mitigate and noise is not None and noise.is_singular:
             raise ConfigError("--mitigate needs an invertible calibration, "
                               "but noise_p01 + noise_p10 = 1 is singular")
 
@@ -223,13 +225,14 @@ def resolve_config(args):
         if flag is not None:
             settings[name] = flag
     config = RunConfig(**settings)
-    # `scaling` samples its own shot grid at the exact-mode optimum, so it
-    # refuses a mode or shot count that provenance would record unused
-    for name in ("mode", "shots"):
-        default, value = getattr(RunConfig, name), getattr(config, name)
-        if args.command == "scaling" and value != default:
-            raise ConfigError(f"{name} must stay {default!r} for scaling, which "
-                              f"draws its own shot grid; got {value!r}")
+    command = args.command + (" --exact" if getattr(args, "exact", False) else "")
+    reads = (_PHYSICS_FIELDS + ("seed", "out") + _COMMAND_READS[command]
+             + _MODE_READS[config.mode])
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name not in reads and value != f.default:
+            raise ConfigError(f"{command} in mode {config.mode!r} does not read "
+                              f"{f.name}; it must stay {f.default!r}, got {value!r}")
     return config
 
 
@@ -506,10 +509,11 @@ def build_parser():
     obs = sub.add_parser("observables",
                          help="decay constant, radii, PDF, form factor")
     add_common(obs)
-    obs.add_argument("--exact", action="store_true",
-                     help="use the exact ground state instead of VQE angles")
-    obs.add_argument("--angles",
-                     help="vqe_result.json path (default: <out>/vqe_result.json)")
+    state = obs.add_mutually_exclusive_group()
+    state.add_argument("--exact", action="store_true",
+                       help="use the exact ground state instead of VQE angles")
+    state.add_argument("--angles",
+                       help="vqe_result.json path (default: <out>/vqe_result.json)")
     add_common(sub.add_parser("scaling", help="shots-vs-error scaling table"))
     return parser
 

@@ -119,8 +119,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="noisy", noise_p01=0.03, noise_p10=1.5)
         with pytest.raises(ConfigError):
-            RunConfig(mitigate=True)
-        with pytest.raises(ConfigError):
             RunConfig(optimizer="bfgs")
         with pytest.raises(ConfigError):
             RunConfig(kappa=-1.0)
@@ -210,12 +208,12 @@ class TestConfigFile:
 class TestPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 42\nshots = 2048\n")
+        cfg.write_text("seed = 42\ntolerance = 0.5\n")
         args = build_parser().parse_args(
             ["vqe", "--config", str(cfg), "--seed", "7"])
         config = resolve_config(args)
         assert config.seed == 7          # flag wins
-        assert config.shots == 2048      # file beats default
+        assert config.tolerance == 0.5   # file beats default
         assert config.encoding == "compact"  # default
 
     def test_env_supplies_default_out(self, tmp_path, monkeypatch):
@@ -262,10 +260,12 @@ class TestSettingChecks:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{key} = {value}\n")
             setting = ["--config", str(cfg)]
+        # a short fit, should the check miss, for the commands that fit
+        short = [] if command == "hamiltonian" else ["--max-iterations", "20"]
         out = tmp_path / "out"
-        assert run_cli(command, *setting, "--max-iterations", "20",
+        assert run_cli(command, *setting, *short,
                        "--out", str(out)) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {key} must ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["vqe"], ["scaling"],
@@ -279,7 +279,8 @@ class TestSettingChecks:
         assert run_cli(*command, "--noise-p01", "0.2", "--noise-p10", "0.1",
                        "--out", str(out)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
-            "config error: --noise-p01 only applies to mode 'noisy'")
+            f"config error: {' '.join(command)} in mode 'exact' does not read "
+            f"noise_p01; it must stay None, got 0.2")
         assert not out.exists()
 
     def test_noise_in_config_file_outside_noisy_mode_exits_two(self, tmp_path,
@@ -290,8 +291,106 @@ class TestSettingChecks:
         assert run_cli("vqe", "--config", str(cfg),
                        "--out", str(out)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
-            "config error: --noise-p10 only applies to mode 'noisy'")
+            "config error: vqe in mode 'sampled' does not read noise_p10; "
+            "it must stay None, got 0.1")
         assert not out.exists()
+
+
+# what each run reads beyond the model settings, the cutoffs, `seed` and
+# `out`, written out here rather than read off the tables under test
+ALWAYS_READ = {"m", "mbar", "kappa", "b", "g_pi", "n_max", "m_max", "l_max",
+               "seed", "out"}
+RUN_READS = {
+    "hamiltonian": set(),
+    "observables": {"encoding"},
+    "observables --exact": set(),
+    "vqe": {"encoding", "mode", "optimizer", "max_iterations", "tolerance"},
+    "scaling": {"encoding", "optimizer", "max_iterations", "tolerance"},
+}
+MODE_READS = {"exact": set(), "sampled": {"shots"},
+              "noisy": {"shots", "noise_p01", "noise_p10", "mitigate"}}
+# a valid value off the default for each setting; the cutoffs have none
+# (the tabulated block admits only the default ones), and every run below
+# passes `--out`
+NON_DEFAULT = {
+    "m": ["--mq", "330.0"], "mbar": ["--mbar", "330.0"],
+    "kappa": ["--kappa", "220.0"], "b": ["--b", "220.0"],
+    "g_pi": ["--gpi", "2.4e-4"], "encoding": ["--encoding", "bk"],
+    "mode": ["--mode", "sampled"], "shots": ["--shots", "7"],
+    "seed": ["--seed", "7"], "noise_p01": ["--noise-p01", "0.05"],
+    "noise_p10": ["--noise-p10", "0.05"], "mitigate": ["--mitigate"],
+    "optimizer": ["--optimizer", "linear-trust-region"],
+    "max_iterations": ["--max-iterations", "400"],
+    "tolerance": ["--tolerance", "0.5"],
+}
+NOISE = {"mode": ["--mode", "noisy"], "noise_p01": ["--noise-p01", "0.03"],
+         "noise_p10": ["--noise-p10", "0.02"]}
+# each run's command and the settings it starts from
+RUNS = {
+    "hamiltonian": (["hamiltonian"], {}),
+    "observables": (["observables"], {}),
+    "observables --exact": (["observables", "--exact"], {}),
+    "vqe": (["vqe"], {}),
+    "vqe sampled": (["vqe"], {"mode": NON_DEFAULT["mode"]}),
+    "vqe noisy": (["vqe"], NOISE),
+    "scaling": (["scaling"], {}),
+}
+
+
+def unread_setting_cases():
+    for run, (command, base) in RUNS.items():
+        for name, flags in NON_DEFAULT.items():
+            yield pytest.param(command, {**base, name: flags}, False,
+                               id=f"{run}-{name}")
+    sampled = {"mode": ["--mode", "sampled"], "shots": ["--shots", "7"]}
+    yield pytest.param(["hamiltonian"],
+                       {**sampled, "optimizer": NON_DEFAULT["optimizer"]},
+                       False, id="hamiltonian-sampled-optimizer")
+    yield pytest.param(["observables"], sampled, False,
+                       id="observables-sampled-shots")
+    yield pytest.param(["observables"], sampled, True,
+                       id="observables-sampled-shots-config-file")
+
+
+def test_every_setting_has_a_non_default_case():
+    assert set(NON_DEFAULT) | {"n_max", "m_max", "l_max", "out"} == {
+        f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("command, settings, in_file", unread_setting_cases())
+def test_a_run_refuses_exactly_the_settings_it_does_not_read(
+        tmp_path, capsys, command, settings, in_file):
+    key = " ".join(command)
+    mode = settings.get("mode", ["--mode", "exact"])[1]
+    unread = set(settings) - ALWAYS_READ - RUN_READS[key] - MODE_READS[mode]
+    if in_file:
+        cfg = tmp_path / "run.cfg"
+        # a switch's line is `name = true`
+        cfg.write_text("".join(f"{name} = {(given + ['true'])[1]}\n"
+                               for name, given in settings.items()))
+        flags = ["--config", str(cfg)]
+    else:
+        flags = [arg for given in settings.values() for arg in given]
+    if command == ["observables"]:
+        # angles fitted under the physics, encoding and seed asked for, so
+        # only an unread setting can refuse the run
+        fit = tmp_path / "fit"
+        assert run_cli("vqe", *[arg for name, given in settings.items()
+                                if name in ALWAYS_READ | {"encoding"}
+                                for arg in given],
+                       "--out", str(fit)) == EXIT_OK
+        flags += ["--angles", str(fit / "vqe_result.json")]
+    out = tmp_path / "out"
+    code = run_cli(*command, *flags, "--out", str(out))
+    err = capsys.readouterr().err
+    if unread:
+        assert code == EXIT_CONFIG and not out.exists()
+        prefix = f"config error: {key} in mode {mode!r} does not read "
+        assert err.startswith(prefix)
+        assert err[len(prefix):].split(";")[0] in unread
+    else:
+        assert code in (EXIT_OK, EXIT_NONCONVERGENCE), err
+        assert out.is_dir()
 
 
 class TestOutputFiles:
@@ -488,6 +587,17 @@ class TestObservablesCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "run the vqe subcommand" in capsys.readouterr().err
 
+    def test_exact_with_angles_exits_two(self, tmp_path, capsys):
+        # each flag names the state to use, so the pair contradicts itself
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli("observables", "--exact", "--angles",
+                    str(tmp_path / "vqe_result.json"), "--out", str(out))
+        assert err.value.code == EXIT_CONFIG
+        assert "--angles: not allowed with argument --exact" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_encoding_mismatch(self, tmp_path, capsys):
         run_cli("vqe", "--encoding", "compact", "--out", str(tmp_path))
         assert run_cli("observables", "--encoding", "direct",
@@ -609,8 +719,7 @@ class TestObservablesCommand:
         out.mkdir(exist_ok=True)
         (out / "observables.json").unlink(missing_ok=True)
         (out / "vqe_result.json").write_text(json.dumps(fitted_vqe_result))
-        code = run_any("observables", [*flags, "--max-iterations", "50"],
-                       blob, out, capsys)
+        code = run_any("observables", flags, blob, out, capsys)
         if code == EXIT_OK:
             assert_finite_json(out / "observables.json")
 
@@ -703,7 +812,8 @@ class TestScalingCommand:
         out = tmp_path / "out"
         assert run_cli("scaling", *flags, "--out", str(out)) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {setting} must stay ")
+        assert err.startswith("config error: scaling in mode ")
+        assert f" does not read {setting}; it must stay " in err
         assert not out.exists()
 
     def test_sampling_mode_in_config_file_exits_two(self, tmp_path, capsys):
@@ -712,7 +822,9 @@ class TestScalingCommand:
         out = tmp_path / "out"
         assert run_cli("scaling", "--config", str(cfg),
                        "--out", str(out)) == EXIT_CONFIG
-        assert "config error: mode must stay 'exact'" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: scaling in mode 'noisy' does not read mode; "
+            "it must stay 'exact', got 'noisy'")
         assert not out.exists()
 
     def test_reproducible(self, tmp_path):

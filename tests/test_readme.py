@@ -19,20 +19,43 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 
 
+def readme_table(header):
+    """The README table whose first column is headed `header`, as
+    {first cell without backticks: second cell}."""
+    lines = README.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if re.match(rf"\| {header} +\|", line))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, cell = (c.strip() for c in line.strip("|").split("|"))
+        rows[key.strip("`")] = cell
+    return rows
+
+
 def test_shell_quick_start(tmp_path, monkeypatch, capsys):
     # every documented command succeeds and writes what the CLI table lists
     commands = [shlex.split(line) for line in README.splitlines()
                 if line.startswith("blfqvqe ")]
     assert [argv[1] for argv in commands] == ["hamiltonian", "vqe",
                                               "observables", "scaling"]
-    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
-    table = dict(re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", section, re.M))
+    table = readme_table("subcommand")
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv[1:]) == cli.EXIT_OK, capsys.readouterr().err
         out = tmp_path / argv[argv.index("--out") + 1]
         written = re.findall(r"`([\w.]+\.(?:json|csv))`", table[argv[1]])
         assert written and all((out / name).is_file() for name in written)
+
+
+def test_reads_tables_match_the_cli():
+    # the tables that say which settings each run reads, and the CLI's
+    def names(table):
+        return {key: tuple(re.findall(r"`(\w+)`", cell))
+                for key, cell in table.items()}
+    assert names(readme_table("run")) == cli._COMMAND_READS
+    assert names(readme_table("mode")) == cli._MODE_READS
 
 
 def test_python_quick_start():
