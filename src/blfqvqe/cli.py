@@ -6,7 +6,7 @@ Settings resolve as flags > config file (key = value lines) > defaults;
 the BLFQVQE_OUT environment variable supplies the default output
 directory.  Outputs embed the resolved configuration and its hash, never
 wall-clock data, so a fixed seed reruns byte-identically.  A setting the
-run does not read (`_COMMAND_READS`, `_MODE_READS`) must keep its default.
+run does not read (`_COMMAND_READS`, `_CHOICE_READS`) must keep its default.
 
 Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
@@ -47,24 +47,22 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
-# the settings that fix the Hamiltonian: stored angles fitted under other
-# values belong to another problem
+# the settings that fix the Hamiltonian, which every run reads: stored
+# angles fitted under other values belong to another problem
 _MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
-_PHYSICS_FIELDS = _MODEL_FIELDS + ("n_max", "m_max", "l_max")
-# the settings each run reads beyond _PHYSICS_FIELDS, `seed` and `out`;
-# a command that reads `mode` also reads that mode's settings
-_MODE_READS = {"exact": (), "sampled": ("shots",),
-               "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")}
-CLI_MODES = tuple(_MODE_READS)
+# the settings each run reads beyond _MODEL_FIELDS, `seed` and `out`
 _COMMAND_READS = {"hamiltonian": (), "observables": ("encoding",),
                   "observables --exact": (),
-                  "vqe": ("encoding", "mode", "optimizer", "max_iterations",
-                          "tolerance"),
-                  "scaling": ("encoding", "optimizer", "max_iterations",
-                              "tolerance")}
+                  "vqe": ("encoding", "mode", "optimizer", "max_iterations"),
+                  "scaling": ("encoding", "optimizer", "max_iterations")}
+# a run that reads a choice also reads the settings its value selects
+_CHOICE_READS = {
+    "mode": {"exact": (), "sampled": ("shots",),
+             "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")},
+    "optimizer": {"simplex": ("tolerance",), "linear-trust-region": ()}}
+CLI_MODES = tuple(_CHOICE_READS["mode"])
 # each default is read off the record the setting configures
-_DEFAULTS = {f.name: f.default
-             for record in (ModelParameters, BasisCutoffs, OptimizerConfig)
+_DEFAULTS = {f.name: f.default for record in (ModelParameters, OptimizerConfig)
              for f in fields(record)}
 
 
@@ -81,9 +79,6 @@ class RunConfig:
     kappa: float = _DEFAULTS["kappa"]
     b: float | None = _DEFAULTS["b"]
     g_pi: float = _DEFAULTS["g_pi"]
-    n_max: int = _DEFAULTS["n_max"]
-    m_max: int = _DEFAULTS["m_max"]
-    l_max: int = _DEFAULTS["l_max"]
     encoding: str = "compact"
     mode: str = "exact"
     shots: int = 8192
@@ -114,7 +109,6 @@ class RunConfig:
         if self.mode == "noisy" and None in (self.noise_p01, self.noise_p10):
             raise ConfigError("mode 'noisy' needs --noise-p01 and --noise-p10")
         try:
-            enumerate_block(0, self.cutoffs())
             noise = self.noise_model()
             self.optimizer_config()
             self.model_parameters()
@@ -127,10 +121,6 @@ class RunConfig:
     def model_parameters(self):
         return ModelParameters(m=self.m, mbar=self.mbar, kappa=self.kappa,
                                b=self.b, g_pi=self.g_pi)
-
-    def cutoffs(self):
-        return BasisCutoffs(n_max=self.n_max, m_max=self.m_max,
-                            l_max=self.l_max)
 
     def optimizer_config(self):
         return OptimizerConfig(method=self.optimizer,
@@ -224,16 +214,22 @@ def resolve_config(args):
         flag = getattr(args, name, None)
         if flag is not None:
             settings[name] = flag
-    config = RunConfig(**settings)
     command = args.command + (" --exact" if getattr(args, "exact", False) else "")
-    reads = (_PHYSICS_FIELDS + ("seed", "out") + _COMMAND_READS[command]
-             + _MODE_READS[config.mode])
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name not in reads and value != f.default:
-            raise ConfigError(f"{command} in mode {config.mode!r} does not read "
-                              f"{f.name}; it must stay {f.default!r}, got {value!r}")
-    return config
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    values = {**defaults, **settings}
+    reads = _MODEL_FIELDS + ("seed", "out") + _COMMAND_READS[command]
+    for choice, table in _CHOICE_READS.items():
+        if choice in reads:
+            # an unknown value reads everything, so RunConfig names it
+            reads += table.get(values[choice], tuple(values))
+    for name, default in defaults.items():
+        if name not in reads and values[name] != default:
+            run = (f"{command} with optimizer {values['optimizer']!r}"
+                   if name == "tolerance" and "optimizer" in reads
+                   else f"{command} in mode {values['mode']!r}")
+            raise ConfigError(f"{run} does not read {name}; it must stay "
+                              f"{default!r}, got {values[name]!r}")
+    return RunConfig(**settings)
 
 
 @contextlib.contextmanager
@@ -335,7 +331,7 @@ def _check_provenance(stored, config, angles_path):
                           f"angles cannot be matched to this run's physics")
     current = config.as_dict()
     differ = [f"{k} = {fitted.get(k)!r} there, {current[k]!r} here"
-              for k in _PHYSICS_FIELDS
+              for k in _MODEL_FIELDS
               if k not in fitted or fitted[k] != current[k]]
     if differ:
         raise ConfigError(f"{angles_path} was fitted under other physics: "
@@ -349,7 +345,7 @@ def _finite(value):
 
 def _state_from_config(config, h, args):
     """Wave function + mode tag, from --exact or a vqe result file."""
-    block = enumerate_block(0, config.cutoffs())
+    block = enumerate_block(0, BasisCutoffs())
     if args.exact:
         sol = diagonalize(h)
         return WaveFunction(sol.eigenvectors[:, 0], block), "exact", None

@@ -299,8 +299,8 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     one-repeat batch but skips its array overhead (~6 us a call on a
     2-CPU machine).
     """
-    if shots_per_term < 1:
-        raise ValueError("need at least one shot per term")
+    if shots_per_term < 1 or shots_per_term % 1:
+        raise ValueError("need a whole number of shots per term, at least one")
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
     offset, c, c2, U, response, g, g2 = _measurement(pauli_sum, noise,

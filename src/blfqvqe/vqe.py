@@ -99,8 +99,8 @@ class OptimizerConfig:
 
     method names the backend (simplex: adaptive Nelder-Mead;
     linear-trust-region: COBYLA) and max_iterations its budget.
-    tolerance is the change in cost at which the simplex stops; COBYLA
-    does not use it.  Both backends start from their own default steps.
+    tolerance is read by the simplex alone: the change in cost at which
+    it stops.  Both backends start from their own default steps.
     """
 
     method: str = "simplex"

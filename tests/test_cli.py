@@ -113,8 +113,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(shots=2**63)      # beyond the sampler's integer range
         with pytest.raises(ConfigError):
-            RunConfig(n_max=1)
-        with pytest.raises(ConfigError):
             RunConfig(mode="noisy")
         with pytest.raises(ConfigError):
             RunConfig(mode="noisy", noise_p01=0.03, noise_p10=1.5)
@@ -131,6 +129,16 @@ class TestRunConfig:
         mit = RunConfig(mode="noisy", noise_p01=0.02, noise_p10=0.01,
                         mitigate=True)
         assert mit.vqe_mode() == "sampled+noise+mitigation"
+
+    def test_cutoffs_are_not_settings(self, tmp_path, capsys):
+        # the basis truncation is part of the model, not a choice per run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_max = 0\n")
+        out = tmp_path / "out"
+        assert run_cli("hamiltonian", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "unknown setting 'n_max'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_calibration_refused_only_for_mitigation(self):
         # p01 + p10 = 1 leaves no confusion-matrix inverse to mitigate with;
@@ -296,22 +304,22 @@ class TestSettingChecks:
         assert not out.exists()
 
 
-# what each run reads beyond the model settings, the cutoffs, `seed` and
-# `out`, written out here rather than read off the tables under test
-ALWAYS_READ = {"m", "mbar", "kappa", "b", "g_pi", "n_max", "m_max", "l_max",
-               "seed", "out"}
+# what each run reads beyond the model settings, `seed` and `out`, and
+# what a choice it reads adds, written out here rather than read off the
+# tables under test
+ALWAYS_READ = {"m", "mbar", "kappa", "b", "g_pi", "seed", "out"}
 RUN_READS = {
     "hamiltonian": set(),
     "observables": {"encoding"},
     "observables --exact": set(),
-    "vqe": {"encoding", "mode", "optimizer", "max_iterations", "tolerance"},
-    "scaling": {"encoding", "optimizer", "max_iterations", "tolerance"},
+    "vqe": {"encoding", "mode", "optimizer", "max_iterations"},
+    "scaling": {"encoding", "optimizer", "max_iterations"},
 }
 MODE_READS = {"exact": set(), "sampled": {"shots"},
               "noisy": {"shots", "noise_p01", "noise_p10", "mitigate"}}
-# a valid value off the default for each setting; the cutoffs have none
-# (the tabulated block admits only the default ones), and every run below
-# passes `--out`
+OPTIMIZER_READS = {"simplex": {"tolerance"}, "linear-trust-region": set()}
+# a valid value off the default for each setting; every run below passes
+# `--out`
 NON_DEFAULT = {
     "m": ["--mq", "330.0"], "mbar": ["--mbar", "330.0"],
     "kappa": ["--kappa", "220.0"], "b": ["--b", "220.0"],
@@ -350,11 +358,28 @@ def unread_setting_cases():
                        id="observables-sampled-shots")
     yield pytest.param(["observables"], sampled, True,
                        id="observables-sampled-shots-config-file")
+    cobyla = {"optimizer": NON_DEFAULT["optimizer"],
+              "tolerance": NON_DEFAULT["tolerance"]}
+    for command in ("vqe", "scaling"):
+        yield pytest.param([command], cobyla, False,
+                           id=f"{command}-linear-trust-region-tolerance")
+    # the noisy-mode checks do not speak for a run that does not read mode
+    yield pytest.param(["scaling"], {"mode": NOISE["mode"]}, False,
+                       id="scaling-noisy")
+    yield pytest.param(["hamiltonian"],
+                       {**NOISE, "noise_p01": ["--noise-p01", "0.5"],
+                        "noise_p10": ["--noise-p10", "0.5"],
+                        "mitigate": ["--mitigate"]},
+                       False, id="hamiltonian-noisy-singular-mitigate")
 
 
 def test_every_setting_has_a_non_default_case():
-    assert set(NON_DEFAULT) | {"n_max", "m_max", "l_max", "out"} == {
-        f.name for f in fields(RunConfig)}
+    assert set(NON_DEFAULT) | {"out"} == {f.name for f in fields(RunConfig)}
+
+
+def test_choice_tables_cover_every_choice():
+    assert tuple(cli._CHOICE_READS["mode"]) == cli.CLI_MODES
+    assert tuple(cli._CHOICE_READS["optimizer"]) == cli.OPTIMIZER_METHODS
 
 
 @pytest.mark.parametrize("command, settings, in_file", unread_setting_cases())
@@ -362,7 +387,11 @@ def test_a_run_refuses_exactly_the_settings_it_does_not_read(
         tmp_path, capsys, command, settings, in_file):
     key = " ".join(command)
     mode = settings.get("mode", ["--mode", "exact"])[1]
-    unread = set(settings) - ALWAYS_READ - RUN_READS[key] - MODE_READS[mode]
+    optimizer = settings.get("optimizer", ["--optimizer", "simplex"])[1]
+    reads = ALWAYS_READ | RUN_READS[key]
+    reads |= (MODE_READS[mode] if "mode" in reads else set()) | (
+        OPTIMIZER_READS[optimizer] if "optimizer" in reads else set())
+    unread = set(settings) - reads
     if in_file:
         cfg = tmp_path / "run.cfg"
         # a switch's line is `name = true`
@@ -385,9 +414,12 @@ def test_a_run_refuses_exactly_the_settings_it_does_not_read(
     err = capsys.readouterr().err
     if unread:
         assert code == EXIT_CONFIG and not out.exists()
-        prefix = f"config error: {key} in mode {mode!r} does not read "
-        assert err.startswith(prefix)
-        assert err[len(prefix):].split(";")[0] in unread
+        # the first unread setting in field order is named
+        name = next(f.name for f in fields(RunConfig) if f.name in unread)
+        run = (f"with optimizer {optimizer!r}" if name == "tolerance"
+               and "optimizer" in reads else f"in mode {mode!r}")
+        assert err.startswith(f"config error: {key} {run} does not read "
+                              f"{name}; ")
     else:
         assert code in (EXIT_OK, EXIT_NONCONVERGENCE), err
         assert out.is_dir()
@@ -685,7 +717,7 @@ class TestObservablesCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("m", 338.0), ("mbar", 338.0), ("kappa", 200.0), ("b", 227.0),
-        ("g_pi", 10.0), ("n_max", 1), ("m_max", 1), ("l_max", 1)])
+        ("g_pi", 10.0)])
     def test_each_physics_field_is_checked(self, fitted_result, tmp_path,
                                            capsys, field, value):
         fitted_result["provenance"]["config"][field] = value

@@ -55,7 +55,8 @@ def test_reads_tables_match_the_cli():
         return {key: tuple(re.findall(r"`(\w+)`", cell))
                 for key, cell in table.items()}
     assert names(readme_table("run")) == cli._COMMAND_READS
-    assert names(readme_table("mode")) == cli._MODE_READS
+    assert names(readme_table("mode")) == cli._CHOICE_READS["mode"]
+    assert names(readme_table("optimizer")) == cli._CHOICE_READS["optimizer"]
 
 
 def test_python_quick_start():

@@ -465,6 +465,26 @@ class TestExpectationSampled:
         with pytest.raises(ValueError):
             expectation_sampled(Statevector.zero(2), embed_compact(hmat), 0, seed=0)
 
+    @pytest.mark.parametrize("shots", [1.5, 8192.5, float("nan"),
+                                       float("inf")])
+    def test_rejects_a_non_whole_shot_count(self, hmat, ground, shots):
+        # a fraction would draw int(shots) shots but divide by shots
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2),
+                            compact_angles(ground[1]))
+        with pytest.raises(ValueError, match="whole number"):
+            expectation_sampled(state, embed_compact(hmat), shots, seed=3)
+        with pytest.raises(ValueError, match="whole number"):
+            sampled_estimates(state, embed_compact(hmat), shots, seed=3,
+                              repeats=2)
+
+    @pytest.mark.parametrize("shots", [np.int64(512), 512.0])
+    def test_integral_shot_counts_draw_alike(self, hmat, ground, shots):
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2),
+                            compact_angles(ground[1]))
+        s = embed_compact(hmat)
+        assert (expectation_sampled(state, s, shots, seed=3)
+                == expectation_sampled(state, s, 512, seed=3))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expectation_sampled(Statevector.zero(3), PauliSum([("ZZ", 1.0)]),

@@ -87,6 +87,12 @@ class TestVqeRun:
         assert res.n_iterations <= 200
         assert res.converged
 
+    def test_sampled_refuses_a_non_whole_shot_count(self, problem):
+        _, sums, _ = problem
+        with pytest.raises(ValueError, match="whole number"):
+            vqe_run(sums["compact"], "compact", mode="sampled", shots=8192.5,
+                    seed=3)
+
     def test_direct_exact_matches_compact(self, problem):
         _, sums, e0 = problem
         rd = vqe_run(sums["direct"], "direct", mode="exact")
