@@ -33,7 +33,8 @@ class ModelParameters:
 
     g_pi is the four-fermion contact coupling in MeV^-2; n_c the number
     of colors.  The basis scale b defaults to the confinement strength
-    kappa (a single scale controls both in the fits used here).
+    kappa (a single scale controls both in the fits used here).  The five
+    constants must be finite, and the masses and scales positive.
     """
 
     m: float = 337.01
@@ -46,6 +47,9 @@ class ModelParameters:
     def __post_init__(self):
         if self.b is None:
             object.__setattr__(self, "b", float(self.kappa))
+        for name in ("m", "mbar", "kappa", "b", "g_pi"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):
             raise ValueError("masses and scales must be positive")
 

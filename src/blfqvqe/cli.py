@@ -2,11 +2,13 @@
 
 Subcommands: hamiltonian, vqe, observables, scaling.  Structured results
 go to JSON, curves and traces to CSV with units in the header row.
-Settings resolve as flags > config file (key = value lines) > defaults;
-the BLFQVQE_OUT environment variable supplies the default output
-directory.  Outputs embed the resolved configuration and its hash, never
-wall-clock data, so a fixed seed reruns byte-identically.  A setting the
-run does not read (`_COMMAND_READS`, `_CHOICE_READS`) must keep its default.
+Each setting is one RunConfig field, its flag is made from the field,
+and the record it configures checks its value.  Settings resolve as
+flags > config file (key = value lines) > BLFQVQE_OUT (the output
+directory only) > defaults.  Outputs embed the resolved configuration
+and its hash, never wall-clock data, so a fixed seed reruns
+byte-identically.  A setting the run does not read (`_COMMAND_READS`,
+`_CHOICE_READS`) must keep its default.
 
 Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
@@ -60,7 +62,10 @@ _CHOICE_READS = {
     "mode": {"exact": (), "sampled": ("shots",),
              "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")},
     "optimizer": {"simplex": ("tolerance",), "linear-trust-region": ()}}
-CLI_MODES = tuple(_CHOICE_READS["mode"])
+# the values each choice setting takes, for the parser and RunConfig alike
+_CHOICES = {"encoding": tuple(ENCODINGS),
+            **{name: tuple(table) for name, table in _CHOICE_READS.items()}}
+CLI_MODES = _CHOICES["mode"]
 # each default is read off the record the setting configures
 _DEFAULTS = {f.name: f.default for record in (ModelParameters, OptimizerConfig)
              for f in fields(record)}
@@ -92,16 +97,10 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        if self.encoding not in ENCODINGS:
-            raise ConfigError(f"encoding must be one of {tuple(ENCODINGS)}, "
-                              f"got {self.encoding!r}")
-        if self.mode not in CLI_MODES:
-            raise ConfigError(f"mode must be one of {CLI_MODES}, "
-                              f"got {self.mode!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, "
+                                  f"got {getattr(self, name)!r}")
         if not 1 <= self.shots < 2**63:
             raise ConfigError("shots must be a positive integer below 2^63")
         if self.seed < 0:
@@ -271,9 +270,7 @@ def _tagged(value, units, mode):
     return {"value": value, "units": units, "mode": mode}
 
 
-def cmd_hamiltonian(config):
-    params = config.model_parameters()
-    h = build_effective_hamiltonian(params)
+def cmd_hamiltonian(config, h):
     sol = diagonalize(h)
     payload = {
         "matrix": h.entries.tolist(),
@@ -293,9 +290,7 @@ def cmd_hamiltonian(config):
     return EXIT_OK
 
 
-def cmd_vqe(config):
-    params = config.model_parameters()
-    h = build_effective_hamiltonian(params)
+def cmd_vqe(config, h):
     ham = lookup_encoding(config.encoding).embed(h)
     result = vqe_run(ham, config.encoding, mode=config.vqe_mode(),
                      shots=config.shots, noise=config.noise_model(),
@@ -388,10 +383,9 @@ def _state_from_config(config, h, args):
     return WaveFunction(coeffs, block), mode, vqe_energy
 
 
-def cmd_observables(config, args):
+def cmd_observables(config, h, args):
     params = config.model_parameters()
     exps = compute_exponents(params)
-    h = build_effective_hamiltonian(params)
     psi, mode, vqe_energy = _state_from_config(config, h, args)
 
     m_pi2 = float(psi.coefficients @ h.entries @ psi.coefficients)
@@ -435,9 +429,7 @@ def cmd_observables(config, args):
     return EXIT_OK
 
 
-def cmd_scaling(config):
-    params = config.model_parameters()
-    h = build_effective_hamiltonian(params)
+def cmd_scaling(config, h):
     ham = lookup_encoding(config.encoding).embed(h)
     # the table holds the exact-mode optimum under this run's optimizer
     fit = vqe_run(ham, config.encoding, config=config.optimizer_config())
@@ -465,6 +457,14 @@ def cmd_scaling(config):
     return EXIT_OK if fit.converged else EXIT_NONCONVERGENCE
 
 
+# a setting's flag is `--` and its name with `-` for `_`, but for these
+_FLAGS = {"m": "--mq", "g_pi": "--gpi"}
+_HELP = {"m": "quark mass in MeV", "mbar": "antiquark mass in MeV",
+         "kappa": "confinement strength in MeV", "b": "basis scale in MeV",
+         "g_pi": "contact coupling in MeV^-2",
+         "out": f"output directory (default from ${OUT_ENV}, else '.')"}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built once per process; every parse_args call
@@ -477,27 +477,12 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--encoding", choices=ENCODINGS)
-        p.add_argument("--mode", choices=CLI_MODES)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noise-p01", dest="noise_p01", type=float)
-        p.add_argument("--noise-p10", dest="noise_p10", type=float)
-        p.add_argument("--mitigate", action="store_const", const=True,
-                       default=None)
-        p.add_argument("--out", help=f"output directory (default from "
-                                     f"${OUT_ENV}, else '.')")
-        p.add_argument("--mq", dest="m", type=float,
-                       help="quark mass in MeV")
-        p.add_argument("--mbar", type=float, help="antiquark mass in MeV")
-        p.add_argument("--kappa", type=float,
-                       help="confinement strength in MeV")
-        p.add_argument("--b", type=float, help="basis scale in MeV")
-        p.add_argument("--gpi", dest="g_pi", type=float,
-                       help="contact coupling in MeV^-2")
-        p.add_argument("--optimizer", choices=OPTIMIZER_METHODS)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
-        p.add_argument("--tolerance", type=float)
+        # one flag per setting, in field order; a switch stores True
+        for name, kind in _FIELD_TYPES.items():
+            how = ({"action": "store_const", "const": True} if kind is bool
+                   else {"type": kind, "choices": _CHOICES.get(name)})
+            p.add_argument(_FLAGS.get(name, "--" + name.replace("_", "-")),
+                           dest=name, help=_HELP.get(name), **how)
 
     add_common(sub.add_parser("hamiltonian",
                               help="matrix, spectrum, Pauli decompositions"))
@@ -525,22 +510,19 @@ def main(argv=None):
 def _dispatch(args):
     try:
         config = resolve_config(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         try:
             os.makedirs(config.out, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"cannot use output directory {config.out}: "
                               f"{err}") from err
+        h = build_effective_hamiltonian(config.model_parameters())
         if args.command == "hamiltonian":
-            return cmd_hamiltonian(config)
+            return cmd_hamiltonian(config, h)
         if args.command == "vqe":
-            return cmd_vqe(config)
+            return cmd_vqe(config, h)
         if args.command == "observables":
-            return cmd_observables(config, args)
-        return cmd_scaling(config)
+            return cmd_observables(config, h, args)
+        return cmd_scaling(config, h)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,6 +27,7 @@ first repeat draws exactly what a single estimate with that seed draws.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,11 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        q = tuple(int(x) for x in self.qubits)
+        try:
+            q = tuple(map(operator.index, self.qubits))
+        except TypeError:
+            raise ValueError(f"gate indices must be integers: "
+                             f"{self.qubits!r}") from None
         object.__setattr__(self, "qubits", q)
         if any(x < 0 for x in q) or len(set(q)) != len(q):
             raise ValueError(f"gate indices must be distinct and non-negative: {q}")
@@ -103,7 +108,7 @@ class Statevector:
         n = amps.size.bit_length() - 1
         if 2**n != amps.size:
             raise ValueError(f"length {amps.size} is not a power of 2")
-        if not abs(_norm(amps) - 1.0) <= 1e-10:
+        if not abs(np.sqrt(np.vdot(amps, amps).real) - 1.0) <= 1e-10:
             raise ValueError("amplitudes are not normalized")
         self.amplitudes = amps.copy()
         self.n_qubits = n
@@ -123,9 +128,9 @@ class ReadoutNoiseModel:
     p10: float
 
     def __post_init__(self):
-        for p in (self.p01, self.p10):
-            if not (0.0 <= p < 1.0):
-                raise ValueError(f"flip probability out of [0,1): {p}")
+        for name in ("p01", "p10"):
+            if not 0.0 <= (p := getattr(self, name)) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {p!r}")
 
     def confusion_matrix(self):
         return np.array([[1.0 - self.p01, self.p10],
@@ -139,10 +144,6 @@ class ReadoutNoiseModel:
 def _frozen(M):
     M.setflags(write=False)
     return M
-
-
-def _norm(amps):
-    return np.sqrt(np.vdot(amps, amps).real)
 
 
 def _gate_parts(kind, qubits, n):
@@ -196,7 +197,8 @@ def _compile(gates, n):
 
 def run_circuit(circuit, initial, angles=()):
     """Apply the circuit's compiled stages in order at `angles`, one per
-    rotation in gate order, checking the norm after each stage."""
+    rotation in gate order; the result's norm is checked once, by
+    Statevector."""
     if 2**circuit.n_qubits != initial.amplitudes.size:
         raise ValueError("state and circuit dimensions differ")
     amps = initial.amplitudes
@@ -214,8 +216,6 @@ def run_circuit(circuit, initial, angles=()):
             half = float(angles[i]) / 2.0
             amps = (amps[:d] + np.cos(half) * amps[d:2 * d]
                     + np.sin(half) * amps[2 * d:])
-        if not abs(_norm(amps) - 1.0) <= 1e-10:
-            raise RuntimeError(f"norm drifted after stage {i}")
     return Statevector(amps)
 
 

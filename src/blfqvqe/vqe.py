@@ -98,8 +98,9 @@ class OptimizerConfig:
     """Knobs for the derivative-free minimizer.
 
     method names the backend (simplex: adaptive Nelder-Mead;
-    linear-trust-region: COBYLA) and max_iterations its budget.
-    tolerance is read by the simplex alone: the change in cost at which
+    linear-trust-region: COBYLA) and max_iterations its budget, a whole
+    number; COBYLA needs at least the 3 angles + 2.  tolerance, positive
+    and finite, is read by the simplex alone: the change in cost at which
     it stops.  Both backends start from their own default steps.
     """
 
@@ -110,10 +111,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # below the 3 angles + 2, scipy's COBYLA warns and runs 5 anyway
+        least = 5 if self.method == "linear-trust-region" else 1
+        if self.max_iterations % 1 or self.max_iterations < least:
+            raise ValueError(f"max_iterations must be a whole number of at "
+                             f"least {least} for {self.method}, "
+                             f"got {self.max_iterations!r}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,15 @@ class TestModelParameters:
         with pytest.raises(ValueError):
             ModelParameters(m=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("g_pi", np.nan), ("m", np.inf), ("mbar", -np.inf),
+        ("kappa", np.nan), ("b", np.inf)])
+    def test_refuses_non_finite_constants(self, name, value):
+        # the record refuses its own bad values, so a library caller gets
+        # the refusal the CLI prints
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            ModelParameters(**{name: value})
+
 
 class TestExponents:
     def test_symmetric_masses(self):

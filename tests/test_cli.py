@@ -192,6 +192,18 @@ class TestConfigFile:
         value = read_config_file(str(cfg))[name]
         assert type(value) is declared and value == sample
 
+    def test_unknown_optimizer_is_named_like_the_other_choices(self, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("optimizer = bfgs\n")
+        out = tmp_path / "out"
+        assert run_cli("vqe", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: optimizer must be one of ('simplex', "
+            "'linear-trust-region'), got 'bfgs'\n")
+        assert not out.exists()
+
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"kappa = 2\xff7\n")
@@ -234,6 +246,45 @@ class TestPrecedence:
         args = build_parser().parse_args(
             ["hamiltonian", "--out", str(tmp_path)])
         assert resolve_config(args).out == str(tmp_path)
+
+
+class TestFlags:
+    # the flag rule, written out here rather than read off the parser's
+    # tables: `--` plus the key with `-` for `_`, but `--mq` and `--gpi`
+    SPELLED = {"m": "--mq", "g_pi": "--gpi"}
+
+    @pytest.mark.parametrize("command", ["hamiltonian", "vqe", "observables",
+                                         "scaling"])
+    def test_one_flag_per_setting_spelled_by_the_rule(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if a.dest == "command").choices[command]
+        for f in fields(RunConfig):
+            options = [a for a in sub._actions if a.dest == f.name]
+            assert len(options) == 1, f.name
+            option = options[0]
+            flag = self.SPELLED.get(f.name, "--" + f.name.replace("_", "-"))
+            assert option.option_strings == [flag]
+            assert option.default is None
+            assert option.choices == cli._CHOICES.get(f.name)
+            if f.name == "mitigate":
+                assert option.const is True and option.nargs == 0
+            else:
+                assert option.type is cli._FIELD_TYPES[f.name]
+        settings = {f.name for f in fields(RunConfig)}
+        others = {a.dest for a in sub._actions} - settings
+        assert others == {"help", "config"} | (
+            {"exact", "angles"} if command == "observables" else set())
+
+    def test_choices_feed_parser_and_record(self):
+        assert cli._CHOICES == {
+            "encoding": ("direct", "compact", "bk"),
+            "mode": ("exact", "sampled", "noisy"),
+            "optimizer": ("simplex", "linear-trust-region")}
+        for name, choices in cli._CHOICES.items():
+            with pytest.raises(ConfigError,
+                               match=f"^{name} must be one of "):
+                RunConfig(**{name: "none-of-these"})
 
 
 class TestParserCache:
@@ -929,6 +980,56 @@ def test_non_finite_sampled_error_exits_four(tmp_path, capsys):
                    "--out", str(out)) == EXIT_NUMERICAL
     assert "is not finite" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["hamiltonian"], "cmd_hamiltonian"), (["vqe"], "cmd_vqe"),
+    (["observables", "--exact"], "cmd_observables"),
+    (["scaling"], "cmd_scaling")], ids=["hamiltonian", "vqe", "observables",
+                                        "scaling"])
+def test_main_calls_the_traced_names_through_the_module(
+        tmp_path, monkeypatch, argv, command):
+    # bench/spans.py replaces these module attributes, so `main` must look
+    # each one up on the module at call time; the model is built once
+    calls = []
+    build = cli.build_effective_hamiltonian
+
+    def spy_build(params):
+        calls.append(("build_effective_hamiltonian", params))
+        return build(params)
+
+    def spy_command(name):
+        def spy(*args):
+            calls.append((name, args))
+            return EXIT_OK
+        return spy
+
+    monkeypatch.setattr(cli, "build_effective_hamiltonian", spy_build)
+    for name in ("cmd_hamiltonian", "cmd_vqe", "cmd_observables",
+                 "cmd_scaling"):
+        monkeypatch.setattr(cli, name, spy_command(name))
+    assert run_cli(*argv, "--kappa", "210.0", "--out", str(tmp_path)) == EXIT_OK
+    (built, params), (called, args) = calls
+    assert (built, called) == ("build_effective_hamiltonian", command)
+    assert params.kappa == 210.0
+    config, h = args[:2]
+    assert isinstance(config, RunConfig) and config.kappa == 210.0
+    assert np.array_equal(h.entries,
+                          build_effective_hamiltonian(params).entries)
+
+
+@pytest.mark.parametrize("command", ["vqe", "scaling"])
+@pytest.mark.parametrize("budget", ["1", "4"])
+def test_cobyla_budget_below_its_floor_exits_two(tmp_path, capsys, command,
+                                                 budget):
+    # scipy would warn, run 5 evaluations and record the smaller budget
+    out = tmp_path / "out"
+    assert run_cli(command, "--optimizer", "linear-trust-region",
+                   "--max-iterations", budget, "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: max_iterations must be a whole number of at least 5 "
+        f"for linear-trust-region, got {budget}\n")
+    assert not out.exists()
 
 
 def test_benchmark_traced_names_exist():

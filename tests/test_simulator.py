@@ -53,6 +53,17 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate.cnot(1, 1)
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, "1"])
+    def test_non_integer_index_refused(self, index):
+        # an index is read with operator.index: no truncation, no parsing
+        with pytest.raises(ValueError, match="gate indices must be integers"):
+            Gate("X", (index,))
+
+    def test_numpy_integer_index_accepted(self):
+        gate = Gate.cnot(np.int64(0), np.uint8(1))
+        assert gate.qubits == (0, 1)
+        assert all(type(q) is int for q in gate.qubits)
+
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate.x(2),))
@@ -149,7 +160,7 @@ class TestRunCircuit:
         assert [g.kind for g in gates if g.kind.endswith("Ry")] == [kind] * 3
 
     def test_nan_angle_fails_the_norm_check(self):
-        with pytest.raises(RuntimeError, match="norm drifted"):
+        with pytest.raises(ValueError, match="amplitudes are not normalized"):
             run_circuit(Circuit(1, (Gate.ry(0),)), Statevector.zero(1),
                         (float("nan"),))
 
@@ -552,6 +563,13 @@ class TestReadoutMitigation:
             ReadoutNoiseModel(-0.1, 0.0)
         with pytest.raises(ValueError):
             ReadoutNoiseModel(0.0, 1.0)
+
+    @pytest.mark.parametrize("p01, p10, name", [
+        (np.nan, 0.0, "p01"), (0.0, np.inf, "p10"), (0.0, 1.0, "p10"),
+        (-0.1, 0.0, "p01")])
+    def test_refusal_names_the_probability(self, p01, p10, name):
+        with pytest.raises(ValueError, match=fr"^{name} must lie in \[0, 1\)"):
+            ReadoutNoiseModel(p01, p10)
 
     def test_zero_noise_identity(self, hmat, ground):
         # without flips, mitigation leaves the draws and estimates unchanged

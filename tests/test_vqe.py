@@ -39,6 +39,40 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"tolerance": np.nan}, "tolerance"),
+        ({"tolerance": np.inf}, "tolerance"),
+        ({"max_iterations": 2.5}, "max_iterations"),
+        ({"max_iterations": np.nan}, "max_iterations"),
+    ], ids=["tolerance-nan", "tolerance-inf", "max-iterations-2.5",
+            "max-iterations-nan"])
+    def test_refuses_non_finite_or_fractional_settings(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_cobyla_needs_the_angles_plus_two(self, budget):
+        # scipy's COBYLA raises a smaller budget to 3 + 2 with a warning,
+        # so the recorded setting would not be the one that ran
+        with pytest.raises(ValueError, match="at least 5 for "
+                                             "linear-trust-region"):
+            OptimizerConfig(method="linear-trust-region",
+                            max_iterations=budget)
+
+    def test_whole_budgets_are_accepted(self):
+        OptimizerConfig(method="linear-trust-region", max_iterations=5)
+        OptimizerConfig(max_iterations=np.int64(4))
+        assert OptimizerConfig(max_iterations=1).max_iterations == 1
+
+    def test_cobyla_at_its_floor_runs_without_warning(self):
+        # the suite turns warnings into errors, so scipy's MAXFUN warning
+        # would fail this run
+        cost = lambda t: float(np.sum((t - 1.0) ** 2))
+        res = minimize(cost, np.zeros(3),
+                       OptimizerConfig(method="linear-trust-region",
+                                       max_iterations=5))
+        assert res.n_iterations == 5
+
 
 class TestVqeResult:
     def test_rejects_non_monotone_trace(self):
