@@ -109,6 +109,10 @@ class RunConfig:
             raise ConfigError("mode 'noisy' needs --noise-p01 and --noise-p10")
         try:
             noise = self.noise_model()
+        except ValueError as err:
+            # the model's fields are these settings without "noise_"
+            raise ConfigError(f"noise_{err}") from err
+        try:
             self.optimizer_config()
             self.model_parameters()
         except ValueError as err:

@@ -14,15 +14,18 @@ rotations is one fixed matrix.  Running a circuit applies one matrix per
 stage and checks the norm after each, so an evaluation at new angles
 builds no gate and no circuit.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
-S-dagger followed by H, then sampling bitstrings.  Each sum's
+S-dagger followed by H, then sampling outcomes.  Each sum's
 measurement is compiled once per readout model (`_measurement`): its
-basis changes, readout response and weight rows, one row per
-non-identity term in axes-string order.  An evaluation draws every row
-from the one generator seeded by `seed`, so a fixed seed gives
-identical results whatever order the sum lists its terms in.  Repeated
-estimates add a leading repeats axis: one multinomial draw of shape
-(repeats, terms, 2^n) from that generator, reduced row by row, and the
-first repeat draws exactly what a single estimate with that seed draws.
+basis changes, readout response, and each row's fold of the 2^n
+outcomes onto the K distinct values of its weight (K = 2 without
+mitigation), one row per non-identity term in axes-string order.  An
+evaluation draws those categories, which are all the estimator reads,
+for every row from the one generator seeded by `seed`, so a fixed seed
+gives identical results whatever order the sum lists its terms in.
+Repeated estimates add a leading repeats axis: one multinomial draw of
+shape (repeats, terms, K) from that generator, reduced row by row, and
+the first repeat draws exactly what a single estimate with that seed
+draws.
 """
 from __future__ import annotations
 
@@ -37,8 +40,6 @@ from .pauli import BK_CNOTS_4, kron_axes, one_qubit_axes, pauli_string_matrix
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
                "Y": _H @ np.diag([1.0, -1.0j])}
-# per-qubit outcome signs of a parity: every support letter reads as Z
-_PARITY_1Q = {"I": np.ones(2), **dict.fromkeys("XYZ", np.array([1.0, -1.0]))}
 
 # qubit indices each gate kind takes
 _GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
@@ -258,11 +259,25 @@ def _measurement(pauli_sum, noise, mitigate):
     Returns, arrays read-only: the identity offset; the non-identity
     coefficients c in axes-string order and c^2; the stacked basis
     changes (each X to Z by H, each Y by H S-dagger); the n-fold
-    confusion response (None without noise); and the weight rows g, g^2.
-    g is each term's sign row s, (-1)^(support parity) per outcome, or
-    with mitigation s (C^-1)^(x n): f.g is then the unclipped, unbiased
-    inverse-confusion estimate, and f.g^2 - (f.g)^2 carries the variance
-    inversion amplifies (Bravyi et al., PRA 103, 042605 (2021)).
+    confusion response (None without noise); the fold, flat `bincount`
+    indices sending each row's 2^n outcomes to its categories; and the
+    category weights g, g^2 of shape (rows, K).
+
+    An outcome's weight is the term's sign, (-1)^(support parity), or
+    with mitigation the sign row times (C^-1)^(x n): f.g is then the
+    unclipped, unbiased inverse-confusion estimate, and f.g^2 - (f.g)^2
+    carries the variance inversion amplifies (Bravyi et al., PRA 103,
+    042605 (2021)).  The estimator reads an outcome only through its
+    weight, so each distinct weight is one category, numbered in order
+    of first occurrence.  Weights are products of one-qubit rows: ones
+    off the support (exact, as the columns of C sum to 1), and (1, -1),
+    or (1, -1) C^-1 in closed form, on it.  Without mitigation or with
+    symmetric flips that row is (a, -a), every weight is +-a^w with the
+    same rounding, and a row folds to 2 categories; with asymmetric
+    flips a row has w + 1 weights, which rounding may split, so at most
+    2^w categories.  Narrower rows are padded in front with
+    zero-probability categories, which draw nothing, so the last
+    category takes the draw's remainder as before.
     Mitigation without a noise model, or with a singular one, raises.
     """
     if mitigate and noise is None:
@@ -274,17 +289,31 @@ def _measurement(pauli_sum, noise, mitigate):
     axes = sorted(coefficients)
     c = np.array([coefficients[a] for a in axes])
     U = np.array([kron_axes(a, _MEASURE_1Q) for a in axes]).reshape(-1, d, d)
-    g = np.array([kron_axes(a, _PARITY_1Q) for a in axes]).reshape(-1, d)
-    response = None
+    response, support = None, np.array([1.0, -1.0])
     if noise is not None:
         C = noise.confusion_matrix()
         response = _frozen(functools.reduce(np.kron, [C] * n))
     if mitigate:
         if noise.is_singular:
             raise ValueError("confusion matrix is singular: p01 + p10 = 1")
-        g = g @ functools.reduce(np.kron, [np.linalg.inv(C)] * n)
+        p01, p10 = noise.p01, noise.p10
+        support = (np.array([1.0 + p01 - p10, -(1.0 - p01 + p10)])
+                   / (1.0 - p01 - p10))
+    weight_1q = {"I": np.ones(2), **dict.fromkeys("XYZ", support)}
+    rows = []  # (category of each outcome, weight of each category)
+    for a in axes:
+        category = {}
+        key = [category.setdefault(w, len(category))
+               for w in kron_axes(a, weight_1q).ravel().tolist()]
+        rows.append((key, list(category)))
+    width = max((len(w) for _, w in rows), default=1)
+    # row t's category k lands at flat index t width + pad + k
+    fold = np.array([np.add(key, width * (t + 1) - len(w))
+                     for t, (key, w) in enumerate(rows)], dtype=np.intp)
+    g = np.array([[0.0] * (width - len(w)) + w for _, w in rows])
+    g = g.reshape(-1, width)
     return (offset, _frozen(c), _frozen(c**2), _frozen(U), response,
-            _frozen(g), _frozen(g**2))
+            _frozen(fold.reshape(-1)), _frozen(g), _frozen(g**2))
 
 
 def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
@@ -292,9 +321,12 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     """Estimates and standard errors; arrays over repeats unless None.
 
     Only what changes with the state is done here: the probabilities of
-    the compiled bases through the readout response, one multinomial
-    draw of frequencies f (rows in axes-string order; a leading repeats
+    the compiled bases through the readout response, summed into each
+    row's weight categories (`_measurement`), one multinomial draw of
+    category frequencies f (rows in axes-string order; a leading repeats
     axis, filled repeat by repeat), and f.g, f.g^2 - (f.g)^2 per term.
+    The estimator reads an outcome only through its weight, so drawing
+    categories instead of outcomes leaves its distribution unchanged.
     The unsized draw for repeats=None consumes the stream exactly as a
     one-repeat batch but skips its array overhead (~6 us a call on a
     2-CPU machine).
@@ -303,12 +335,13 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
         raise ValueError("need a whole number of shots per term, at least one")
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
-    offset, c, c2, U, response, g, g2 = _measurement(pauli_sum, noise,
-                                                     mitigate)
+    offset, c, c2, U, response, fold, g, g2 = _measurement(pauli_sum, noise,
+                                                           mitigate)
     P = np.abs(U @ state.amplitudes) ** 2
     P /= P.sum(axis=-1, keepdims=True)
     if response is not None:
         P = P @ response.T
+    P = np.bincount(fold, weights=P.ravel(), minlength=g.size).reshape(g.shape)
     size = None if repeats is None else (repeats, len(c))
     f = np.random.default_rng(seed).multinomial(int(shots_per_term), P,
                                                 size=size) / shots_per_term
@@ -322,9 +355,9 @@ def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
 
     Returns an array of length `repeats`, each entry computed as by
     `expectation_sampled`.  All repeats come from one multinomial draw
-    of shape (repeats, terms, 2^n) on the one generator seeded by
-    `seed`; repeat 0 is the estimate `expectation_sampled` gives with
-    that seed.
+    of shape (repeats, terms, 2) over each term's parity categories
+    (`_measurement`) on the one generator seeded by `seed`; repeat 0 is
+    the estimate `expectation_sampled` gives with that seed.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")

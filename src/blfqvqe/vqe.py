@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
@@ -146,6 +145,9 @@ def minimize(cost, theta0, config=None, mode="exact"):
     converged=False flags hitting the iteration budget without meeting
     the tolerance.
     """
+    # imported here, so that commands which never optimize skip its load
+    import scipy.optimize
+
     config = config or OptimizerConfig()
     best_energy = np.inf
     best_theta = np.asarray(theta0, dtype=float)

@@ -3,6 +3,9 @@ import ast
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import typing
 import warnings
 from dataclasses import fields
@@ -340,6 +343,24 @@ class TestSettingChecks:
         assert capsys.readouterr().err.startswith(
             f"config error: {' '.join(command)} in mode 'exact' does not read "
             f"noise_p01; it must stay None, got 0.2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, p01, p10", [
+        ("noise_p01", "nan", "0.1"), ("noise_p10", "0.1", "1.0")])
+    def test_flip_probability_refusal_names_the_setting(
+            self, tmp_path, capsys, source, key, p01, p10):
+        if source == "flag":
+            setting = ["--noise-p01", p01, "--noise-p10", p10]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"noise_p01 = {p01}\nnoise_p10 = {p10}\n")
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli("vqe", "--mode", "noisy", *setting, "--max-iterations",
+                       "20", "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {key} must lie in [0, 1), got ")
         assert not out.exists()
 
     def test_noise_in_config_file_outside_noisy_mode_exits_two(self, tmp_path,
@@ -1087,3 +1108,16 @@ def test_benchmark_workload_names_exist():
     assert {("vqe", "prepared_state"), ("vqe", "GOOD_GUESS"),
             ("cli", "main"), ("embed_direct",)} <= looked_up
     assert sorted(".".join(n) for n in looked_up if not exists(n)) == []
+
+
+def test_import_does_not_load_the_optimizer():
+    # only a fit needs scipy.optimize, so `vqe.minimize` imports it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, blfqvqe.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -1,4 +1,6 @@
 """Simulator, ansatz, sampling, and mitigation tests."""
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -598,7 +600,7 @@ class TestReadoutMitigation:
         noise = None if mode == "sampled" else ReadoutNoiseModel(0.03, 0.05)
         compiled = _measurement(embed_direct(hmat), noise, mode == "mitigated")
         arrays = [a for a in compiled[1:] if a is not None]
-        assert len(arrays) == (5 if mode == "sampled" else 6)
+        assert len(arrays) == (6 if mode == "sampled" else 7)
         assert not any(a.flags.writeable for a in arrays)
 
     def test_flip_recovery_on_zero_state(self):
@@ -654,6 +656,121 @@ class TestReadoutMitigation:
                                       mitigate=True)[1] / np.sqrt(dense_var)
                   for r in range(160)]
         assert 0.95 <= np.mean(ratios) <= 1.05
+
+
+# (noise, mitigate) for each readout model the estimator compiles
+READOUT_MODELS = {"sampled": (None, False),
+                  "noisy-sym": (ReadoutNoiseModel(0.03, 0.03), False),
+                  "noisy-asym": (ReadoutNoiseModel(0.03, 0.05), False),
+                  "mitigated-zero": (ReadoutNoiseModel(0.0, 0.0), True),
+                  "mitigated-sym": (ReadoutNoiseModel(0.03, 0.03), True),
+                  "mitigated-asym": (ReadoutNoiseModel(0.03, 0.05), True)}
+# every model but asymmetric mitigation reads an outcome by its parity
+PARITY_MODELS = {k: v for k, v in READOUT_MODELS.items()
+                 if k != "mitigated-asym"}
+
+
+def folded_probabilities(state, pauli_sum, noise, mitigate):
+    """Each compiled row's category probabilities, summed outcome by
+    outcome from the outcome probabilities through the readout response."""
+    _, _, _, U, response, fold, g, _ = _measurement(pauli_sum, noise, mitigate)
+    P = np.abs(U @ state.amplitudes) ** 2
+    if response is not None:
+        P = P @ response.T
+    folded = np.zeros(g.size)
+    for i, p in zip(fold, P.ravel()):
+        folded[i] += p
+    return folded.reshape(g.shape)
+
+
+class TestFoldedMeasurement:
+    @pytest.mark.parametrize("noise, mitigate", READOUT_MODELS.values(),
+                             ids=READOUT_MODELS)
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_folded_rows_are_distributions(self, hmat, encoding, noise,
+                                           mitigate):
+        s = ENCODINGS[encoding].embed(hmat)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            state = prepared_state(encoding, rng.uniform(-np.pi, np.pi, 3))
+            P = folded_probabilities(state, s, noise, mitigate)
+            assert P.shape[0] == sum(1 for t in s.terms if t.weight)
+            assert (P >= 0.0).all()
+            assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("noise, mitigate", READOUT_MODELS.values(),
+                             ids=READOUT_MODELS)
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_category_weights_are_the_dense_weights(self, hmat, encoding,
+                                                    noise, mitigate):
+        # each outcome's category carries the outcome's own weight: its
+        # sign, or its sign row times the dense n-fold inverse confusion
+        s = ENCODINGS[encoding].embed(hmat)
+        n = s.n_qubits
+        axes = sorted(t.axes for t in s.terms if t.weight)
+        _, _, _, _, _, fold, g, g2 = _measurement(s, noise, mitigate)
+        dense = np.array([np.diag(pauli_string_matrix(
+            "".join("I" if ch == "I" else "Z" for ch in a))).real
+            for a in axes])
+        if mitigate:
+            C = noise.confusion_matrix()
+            dense = dense @ np.linalg.inv(
+                functools.reduce(np.kron, [C] * n))
+        weights = g.ravel()[fold].reshape(dense.shape)
+        assert np.abs(weights - dense).max() < 1e-12
+        assert (fold // g.shape[1] == np.repeat(np.arange(len(axes)),
+                                                2**n)).all()
+        assert np.array_equal(g2, g**2)
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_parity_split_is_the_exact_expectation(self, hmat, encoding):
+        s = ENCODINGS[encoding].embed(hmat)
+        axes = sorted(t.axes for t in s.terms if t.weight)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            state = prepared_state(encoding, rng.uniform(-np.pi, np.pi, 3))
+            P = folded_probabilities(state, s, None, False)
+            amps = state.amplitudes
+            exact = [np.vdot(amps, pauli_string_matrix(a) @ amps).real
+                     for a in axes]
+            assert np.abs(P[:, 0] - P[:, 1] - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("noise, mitigate", PARITY_MODELS.values(),
+                             ids=PARITY_MODELS)
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_parity_rows_draw_two_categories(self, hmat, encoding, noise,
+                                             mitigate):
+        s = ENCODINGS[encoding].embed(hmat)
+        _, _, _, _, _, _, g, _ = _measurement(s, noise, mitigate)
+        assert g.shape[1] == 2
+        assert (g[:, 0] > 0).all() and (g[:, 1] < 0).all()
+        assert (g[:, 0] == -g[:, 1]).all()
+
+    def test_asymmetric_rows_draw_at_most_the_support_outcomes(self, hmat):
+        s = embed_direct(hmat)
+        noise = ReadoutNoiseModel(0.03, 0.05)
+        _, _, _, _, _, _, g, _ = _measurement(s, noise, True)
+        weights = [t.weight for t in sorted(s.terms, key=lambda t: t.axes)
+                   if t.weight]
+        for w, row in zip(weights, g):
+            assert 2 <= np.count_nonzero(row) <= 2**w
+
+    def test_asymmetric_mitigation_covers_the_exact_energy(self, hmat,
+                                                            ground):
+        # the widest fold: rows of 2 to 6 categories, padded to 6
+        e0, v = ground
+        state = run_circuit(DIRECT_ANSATZ, Statevector.zero(4),
+                            direct_angles(v))
+        s = embed_direct(hmat)
+        noise = ReadoutNoiseModel(0.03, 0.05)
+        repeats = 400
+        ests, ses = np.array([expectation_sampled(
+            state, s, 1024, seed=70_000 + r, noise=noise, mitigate=True)
+            for r in range(repeats)]).T
+        rms_se = np.sqrt(np.mean(ses**2))
+        assert abs(ests.mean() - e0) < 4.0 * rms_se / np.sqrt(repeats)
+        assert abs(np.std(ests, ddof=1) / rms_se - 1.0) <= 4.0 / np.sqrt(
+            2.0 * repeats)
 
 
 class TestTermOrder:
