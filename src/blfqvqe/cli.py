@@ -106,7 +106,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.mode == "noisy" and None in (self.noise_p01, self.noise_p10):
-            raise ConfigError("mode 'noisy' needs --noise-p01 and --noise-p10")
+            raise ConfigError("mode 'noisy' needs noise_p01 and noise_p10")
         try:
             noise = self.noise_model()
         except ValueError as err:
@@ -118,7 +118,7 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if self.mitigate and noise is not None and noise.is_singular:
-            raise ConfigError("--mitigate needs an invertible calibration, "
+            raise ConfigError("mitigate needs an invertible calibration, "
                               "but noise_p01 + noise_p10 = 1 is singular")
 
     def model_parameters(self):

@@ -363,6 +363,30 @@ class TestSettingChecks:
             f"config error: {key} must lie in [0, 1), got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("settings, message", [
+        ({"noise_p01": "0.03"},
+         "mode 'noisy' needs noise_p01 and noise_p10"),
+        ({"noise_p01": "0.5", "noise_p10": "0.5", "mitigate": "true"},
+         "mitigate needs an invertible calibration, but noise_p01 + "
+         "noise_p10 = 1 is singular")], ids=["unset", "singular"])
+    def test_noisy_refusal_names_the_keys(self, tmp_path, capsys, source,
+                                          settings, message):
+        if source == "flag":
+            setting = ["--mode", "noisy"]
+            for key, value in settings.items():
+                flag = "--" + key.replace("_", "-")
+                setting += [flag] if key == "mitigate" else [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("mode = noisy\n" + "".join(
+                f"{key} = {value}\n" for key, value in settings.items()))
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli("vqe", *setting, "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_noise_in_config_file_outside_noisy_mode_exits_two(self, tmp_path,
                                                                capsys):
         cfg = tmp_path / "run.cfg"
@@ -594,7 +618,7 @@ class TestVqeCommand:
     def test_noisy_without_probabilities(self, tmp_path, capsys):
         assert run_cli("vqe", "--mode", "noisy",
                        "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "noise-p01" in capsys.readouterr().err
+        assert "noise_p01" in capsys.readouterr().err
 
     def test_singular_mitigation_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blfqvqe import ModelParameters, build_effective_hamiltonian, diagonalize
+from blfqvqe import (ModelParameters, build_effective_hamiltonian,
+                     diagonalize, simulator)
 from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
@@ -14,7 +15,7 @@ from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
                                _measurement, expectation_exact,
                                expectation_sampled, run_circuit,
                                sampled_estimates)
-from blfqvqe.vqe import ENCODINGS, prepared_state
+from blfqvqe.vqe import ENCODINGS, prepared_state, scaling_experiment
 from oracles import bk_encoder
 
 
@@ -244,6 +245,8 @@ def random_state(rng, n):
 class TestFusedStages:
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_prepared_states_match_gate_by_gate(self, encoding):
+        # the compiled monomial states give, bit for bit, both the stages
+        # run in order and the gates applied one at a time
         enc = ENCODINGS[encoding]
         zero = Statevector.zero(enc.n_qubits).amplitudes
         rng = np.random.default_rng(31)
@@ -251,6 +254,20 @@ class TestFusedStages:
             got = prepared_state(encoding, theta).amplitudes
             expected = gate_by_gate(enc.ansatz, zero, theta)
             assert got.tobytes() == expected.tobytes()
+            staged = run_circuit(enc.ansatz, enc.zero_state, theta)
+            assert got.tobytes() == staged.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_monomial_states_are_compiled_once(self, encoding):
+        enc = ENCODINGS[encoding]
+        basis = enc.monomial_states
+        assert basis is enc.monomial_states
+        assert basis.shape == (27, 2**enc.n_qubits)
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+        for theta in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+            with pytest.raises(ValueError, match="3 rotations"):
+                prepared_state(encoding, theta)
 
     def test_one_stage_per_rotation(self):
         for enc in ENCODINGS.values():
@@ -514,6 +531,42 @@ class TestExpectationSampled:
         assert abs(mean) < 1.0
         assert se == pytest.approx(2.5 * np.sqrt((1.0 - mean**2) / shots),
                                    rel=1e-12)
+
+
+class TestSeededStream:
+    """Each seed's generator is built once and rewound before every draw."""
+
+    def test_interleaved_seeds_draw_as_a_new_generator(self, hmat, ground):
+        theta = compact_angles(ground[1])
+        state = run_circuit(COMPACT_ANSATZ, Statevector.zero(2), theta)
+        s = embed_compact(hmat)
+        seed, other = 41, 86
+        first = sampled_estimates(state, s, 64, seed, repeats=3)
+        sampled_estimates(state, s, 64, other, repeats=3)
+        expectation_sampled(state, s, 64, [seed, 1])
+        scaling_experiment(s, "compact", repeats=2, seed=seed, theta=theta)
+        again = sampled_estimates(state, s, 64, seed, repeats=3)
+        simulator._seeded.cache_clear()
+        cleared = sampled_estimates(state, s, 64, seed, repeats=3)
+        assert first.tobytes() == again.tobytes() == cleared.tobytes()
+
+    def test_seeds_are_keyed_as_default_rng_reads_them(self):
+        simulator._seeded.cache_clear()
+        for seed in (7, np.int64(7), [7, 1], (7, 1), np.array([7, 1]),
+                     [np.int32(7), 1]):
+            for _ in range(2):
+                assert (simulator._rewound(seed).random(4).tobytes()
+                        == np.random.default_rng(seed).random(4).tobytes())
+        assert simulator._seeded.cache_info().currsize == 2
+
+    def test_other_seeds_are_not_cached(self):
+        simulator._seeded.cache_clear()
+        assert (simulator._rewound(None).random(4).tobytes()
+                != simulator._rewound(None).random(4).tobytes())
+        for bad in (-1, 1.5, [1.5]):
+            with pytest.raises((TypeError, ValueError)):
+                simulator._rewound(bad)
+        assert simulator._seeded.cache_info().currsize == 0
 
 
 class TestSampledEstimates:

@@ -224,17 +224,17 @@ def counted_solve(monkeypatch, hamiltonian, name, mode, seed):
     recorded; returns the result, the preparation count and the
     (estimate, std_error) pairs in evaluation order."""
     prepared, draws = [], []
-    run_circuit, sampled = vqe.run_circuit, vqe.expectation_sampled
+    prepare, sampled = vqe.prepared_state, vqe.expectation_sampled
 
-    def counting_run(*args):
+    def counting_prepare(*args):
         prepared.append(args)
-        return run_circuit(*args)
+        return prepare(*args)
 
     def recording_draw(*args, **kwargs):
         draws.append(sampled(*args, **kwargs))
         return draws[-1]
 
-    monkeypatch.setattr(vqe, "run_circuit", counting_run)
+    monkeypatch.setattr(vqe, "prepared_state", counting_prepare)
     monkeypatch.setattr(vqe, "expectation_sampled", recording_draw)
     res = vqe_run(hamiltonian, name, mode=mode, seed=seed,
                   noise=ReadoutNoiseModel(0.03, 0.05))
