@@ -14,8 +14,8 @@ Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer
-non-convergence, 4 numerical failure (model settings that overflow are
-named in the message).
+non-convergence (`vqe` only), 4 numerical failure (model settings that
+overflow are named in the message).
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ _MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
 _COMMAND_READS = {"hamiltonian": (), "observables": ("encoding",),
                   "observables --exact": (),
                   "vqe": ("encoding", "mode", "optimizer", "max_iterations"),
-                  "scaling": ("encoding", "optimizer", "max_iterations")}
+                  "scaling": ("encoding",)}
 # a run that reads a choice also reads the settings its value selects
 _CHOICE_READS = {
     "mode": {"exact": (), "sampled": ("shots",),
@@ -435,10 +435,7 @@ def cmd_observables(config, h, args):
 
 def cmd_scaling(config, h):
     ham = lookup_encoding(config.encoding).embed(h)
-    # the table holds the exact-mode optimum under this run's optimizer
-    fit = vqe_run(ham, config.encoding, config=config.optimizer_config())
-    result = scaling_experiment(ham, config.encoding, seed=config.seed,
-                                theta=fit.theta)
+    result = scaling_experiment(ham, config.encoding, seed=config.seed)
     csv_path = os.path.join(config.out, "scaling.csv")
     _write_csv(csv_path, ("shots_per_term", "rms_relative_error"),
                result.rows)
@@ -455,10 +452,9 @@ def cmd_scaling(config, h):
     _write_json(json_path, payload)
     print(f"scaling [{config.encoding}]: shots ~ "
           f"{result.constant:.1f} / eps^{result.exponent:.3f} "
-          f"({result.repeats} repeats per point)"
-          + ("" if fit.converged else "  (ANGLE FIT DID NOT CONVERGE)"))
+          f"({result.repeats} repeats per point)")
     print(f"wrote {csv_path}, {json_path}")
-    return EXIT_OK if fit.converged else EXIT_NONCONVERGENCE
+    return EXIT_OK
 
 
 # a setting's flag is `--` and its name with `-` for `_`, but for these

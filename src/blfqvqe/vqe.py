@@ -35,9 +35,9 @@ class Encoding:
     one per rotation in gate order; embed maps a one-body matrix to its
     PauliSum on that register; good_guess are the angles preparing
     (0, -1/sqrt2, +1/sqrt2, 0).  The four basis coefficients sit on the
-    register indices `readout`.  scaling_repeats is the default repeat
-    count per point of the shot-scaling experiment.  `zero_state` and
-    `monomial_states` are built once.
+    register indices `readout`; `angles` inverts them.  scaling_repeats
+    is the default repeat count per point of the shot-scaling
+    experiment.  `zero_state` and `monomial_states` are built once.
     """
 
     embed: Callable
@@ -49,6 +49,19 @@ class Encoding:
     @property
     def n_qubits(self):
         return self.ansatz.n_qubits
+
+    def angles(self, coeffs):
+        """The angles preparing the real unit 4-vector `coeffs` on `readout`,
+        one atan2 each (README, Encodings); ValueError for other input."""
+        v = np.asarray(coeffs)
+        if not (v.shape == (4,) and v.dtype.kind in "fiu"
+                and abs(np.linalg.norm(v) - 1.0) <= 1e-10):
+            raise ValueError(f"need 4 finite reals of unit norm, got {coeffs!r}")
+        mid = 2 * np.arctan2(np.hypot(*v[2:]), np.hypot(*v[:2]))
+        if self.ansatz is COMPACT_ANSATZ:
+            f, g = np.arctan2(v[[1, 2]], v[[0, 3]])
+            return float(f + g), float(mid), float(f - g)
+        return (float(mid), *map(float, 2 * np.arctan2(v[[0, 3]], v[[1, 2]])))
 
     @functools.cached_property
     def zero_state(self):
@@ -314,18 +327,19 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
                        theta=None):
     """RMS relative error of the sampled energy versus shots per term.
 
-    Holds the angles fixed at the exact-mode optimum (computed here when
-    not supplied), draws `repeats` independent estimates (default: the
-    encoding's scaling_repeats) at each shot count of
-    SHOTS_PER_TERM_GRID, and fits log eps against log n.  Returns the
-    fit as n ~ constant / eps^exponent.  Each grid point has one seed
-    stream (seed, point index), and all repeats of a point come from it
-    in one batched draw.  total_shots counts shots per term x measured
-    terms x repeats, summed over the grid.
+    Holds the angles fixed at `theta` (default: `Encoding.angles` of the
+    ground state of the sum's readout block), draws `repeats` independent
+    estimates (default: the encoding's scaling_repeats) at each shot
+    count of SHOTS_PER_TERM_GRID, and fits log eps against log n.
+    Returns the fit as n ~ constant / eps^exponent.  Each grid point has
+    one seed stream (seed, point index), and all repeats of a point come
+    from it in one batched draw.  total_shots counts shots per term x
+    measured terms x repeats, summed over the grid.
     """
     enc = lookup_encoding(encoding)
     if theta is None:
-        theta = vqe_run(hamiltonian, encoding, mode="exact").theta
+        block = hamiltonian.matrix[np.ix_(enc.readout, enc.readout)].real
+        theta = enc.angles(np.linalg.eigh(block)[1][:, 0])
     if repeats is None:
         repeats = enc.scaling_repeats
     if repeats < 2:
