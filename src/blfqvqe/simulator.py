@@ -6,16 +6,14 @@ Pauli term and measurement basis is one dense 2^n matrix built from
 pauli.py's Kronecker convention.  Ry(theta) is the real rotation
 [[cos t/2, -sin t/2], [sin t/2, cos t/2]].  A gate is structure only:
 the ansätze are fixed circuits, and `run_circuit` takes one angle per
-rotation, in gate order.  A circuit's gates compile once into fused
-stages, one per rotation: the stacked read-only parts (A; B; C) of
-U(a) = A + cos(a/2) B + sin(a/2) C, with the fixed gates before the
-rotation (and, for the last one, after it) folded in; a circuit without
-rotations is one fixed matrix.  Running a circuit applies one matrix per
-stage and checks the norm of the result, so a run at new angles builds
-no gate and no circuit.  Each stage's parts are signed partial
-permutations, so a circuit's state is multilinear in the per-rotation
-vectors (1, cos a/2, sin a/2); vqe.py prepares its ansätze from the
-monomial states this gives (`vqe.Encoding.monomial_states`).
+rotation, in gate order.  Each gate's parts are built once
+(`_gate_parts`): the read-only matrices of U(a) = A + cos(a/2) B +
+sin(a/2) C, or A alone for a fixed gate.  Running a circuit applies its
+gates one at a time and checks the norm of the result once.  Every
+part is a signed partial permutation, so a circuit's state is
+multilinear in the per-rotation vectors (1, cos a/2, sin a/2);
+`Circuit.monomial_states` holds the zero state pushed through every
+choice of parts, from which vqe.py prepares its ansätze.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
 S-dagger followed by H, then sampling outcomes.  Each sum's
 measurement is compiled once per readout model (`_measurement`): its
@@ -35,6 +33,7 @@ single estimate with that seed draws.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -46,8 +45,9 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
                "Y": _H @ np.diag([1.0, -1.0j])}
 
-# qubit indices each gate kind takes
+# qubit indices each gate kind takes; the rotations take an angle
 _GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
+_ROTATIONS = ("Ry", "CRy")
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,14 @@ class Circuit:
     gates: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n_qubits)
+        except TypeError:
+            n = -1
+        if n < 0:
+            raise ValueError(f"n_qubits must be a non-negative integer: "
+                             f"{self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
@@ -101,22 +109,35 @@ class Circuit:
                                  f"{self.n_qubits} qubits")
 
     @functools.cached_property
-    def stages(self):
-        """The fused stage matrices `run_circuit` applies (see `_compile`)."""
-        return _compile(self.gates, self.n_qubits)
+    def monomial_states(self):
+        """The circuit run on the zero state with its angles left open: a
+        read-only (3^r, 2^n) matrix for r rotations.
+
+        Row sum_i p_i 3^(r-1-i) is the zero state pushed through the
+        gates with part p_i of rotation i (0: A, 1: B, 2: C; first
+        rotation most significant) and no angle applied.  The state at
+        angles a is the dot product of these rows with the 3^r products
+        of the vectors (1, cos a_i/2, sin a_i/2), taken in the same order.
+        """
+        rows = [Statevector.zero(self.n_qubits).amplitudes]
+        for g in self.gates:
+            parts = [P for P in _gate_parts(g.kind, g.qubits, self.n_qubits)
+                     if P is not None]
+            rows = [P @ r for r in rows for P in parts]
+        return _frozen(np.array(rows))
 
 
 class Statevector:
     """Normalized complex amplitude vector over 2^n basis states."""
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
         n = amps.size.bit_length() - 1
         if 2**n != amps.size:
             raise ValueError(f"length {amps.size} is not a power of 2")
-        if not abs(np.sqrt(np.vdot(amps, amps).real) - 1.0) <= 1e-10:
+        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= 1e-10:
             raise ValueError("amplitudes are not normalized")
-        self.amplitudes = amps.copy()
+        self.amplitudes = amps
         self.n_qubits = n
 
     @classmethod
@@ -152,16 +173,18 @@ def _frozen(M):
     return M
 
 
+@functools.lru_cache(maxsize=None)
 def _gate_parts(kind, qubits, n):
-    """2^n matrices (A, B, C), built by `_compile` once per circuit: the gate
-    at angle a is A + cos(a/2) B + sin(a/2) C; a fixed gate is A (B = C = None).
+    """Read-only 2^n matrices (A, B, C), built once per gate and register:
+    the gate at angle a is A + cos(a/2) B + sin(a/2) C; a fixed gate is A
+    (B = C = None).
 
     Ry(a) = exp(-i a/2 Y) = cos(a/2) I + sin(a/2) (-i Y); a control c
     folds in once, as controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U.
     """
     *control, target = qubits
     eye = pauli_string_matrix("I" * n)
-    if kind in ("X", "CNOT"):
+    if kind not in _ROTATIONS:
         A, B, C = pauli_string_matrix(one_qubit_axes(n, target, "X")), None, None
     else:
         A, B, C = (np.zeros_like(eye), eye,
@@ -172,56 +195,26 @@ def _gate_parts(kind, qubits, n):
         A = (eye + z) / 2.0 + on @ A
         if B is not None:
             B, C = on @ B, on @ C
-    return A, B, C
-
-
-def _compile(gates, n):
-    """Read-only fused stages of `gates` on n qubits; `Circuit.stages` caches them.
-
-    Each rotation is one stage, the (3 2^n, 2^n) stack (A; B; C) of its
-    parts with the fixed gates since the previous rotation multiplied in
-    on the right, and the fixed gates after the last rotation on the
-    left.  A sequence without rotations is the one (2^n, 2^n) product
-    of its fixed gates.  The fixed gates are 0/1 permutations, so the
-    folding only moves entries and the stages act exactly as the gates
-    applied one by one.
-    """
-    eye = np.eye(2**n, dtype=complex)
-    stages, fixed = [], eye
-    for g in gates:
-        A, B, C = _gate_parts(g.kind, g.qubits, n)
-        if B is None:
-            fixed = A @ fixed
-        else:
-            stages.append([P @ fixed for P in (A, B, C)])
-            fixed = eye
-    if not stages:
-        return (_frozen(fixed),)
-    stages[-1] = [fixed @ P for P in stages[-1]]
-    return tuple(_frozen(np.vstack(parts)) for parts in stages)
+    return tuple(P if P is None else _frozen(P) for P in (A, B, C))
 
 
 def run_circuit(circuit, initial, angles=()):
-    """Apply the circuit's compiled stages in order at `angles`, one per
-    rotation in gate order; the result's norm is checked once, by
+    """Apply the circuit's gates one at a time, each rotation at its angle
+    in `angles` (gate order); the result's norm is checked once, by
     Statevector."""
     if 2**circuit.n_qubits != initial.amplitudes.size:
         raise ValueError("state and circuit dimensions differ")
-    amps = initial.amplitudes
-    d = amps.size
-    stages = circuit.stages
-    # a rotation's stage stacks its three parts; without rotations the
-    # one stage is the (d, d) product of the fixed gates
-    rotations = len(stages) if len(stages[0]) == 3 * d else 0
+    rotations = sum(g.kind in _ROTATIONS for g in circuit.gates)
     if len(angles) != rotations:
         raise ValueError(f"circuit has {rotations} rotations, "
                          f"got {len(angles)} angles")
-    for i, S in enumerate(stages):
-        amps = S @ amps
-        if rotations:
-            half = float(angles[i]) / 2.0
-            amps = (amps[:d] + np.cos(half) * amps[d:2 * d]
-                    + np.sin(half) * amps[2 * d:])
+    amps, angles = initial.amplitudes, iter(angles)
+    for g in circuit.gates:
+        A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
+        if B is not None:
+            half = float(next(angles)) / 2.0
+            A = A + np.cos(half) * B + np.sin(half) * C
+        amps = A @ amps
     return Statevector(amps)
 
 
@@ -378,7 +371,7 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     if response is not None:
         P = P @ response.T
     P = np.bincount(fold, weights=P.ravel(), minlength=g.size).reshape(g.shape)
-    size = None if repeats is None else (repeats, len(c))
+    size = None if repeats is None else (int(repeats), len(c))
     f = _rewound(seed).multinomial(int(shots_per_term), P,
                                    size=size) / shots_per_term
     fg = (f * g).sum(axis=-1)
@@ -395,8 +388,8 @@ def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
     (`_measurement`) from the stream seeded by `seed`; repeat 0 is
     the estimate `expectation_sampled` gives with that seed.
     """
-    if repeats < 1:
-        raise ValueError("need at least one repeat")
+    if repeats < 1 or repeats % 1:
+        raise ValueError("need a whole number of repeats, at least one")
     return _estimates(state, pauli_sum, shots_per_term, seed, None, False,
                       repeats)[0]
 

@@ -8,7 +8,6 @@ seed and configuration.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
-# run_circuit is not called here; it stays importable as
-# vqe.run_circuit, a name the benchmark's tracer looks up
+# run_circuit runs once here, at import, to find the bk readout; it
+# stays importable as vqe.run_circuit, a name the benchmark's tracer wraps
 from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
                         Circuit, Statevector, expectation_exact,
                         expectation_sampled, run_circuit, sampled_estimates)
@@ -37,7 +36,7 @@ class Encoding:
     (0, -1/sqrt2, +1/sqrt2, 0).  The four basis coefficients sit on the
     register indices `readout`; `angles` inverts them.  scaling_repeats
     is the default repeat count per point of the shot-scaling
-    experiment.  `zero_state` and `monomial_states` are built once.
+    experiment.
     """
 
     embed: Callable
@@ -63,40 +62,18 @@ class Encoding:
             return float(f + g), float(mid), float(f - g)
         return (float(mid), *map(float, 2 * np.arctan2(v[[0, 3]], v[[1, 2]])))
 
-    @functools.cached_property
-    def zero_state(self):
-        zero = Statevector.zero(self.n_qubits)
-        zero.amplitudes.setflags(write=False)
-        return zero
-
-    @functools.cached_property
-    def monomial_states(self):
-        """The ansatz compiled on `zero_state`: a read-only (27, 2^n) matrix.
-
-        Each angle enters the ansatz once, as the stage A + cos(a/2) B +
-        sin(a/2) C, so the prepared state is multilinear in the vectors
-        (1, cos a_i/2, sin a_i/2).  Row 9 i + 3 j + k is the zero state
-        pushed through part i of the first stage, part j of the second
-        and part k of the third, with no angle applied.
-        """
-        rows = [self.zero_state.amplitudes]
-        for S in self.ansatz.stages:
-            d = S.shape[1]
-            rows = [S[p * d:(p + 1) * d] @ r for r in rows for p in range(3)]
-        basis = np.array(rows)
-        basis.setflags(write=False)
-        return basis
-
 
 def _embed_bk(h):
     return jw_to_bk_pauli(embed_direct(h))
 
 
-# the one-excitation indices 2^i; the bk network is one permutation
-# stage, and bk reads their images 11, 10, 12, 8 under it
+# the one-excitation indices 2^i; the bk network permutes basis states,
+# and bk reads their images 11, 10, 12, 8 under it
 _ONE_EXCITATION = tuple(1 << i for i in range(4))
-_BK_READOUT = tuple(int(JW_TO_BK_NETWORK.stages[0][:, i].real.argmax())
-                    for i in _ONE_EXCITATION)
+_BK_READOUT = tuple(
+    int(run_circuit(JW_TO_BK_NETWORK, Statevector(np.eye(16)[i]))
+        .amplitudes.real.argmax())
+    for i in _ONE_EXCITATION)
 
 ENCODINGS = {
     "direct": Encoding(embed_direct, DIRECT_ANSATZ, (1.5 * np.pi, 0.0, 0.0),
@@ -210,11 +187,12 @@ def minimize(cost, theta0, config=None, mode="exact"):
 def prepared_state(encoding, theta):
     """The encoding's ansatz state at the three angles `theta`.
 
-    The state is v @ `Encoding.monomial_states`, with v the 27 products
-    ((v_0 v_1) v_2) of v_i = (1, cos theta_i/2, sin theta_i/2), multiplied
-    in stage order.  The stages' parts only move and negate amplitudes,
-    so this is bit for bit the state `run_circuit(ansatz, zero_state,
-    theta)` gives, at about half its cost.
+    The state is v @ `Circuit.monomial_states` of the ansatz, with v the
+    27 products ((v_0 v_1) v_2) of v_i = (1, cos theta_i/2, sin theta_i/2).
+    Each row of those states has at most one nonzero entry, a real +-1,
+    so every amplitude is a signed sum of the angle products that
+    `run_circuit` forms gate by gate from the zero state: the two agree
+    bit for bit, and this costs about half as much.
     """
     enc = lookup_encoding(encoding)
     if len(theta) != 3:
@@ -225,7 +203,7 @@ def prepared_state(encoding, theta):
     t[1] = np.cos(half)
     t[2] = np.sin(half)
     v = (t[:, 0, None] * t[:, 1])[:, :, None] * t[:, 2]
-    return Statevector(np.dot(v.ravel(), enc.monomial_states))
+    return Statevector(np.dot(v.ravel(), enc.ansatz.monomial_states))
 
 
 def extract_amplitudes(state, encoding):
@@ -342,8 +320,9 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
         theta = enc.angles(np.linalg.eigh(block)[1][:, 0])
     if repeats is None:
         repeats = enc.scaling_repeats
-    if repeats < 2:
-        raise ValueError("need at least 2 repeats")
+    if repeats < 2 or repeats % 1:
+        raise ValueError("need a whole number of repeats, at least 2")
+    repeats = int(repeats)
 
     state = prepared_state(encoding, theta)
     energy = expectation_exact(state, hamiltonian)

@@ -66,10 +66,18 @@ class TestGateValidation:
         gate = Gate.cnot(np.int64(0), np.uint8(1))
         assert gate.qubits == (0, 1)
         assert all(type(q) is int for q in gate.qubits)
+        assert type(Circuit(np.int64(2), (gate,)).n_qubits) is int
 
-    def test_circuit_range_check(self):
-        with pytest.raises(ValueError):
-            Circuit(2, (Gate.x(2),))
+    @pytest.mark.parametrize("n_qubits, gates, message", [
+        (2, (Gate.x(2),), "exceeds 2 qubits"),
+        # a register size is read with operator.index, like a gate's index
+        (2.0, (Gate.x(0),), "non-negative integer"),
+        ("4", (), "non-negative integer"),
+        (-1, (), "non-negative integer"),
+        (None, (), "non-negative integer")])
+    def test_circuit_range_check(self, n_qubits, gates, message):
+        with pytest.raises(ValueError, match=message):
+            Circuit(n_qubits, gates)
 
 
 class TestStatevector:
@@ -90,6 +98,20 @@ class TestStatevector:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="not normalized"):
             Statevector([np.nan, 0.0])
+
+    def test_norm_tolerance(self):
+        # the norm may be off by 1e-10: inf and 5e-9 are refused, 5e-13 not
+        for amps in ([np.inf, 0.0], [1.0, 1e-4]):
+            with pytest.raises(ValueError, match="not normalized"):
+                Statevector(amps)
+        assert Statevector([1.0, 1e-6]).n_qubits == 1
+
+    def test_does_not_alias_its_input(self):
+        amps = np.array([0.0, 1.0], dtype=complex)
+        s = Statevector(amps)
+        amps[:] = [1.0, 0.0]
+        assert s.amplitudes.tolist() == [0.0, 1.0]
+        assert not np.shares_memory(s.amplitudes, amps)
 
 
 class TestRunCircuit:
@@ -153,7 +175,7 @@ class TestRunCircuit:
         # an ansatz holds no angles of its own, so none are run by default
         enc = ENCODINGS[encoding]
         with pytest.raises(ValueError, match="3 rotations, got 0 angles"):
-            run_circuit(enc.ansatz, enc.zero_state)
+            run_circuit(enc.ansatz, Statevector.zero(enc.n_qubits))
 
     @pytest.mark.parametrize("encoding, kind", [("direct", "CRy"),
                                                 ("compact", "Ry"),
@@ -212,56 +234,44 @@ class TestGateParts:
                                        dense_gate(kind, qubits, angle, n),
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
-    def test_prepared_state_is_the_ansatz_circuit(self, encoding):
-        enc = ENCODINGS[encoding]
-        rng = np.random.default_rng(7)
-        for theta in [enc.good_guess, *rng.uniform(-10, 10, (20, 3))]:
-            expected = run_circuit(enc.ansatz, Statevector.zero(enc.n_qubits),
-                                   theta)
-            got = prepared_state(encoding, tuple(theta))
-            assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    def test_parts_are_built_once_and_read_only(self):
+        parts = _gate_parts("CRy", (1, 0), 2)
+        assert parts is _gate_parts("CRy", (1, 0), 2)
+        for P in parts:
+            with pytest.raises(ValueError):
+                P[0, 0] = 2.0
+        assert _gate_parts("CNOT", (1, 0), 2)[1:] == (None, None)
 
 
-def gate_by_gate(circuit, amps, angles=()):
-    """The circuit applied one gate at a time, each as the matrix
-    (A + cos(a/2) B + sin(a/2) C) or A from `_gate_parts`, with the
-    rotations taking `angles` in gate order."""
-    angles = iter(angles)
-    for g in circuit.gates:
-        A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
-        if B is not None:
-            a = float(next(angles))
-            A = A + np.cos(a / 2.0) * B + np.sin(a / 2.0) * C
-        amps = A @ amps
-    return amps
+def monomial_run(circuit, angles):
+    """The circuit's state at `angles` from its monomial states: the dot
+    product with the products of (1, cos a/2, sin a/2), first rotation's
+    factor most significant."""
+    half = np.asarray(angles, dtype=float) / 2.0
+    v = functools.reduce(np.multiply.outer,
+                         [np.array([1.0, np.cos(h), np.sin(h)]) for h in half],
+                         np.ones(()))
+    return np.dot(v.ravel(), circuit.monomial_states)
 
 
-def random_state(rng, n):
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return amps / np.linalg.norm(amps)
-
-
-class TestFusedStages:
+class TestMonomialStates:
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_prepared_states_match_gate_by_gate(self, encoding):
-        # the compiled monomial states give, bit for bit, both the stages
-        # run in order and the gates applied one at a time
+        # the monomial states give, bit for bit, the gates applied one at
+        # a time by run_circuit
         enc = ENCODINGS[encoding]
-        zero = Statevector.zero(enc.n_qubits).amplitudes
+        zero = Statevector.zero(enc.n_qubits)
         rng = np.random.default_rng(31)
         for theta in [enc.good_guess, *rng.uniform(-10, 10, (1000, 3))]:
             got = prepared_state(encoding, theta).amplitudes
-            expected = gate_by_gate(enc.ansatz, zero, theta)
+            expected = run_circuit(enc.ansatz, zero, theta).amplitudes
             assert got.tobytes() == expected.tobytes()
-            staged = run_circuit(enc.ansatz, enc.zero_state, theta)
-            assert got.tobytes() == staged.amplitudes.tobytes()
 
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_monomial_states_are_compiled_once(self, encoding):
         enc = ENCODINGS[encoding]
-        basis = enc.monomial_states
-        assert basis is enc.monomial_states
+        basis = enc.ansatz.monomial_states
+        assert basis is enc.ansatz.monomial_states
         assert basis.shape == (27, 2**enc.n_qubits)
         with pytest.raises(ValueError):
             basis[0, 0] = 2.0
@@ -269,50 +279,40 @@ class TestFusedStages:
             with pytest.raises(ValueError, match="3 rotations"):
                 prepared_state(encoding, theta)
 
-    def test_one_stage_per_rotation(self):
-        for enc in ENCODINGS.values():
-            d = 2**enc.n_qubits
-            assert [S.shape for S in enc.ansatz.stages] == [(3 * d, d)] * 3
-            for S in enc.ansatz.stages:
-                with pytest.raises(ValueError):
-                    S[0, 0] = 2.0
+    @pytest.mark.parametrize("encoding, nonzero", [("direct", 4),
+                                                   ("compact", 8),
+                                                   ("bk", 4)])
+    def test_real_signed_one_hot_rows_on_readout(self, encoding, nonzero):
+        # every row is 0 or +-e_j with j on readout, so each prepared
+        # state is real and leak-free at every angle
+        enc = ENCODINGS[encoding]
+        basis = enc.ansatz.monomial_states
+        assert not basis.imag.any()
+        assert set(basis.real.ravel().tolist()) <= {0.0, 1.0, -1.0}
+        assert (np.count_nonzero(basis, axis=1) <= 1).all()
+        assert np.count_nonzero(basis) == nonzero
+        off = np.ones(basis.shape[1], dtype=bool)
+        off[list(enc.readout)] = False
+        assert not basis[:, off].any()
 
-    def test_bk_network_alone(self):
-        circ = JW_TO_BK_NETWORK
-        assert {g.kind for g in circ.gates} == {"CNOT"}
-        assert [S.shape for S in circ.stages] == [(16, 16)]
-        rng = np.random.default_rng(32)
-        for amps in [*np.eye(16), *(random_state(rng, 4) for _ in range(50))]:
-            got = run_circuit(circ, Statevector(amps)).amplitudes
-            assert got.tobytes() == gate_by_gate(circ, amps + 0j).tobytes()
-
-    def test_trailing_fixed_gates(self):
-        # From a basis state no output amplitude sums two nonzero
-        # products, so the stages match the gates bit for bit.  From a
-        # general state the gate-by-gate matrix product may round a row's
-        # two products in one fused multiply-add: equal to an ulp.
-        rng = np.random.default_rng(33)
+    def test_two_rotations_and_trailing_fixed_gates(self):
         circ = Circuit(3, (Gate.x(1), Gate.ry(0), Gate.cnot(0, 1),
                            Gate.cry(1, 2), Gate.x(2), Gate.cnot(2, 0)))
-        assert len(circ.stages) == 2
-        for _ in range(200):
-            angles = rng.uniform(-10, 10, 2)
-            for amps in np.eye(8) + 0j:
-                got = run_circuit(circ, Statevector(amps), angles).amplitudes
-                expected = gate_by_gate(circ, amps, angles)
-                assert got.tobytes() == expected.tobytes()
-            amps = random_state(rng, 3)
-            np.testing.assert_allclose(
-                run_circuit(circ, Statevector(amps), angles).amplitudes,
-                gate_by_gate(circ, amps, angles), rtol=0, atol=1e-15)
+        assert circ.monomial_states.shape == (9, 8)
+        zero = Statevector.zero(3)
+        rng = np.random.default_rng(33)
+        for angles in rng.uniform(-10, 10, (500, 2)):
+            expected = run_circuit(circ, zero, angles).amplitudes
+            assert monomial_run(circ, angles).tobytes() == expected.tobytes()
 
-    def test_empty_circuit(self):
-        rng = np.random.default_rng(34)
-        amps = random_state(rng, 2)
-        circ = Circuit(2)
-        assert [S.shape for S in circ.stages] == [(4, 4)]
-        got = run_circuit(circ, Statevector(amps)).amplitudes
-        assert got.tobytes() == gate_by_gate(circ, amps).tobytes()
+    def test_circuits_without_rotations(self):
+        # no rotation: one row, the zero state through the fixed gates
+        for circ in (Circuit(2), JW_TO_BK_NETWORK,
+                     Circuit(2, (Gate.x(0), Gate.cnot(0, 1)))):
+            zero = Statevector.zero(circ.n_qubits)
+            expected = run_circuit(circ, zero).amplitudes
+            assert circ.monomial_states.shape == (1, 2**circ.n_qubits)
+            assert monomial_run(circ, ()).tobytes() == expected.tobytes()
 
 
 class TestDirectAnsatz:
@@ -606,10 +606,11 @@ class TestSampledEstimates:
         tol = 4.0 / np.sqrt(2.0 * repeats)
         assert abs(np.std(est, ddof=1) / dense_se - 1.0) <= tol
 
-    def test_rejects_zero_repeats(self, hmat):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("repeats", [0, 2.5])
+    def test_rejects_zero_repeats(self, hmat, repeats):
+        with pytest.raises(ValueError, match="whole number of repeats"):
             sampled_estimates(Statevector.zero(2), embed_compact(hmat), 64,
-                              seed=0, repeats=0)
+                              seed=0, repeats=repeats)
 
 
 class TestReadoutMitigation:

@@ -374,8 +374,11 @@ class TestScaling:
         _, sums, _ = problem
         with pytest.raises(ValueError):
             scaling_experiment(sums["compact"], "huffman")
-        with pytest.raises(ValueError):
-            scaling_experiment(sums["compact"], "compact", repeats=1)
+        for repeats in (1, 2.5):
+            with pytest.raises(ValueError, match="whole number of repeats"):
+                scaling_experiment(sums["compact"], "compact", repeats=repeats)
+        whole = scaling_experiment(sums["compact"], "compact", repeats=2.0)
+        assert type(whole.repeats) is int and type(whole.total_shots) is int
 
     def test_relative_variance_positive(self, problem):
         h, sums, e0 = problem
