@@ -8,7 +8,7 @@ flags > config file (key = value lines) > BLFQVQE_OUT (the output
 directory only) > defaults.  Outputs embed the resolved configuration
 and its hash, never wall-clock data, so a fixed seed reruns
 byte-identically.  A setting the run does not read (`_COMMAND_READS`,
-`_CHOICE_READS`) must keep its default.
+`_MODE_READS`) must keep its default.
 
 Each output file is written to a temporary file beside it and renamed
 into place; a failed write keeps the previous file and exits 2.
@@ -39,9 +39,9 @@ from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
-from .vqe import (ENCODINGS, MODES, OPTIMIZER_METHODS, OptimizerConfig,
-                  extract_amplitudes, lookup_encoding, prepared_state,
-                  scaling_experiment, vqe_run)
+from .vqe import (ENCODINGS, MODES, OptimizerConfig, extract_amplitudes,
+                  lookup_encoding, prepared_state, scaling_experiment,
+                  vqe_run)
 
 OUT_ENV = "BLFQVQE_OUT"
 EXIT_OK = 0
@@ -55,17 +55,14 @@ _MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
 # the settings each run reads beyond _MODEL_FIELDS, `seed` and `out`
 _COMMAND_READS = {"hamiltonian": (), "observables": ("encoding",),
                   "observables --exact": (),
-                  "vqe": ("encoding", "mode", "optimizer", "max_iterations"),
+                  "vqe": ("encoding", "mode", "max_iterations", "tolerance"),
                   "scaling": ("encoding",)}
-# a run that reads a choice also reads the settings its value selects
-_CHOICE_READS = {
-    "mode": {"exact": (), "sampled": ("shots",),
-             "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")},
-    "optimizer": {"simplex": ("tolerance",), "linear-trust-region": ()}}
+# a run that reads `mode` also reads the settings its value selects
+_MODE_READS = {"exact": (), "sampled": ("shots",),
+               "noisy": ("shots", "noise_p01", "noise_p10", "mitigate")}
+CLI_MODES = tuple(_MODE_READS)
 # the values each choice setting takes, for the parser and RunConfig alike
-_CHOICES = {"encoding": tuple(ENCODINGS),
-            **{name: tuple(table) for name, table in _CHOICE_READS.items()}}
-CLI_MODES = _CHOICES["mode"]
+_CHOICES = {"encoding": tuple(ENCODINGS), "mode": CLI_MODES}
 # each default is read off the record the setting configures
 _DEFAULTS = {f.name: f.default for record in (ModelParameters, OptimizerConfig)
              for f in fields(record)}
@@ -91,7 +88,6 @@ class RunConfig:
     noise_p01: float | None = None
     noise_p10: float | None = None
     mitigate: bool = False
-    optimizer: str = _DEFAULTS["method"]
     max_iterations: int = _DEFAULTS["max_iterations"]
     tolerance: float = _DEFAULTS["tolerance"]
     out: str = "."
@@ -126,8 +122,7 @@ class RunConfig:
                                b=self.b, g_pi=self.g_pi)
 
     def optimizer_config(self):
-        return OptimizerConfig(method=self.optimizer,
-                               max_iterations=self.max_iterations,
+        return OptimizerConfig(max_iterations=self.max_iterations,
                                tolerance=self.tolerance)
 
     def noise_model(self):
@@ -221,17 +216,14 @@ def resolve_config(args):
     defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {**defaults, **settings}
     reads = _MODEL_FIELDS + ("seed", "out") + _COMMAND_READS[command]
-    for choice, table in _CHOICE_READS.items():
-        if choice in reads:
-            # an unknown value reads everything, so RunConfig names it
-            reads += table.get(values[choice], tuple(values))
+    if "mode" in reads:
+        # an unknown mode reads everything, so RunConfig names it
+        reads += _MODE_READS.get(values["mode"], tuple(values))
     for name, default in defaults.items():
         if name not in reads and values[name] != default:
-            run = (f"{command} with optimizer {values['optimizer']!r}"
-                   if name == "tolerance" and "optimizer" in reads
-                   else f"{command} in mode {values['mode']!r}")
-            raise ConfigError(f"{run} does not read {name}; it must stay "
-                              f"{default!r}, got {values[name]!r}")
+            raise ConfigError(f"{command} in mode {values['mode']!r} does not "
+                              f"read {name}; it must stay {default!r}, got "
+                              f"{values[name]!r}")
     return RunConfig(**settings)
 
 
@@ -315,7 +307,7 @@ def cmd_vqe(config, h):
     _write_json(result_path, payload)
     print(f"VQE [{config.encoding}, {result.mode}]: "
           f"energy = {result.energy:.4f} MeV^2 after "
-          f"{result.n_iterations} iterations"
+          f"{result.n_iterations} evaluations"
           + ("" if result.converged else "  (DID NOT CONVERGE)"))
     print(f"wrote {trace_path}, {result_path}")
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE

@@ -370,9 +370,10 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     P /= P.sum(axis=-1, keepdims=True)
     if response is not None:
         P = P @ response.T
-    P = np.bincount(fold, weights=P.ravel(), minlength=g.size).reshape(g.shape)
+    # a category's sum can round to 1 + 2e-16, which multinomial refuses
+    P = np.minimum(np.bincount(fold, weights=P.ravel(), minlength=g.size), 1.0)
     size = None if repeats is None else (int(repeats), len(c))
-    f = _rewound(seed).multinomial(int(shots_per_term), P,
+    f = _rewound(seed).multinomial(int(shots_per_term), P.reshape(g.shape),
                                    size=size) / shots_per_term
     fg = (f * g).sum(axis=-1)
     variances = np.maximum(0.0, (f * g2).sum(axis=-1) - fg**2)

@@ -1,10 +1,11 @@
 """Variational outer loop and the shot-scaling experiment.
 
 The cost surface is the exact or shot-sampled energy of an ansatz state
-under a Pauli-sum Hamiltonian.  Sampled costs reuse the run seed for
-every evaluation (common random numbers), so the surface the optimizer
-sees is deterministic and every run is bit-reproducible for a fixed
-seed and configuration.
+under a Pauli-sum Hamiltonian, minimized one angle at a time
+(`minimize`).  Sampled costs reuse the run seed for every evaluation
+(common random numbers), so the surface the optimizer sees is
+deterministic and every run is bit-reproducible for a fixed seed and
+configuration.
 """
 from __future__ import annotations
 
@@ -98,34 +99,24 @@ def lookup_encoding(name):
 # Angles preparing the (0, -1/sqrt2, +1/sqrt2, 0) starting state.
 GOOD_GUESS = {name: enc.good_guess for name, enc in ENCODINGS.items()}
 
-_METHODS = {"simplex": "Nelder-Mead", "linear-trust-region": "COBYLA"}
-OPTIMIZER_METHODS = tuple(_METHODS)
+# the cost along a rotation's angle a is a trigonometric polynomial of
+# degree k in a / k: 1, cos a and sin a for Ry; CRy adds cos a/2, sin a/2
+_DEGREE = {"Ry": 1, "CRy": 2}
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the derivative-free minimizer.
+    """Knobs for `minimize`: max_iterations, its budget of cost
+    evaluations, a whole number from 1; tolerance, positive and finite,
+    the drop in the best cost below which a sweep ends the search."""
 
-    method names the backend (simplex: adaptive Nelder-Mead;
-    linear-trust-region: COBYLA) and max_iterations its budget, a whole
-    number; COBYLA needs at least the 3 angles + 2.  tolerance, positive
-    and finite, is read by the simplex alone: the change in cost at which
-    it stops.  Both backends start from their own default steps.
-    """
-
-    method: str = "simplex"
     max_iterations: int = 500
     tolerance: float = 1.0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        # below the 3 angles + 2, scipy's COBYLA warns and runs 5 anyway
-        least = 5 if self.method == "linear-trust-region" else 1
-        if self.max_iterations % 1 or self.max_iterations < least:
+        if self.max_iterations % 1 or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be a whole number of at "
-                             f"least {least} for {self.method}, "
-                             f"got {self.max_iterations!r}")
+                             f"least 1, got {self.max_iterations!r}")
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {self.tolerance!r}")
@@ -149,39 +140,54 @@ class VqeResult:
             best = min(best, e)
 
 
-def minimize(cost, theta0, config=None, mode="exact"):
-    """Derivative-free minimization over the 3 ansatz angles.
+def minimize(cost, theta0, kinds, config=None, mode="exact"):
+    """Minimize `cost` one angle at a time, where angle i enters through
+    one rotation of gate kind kinds[i] (Nakanishi, Fujii, Todo, PRR 2,
+    043158 (2020); Ostaszewski, Grant, Benedetti, Quantum 5, 391 (2021)).
 
-    converged=False flags hitting the iteration budget without meeting
-    the tolerance.
+    The cost along one angle is a trigonometric polynomial of degree k
+    (`_DEGREE`) in angle / k, fixed by 2k + 1 equally spaced shifts over
+    2 pi k, one of them the current angles.  The angle moves to the
+    curve's minimum (a grid, then Newton steps), where the cost is
+    evaluated.  The best evaluation so far is the current point and the
+    result, never a curve's prediction.  Sweeps end, converged, when one
+    gains less than config.tolerance, or, not converged, before an
+    angle's 2k + 1 evaluations would pass config.max_iterations;
+    n_iterations counts the evaluations.
     """
-    # imported here, so that commands which never optimize skip its load
-    import scipy.optimize
-
     config = config or OptimizerConfig()
-    best_energy = np.inf
-    best_theta = np.asarray(theta0, dtype=float)
-    trace = []
+    theta, best, trace = np.array(theta0, dtype=float), np.inf, []
 
-    def wrapped(t):
-        nonlocal best_energy, best_theta
-        e = float(cost(np.asarray(t, dtype=float)))
-        if e < best_energy:
-            best_energy = e
-            best_theta = np.array(t, dtype=float)
-        trace.append((len(trace), best_energy))
+    def evaluate(t):
+        nonlocal best, theta
+        e = float(cost(t))
+        if e < best:
+            best, theta = e, t
+        trace.append((len(trace), best))
         return e
 
-    method = _METHODS[config.method]
-    options = {"maxiter": config.max_iterations}
-    if method == "Nelder-Mead":
-        options.update({"fatol": config.tolerance, "adaptive": True})
-    res = scipy.optimize.minimize(wrapped, np.asarray(theta0, dtype=float),
-                                  method=method, options=options)
-    iterations = res.nit if method == "Nelder-Mead" else res.nfev
-    return VqeResult(theta=tuple(best_theta), energy=best_energy,
-                     trace=tuple(trace), mode=mode,
-                     converged=bool(res.success), n_iterations=int(iterations))
+    evaluate(theta)
+    converged = spent = False
+    while not (converged or spent):
+        start = best
+        for i, kind in enumerate(kinds):
+            k = _DEGREE[kind]
+            spent = len(trace) + 2 * k + 1 > config.max_iterations
+            if spent:
+                break
+            base, unit, m = theta, k * np.eye(theta.size)[i], np.arange(1, k + 1)
+            # the curve at phase p is Re(F_0 + 2 sum_m F_m e^imp) / (2k + 1)
+            shifts = 2 * np.pi * np.arange(1, 2 * k + 1) / (2 * k + 1)
+            F = np.fft.rfft([best, *(evaluate(base + unit * s) for s in shifts)])
+            p = 2 * np.pi * np.argmin(np.fft.irfft(F, 32)) / 32
+            for _ in range(4):  # Newton steps on the slope where it is convex
+                z = F[1:] * np.exp(1j * m * p)
+                if (m * m * z.real).sum() < 0:
+                    p -= (m * z.imag).sum() / (m * m * z.real).sum()
+            evaluate(base + unit * (np.remainder(p + np.pi, 2 * np.pi) - np.pi))
+        converged = not spent and start - best < config.tolerance
+    return VqeResult(theta=tuple(theta), energy=best, trace=tuple(trace),
+                     mode=mode, converged=converged, n_iterations=len(trace))
 
 
 def prepared_state(encoding, theta):
@@ -243,11 +249,11 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     evaluation's own combined shot noise, with no further draw, and an
     estimate or error there that is not finite raises ArithmeticError.
     """
-    n_qubits = lookup_encoding(encoding).n_qubits
+    enc = lookup_encoding(encoding)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if hamiltonian.n_qubits != n_qubits:
-        raise ValueError(f"{encoding} encoding needs {n_qubits} qubits, "
+    if hamiltonian.n_qubits != enc.n_qubits:
+        raise ValueError(f"{encoding} encoding needs {enc.n_qubits} qubits, "
                          f"operator has {hamiltonian.n_qubits}")
     if mode in ("sampled+noise", "sampled+noise+mitigation") and noise is None:
         raise ValueError(f"mode {mode!r} needs a noise model")
@@ -265,7 +271,8 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
         return est
 
     theta0 = GOOD_GUESS[encoding] if initial is None else initial
-    result = minimize(cost, theta0, config=config, mode=mode)
+    kinds = [g.kind for g in enc.ansatz.gates if g.kind in _DEGREE]
+    result = minimize(cost, theta0, kinds, config=config, mode=mode)
     if mode == "exact":
         return result
     est, se = result.energy, errors.get(result.energy, np.nan)

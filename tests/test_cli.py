@@ -51,12 +51,11 @@ CONFIG_BYTES = st.one_of(
 # the subcommands' flags: switches alone, the rest with a value that is
 # one of the valid choices, a number or arbitrary text
 FLAG_VALUES = st.one_of(
-    st.sampled_from(("direct", "compact", "bk", "exact", "sampled", "noisy",
-                     "simplex", "linear-trust-region")),
+    st.sampled_from(("direct", "compact", "bk", "exact", "sampled", "noisy")),
     st.floats().map(repr), st.integers().map(str), st.text(max_size=8))
 COMMON_FLAGS = ("--encoding", "--mode", "--shots", "--seed", "--noise-p01",
                 "--noise-p10", "--mq", "--mbar", "--kappa", "--b", "--gpi",
-                "--optimizer", "--max-iterations", "--tolerance")
+                "--max-iterations", "--tolerance")
 
 
 def flag_lists(valued, switches=("--mitigate",)):
@@ -120,7 +119,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="noisy", noise_p01=0.03, noise_p10=1.5)
         with pytest.raises(ConfigError):
-            RunConfig(optimizer="bfgs")
+            RunConfig(max_iterations=0)
         with pytest.raises(ConfigError):
             RunConfig(kappa=-1.0)
 
@@ -195,16 +194,15 @@ class TestConfigFile:
         value = read_config_file(str(cfg))[name]
         assert type(value) is declared and value == sample
 
-    def test_unknown_optimizer_is_named_like_the_other_choices(self, tmp_path,
-                                                               capsys):
+    def test_the_retired_optimizer_setting_is_unknown(self, tmp_path, capsys):
+        # a config file written when `optimizer` chose a scipy backend
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("optimizer = bfgs\n")
+        cfg.write_text("optimizer = simplex\n")
         out = tmp_path / "out"
         assert run_cli("vqe", "--config", str(cfg),
                        "--out", str(out)) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: optimizer must be one of ('simplex', "
-            "'linear-trust-region'), got 'bfgs'\n")
+            f"config error: {cfg}:1: unknown setting 'optimizer'\n")
         assert not out.exists()
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
@@ -282,8 +280,7 @@ class TestFlags:
     def test_choices_feed_parser_and_record(self):
         assert cli._CHOICES == {
             "encoding": ("direct", "compact", "bk"),
-            "mode": ("exact", "sampled", "noisy"),
-            "optimizer": ("simplex", "linear-trust-region")}
+            "mode": ("exact", "sampled", "noisy")}
         for name, choices in cli._CHOICES.items():
             with pytest.raises(ConfigError,
                                match=f"^{name} must be one of "):
@@ -408,12 +405,11 @@ RUN_READS = {
     "hamiltonian": set(),
     "observables": {"encoding"},
     "observables --exact": set(),
-    "vqe": {"encoding", "mode", "optimizer", "max_iterations"},
+    "vqe": {"encoding", "mode", "max_iterations", "tolerance"},
     "scaling": {"encoding"},
 }
 MODE_READS = {"exact": set(), "sampled": {"shots"},
               "noisy": {"shots", "noise_p01", "noise_p10", "mitigate"}}
-OPTIMIZER_READS = {"simplex": {"tolerance"}, "linear-trust-region": set()}
 # a valid value off the default for each setting; every run below passes
 # `--out`
 NON_DEFAULT = {
@@ -423,7 +419,6 @@ NON_DEFAULT = {
     "mode": ["--mode", "sampled"], "shots": ["--shots", "7"],
     "seed": ["--seed", "7"], "noise_p01": ["--noise-p01", "0.05"],
     "noise_p10": ["--noise-p10", "0.05"], "mitigate": ["--mitigate"],
-    "optimizer": ["--optimizer", "linear-trust-region"],
     "max_iterations": ["--max-iterations", "400"],
     "tolerance": ["--tolerance", "0.5"],
 }
@@ -448,17 +443,12 @@ def unread_setting_cases():
                                id=f"{run}-{name}")
     sampled = {"mode": ["--mode", "sampled"], "shots": ["--shots", "7"]}
     yield pytest.param(["hamiltonian"],
-                       {**sampled, "optimizer": NON_DEFAULT["optimizer"]},
-                       False, id="hamiltonian-sampled-optimizer")
+                       {**sampled, "tolerance": NON_DEFAULT["tolerance"]},
+                       False, id="hamiltonian-sampled-tolerance")
     yield pytest.param(["observables"], sampled, False,
                        id="observables-sampled-shots")
     yield pytest.param(["observables"], sampled, True,
                        id="observables-sampled-shots-config-file")
-    cobyla = {"optimizer": NON_DEFAULT["optimizer"],
-              "tolerance": NON_DEFAULT["tolerance"]}
-    for command in ("vqe", "scaling"):
-        yield pytest.param([command], cobyla, False,
-                           id=f"{command}-linear-trust-region-tolerance")
     # the noisy-mode checks do not speak for a run that does not read mode
     yield pytest.param(["scaling"], {"mode": NOISE["mode"]}, False,
                        id="scaling-noisy")
@@ -474,8 +464,7 @@ def test_every_setting_has_a_non_default_case():
 
 
 def test_choice_tables_cover_every_choice():
-    assert tuple(cli._CHOICE_READS["mode"]) == cli.CLI_MODES
-    assert tuple(cli._CHOICE_READS["optimizer"]) == cli.OPTIMIZER_METHODS
+    assert tuple(cli._MODE_READS) == cli.CLI_MODES
 
 
 @pytest.mark.parametrize("command, settings, in_file", unread_setting_cases())
@@ -483,10 +472,8 @@ def test_a_run_refuses_exactly_the_settings_it_does_not_read(
         tmp_path, capsys, command, settings, in_file):
     key = " ".join(command)
     mode = settings.get("mode", ["--mode", "exact"])[1]
-    optimizer = settings.get("optimizer", ["--optimizer", "simplex"])[1]
     reads = ALWAYS_READ | RUN_READS[key]
-    reads |= (MODE_READS[mode] if "mode" in reads else set()) | (
-        OPTIMIZER_READS[optimizer] if "optimizer" in reads else set())
+    reads |= MODE_READS[mode] if "mode" in reads else set()
     unread = set(settings) - reads
     if in_file:
         cfg = tmp_path / "run.cfg"
@@ -512,13 +499,26 @@ def test_a_run_refuses_exactly_the_settings_it_does_not_read(
         assert code == EXIT_CONFIG and not out.exists()
         # the first unread setting in field order is named
         name = next(f.name for f in fields(RunConfig) if f.name in unread)
-        run = (f"with optimizer {optimizer!r}" if name == "tolerance"
-               and "optimizer" in reads else f"in mode {mode!r}")
-        assert err.startswith(f"config error: {key} {run} does not read "
-                              f"{name}; ")
+        assert err.startswith(f"config error: {key} in mode {mode!r} does "
+                              f"not read {name}; ")
     else:
         assert code in (EXIT_OK, EXIT_NONCONVERGENCE), err
         assert out.is_dir()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_every_run_refuses_the_retired_optimizer_flag(tmp_path, capsys, run):
+    # `--optimizer` once chose a scipy backend; there is one minimizer now,
+    # so every run's parser refuses the flag before anything is written
+    command, base = RUNS[run]
+    flags = [arg for given in base.values() for arg in given]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(*command, *flags, "--optimizer", "simplex", "--out", str(out))
+    assert err.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --optimizer simplex" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestOutputFiles:
@@ -836,6 +836,23 @@ class TestObservablesCommand:
         assert table["m_pi2"]["value"] == pytest.approx(
             fitted_result["energy"]["value"], rel=1e-9)
 
+    def test_angles_recording_an_optimizer_setting_are_read(
+            self, fitted_result, tmp_path):
+        # files written while `optimizer` was a setting record it in their
+        # provenance; only the model settings are compared, so such a file
+        # gives the observables of the same file without it
+        outputs = []
+        for old in (False, True):
+            if old:
+                fitted_result["provenance"]["config"]["optimizer"] = "simplex"
+            out = tmp_path / f"old-{old}"
+            out.mkdir()
+            (out / "vqe_result.json").write_text(json.dumps(fitted_result))
+            assert run_cli("observables", "--out", str(out)) == EXIT_OK
+            outputs.append([(out / name).read_bytes() for name in
+                            ("observables.json", "form_factor.csv", "pdf.csv")])
+        assert outputs[0] == outputs[1]
+
     # a default fitted result sits in the output directory, so runs without
     # --exact or --angles read it
     @settings(max_examples=50, deadline=None,
@@ -1045,15 +1062,13 @@ def test_main_calls_the_traced_names_through_the_module(
                           build_effective_hamiltonian(params).entries)
 
 
-@pytest.mark.parametrize("budget", ["1", "4"])
-def test_cobyla_budget_below_its_floor_exits_two(tmp_path, capsys, budget):
-    # scipy would warn, run 5 evaluations and record the smaller budget
+def test_an_empty_budget_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli("vqe", "--optimizer", "linear-trust-region",
-                   "--max-iterations", budget, "--out", str(out)) == EXIT_CONFIG
+    assert run_cli("vqe", "--max-iterations", "0",
+                   "--out", str(out)) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"config error: max_iterations must be a whole number of at least 5 "
-        f"for linear-trust-region, got {budget}\n")
+        "config error: max_iterations must be a whole number of at least 1, "
+        "got 0\n")
     assert not out.exists()
 
 
@@ -1114,11 +1129,13 @@ def test_benchmark_workload_names_exist():
     assert sorted(".".join(n) for n in looked_up if not exists(n)) == []
 
 
-@pytest.mark.parametrize("argv", [[], ["scaling"]],
-                         ids=["import", "scaling"])
+@pytest.mark.parametrize("argv", [
+    [], ["scaling"],
+    ["vqe", "--encoding", "compact", "--mode", "sampled", "--seed", "7"]],
+    ids=["import", "scaling", "vqe"])
 def test_import_does_not_load_the_optimizer(tmp_path, argv):
-    # only a fit needs scipy.optimize, so `vqe.minimize` imports it; the
-    # scaling table's angles come in closed form
+    # no command loads scipy.optimize: `vqe.minimize` needs numpy alone,
+    # and the scaling table's angles come in closed form
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

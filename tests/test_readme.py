@@ -55,8 +55,20 @@ def test_reads_tables_match_the_cli():
         return {key: tuple(re.findall(r"`(\w+)`", cell))
                 for key, cell in table.items()}
     assert names(readme_table("run")) == cli._COMMAND_READS
-    assert names(readme_table("mode")) == cli._CHOICE_READS["mode"]
-    assert names(readme_table("optimizer")) == cli._CHOICE_READS["optimizer"]
+    assert names(readme_table("mode")) == cli._MODE_READS
+
+
+def test_common_options_match_the_parser():
+    # every flag the "Common options" list names is a common flag of the
+    # parser, and every common flag is listed, so none outlives its setting
+    section = README.split("Common options", 1)[1].split("\n\n", 2)[1]
+    listed = set(re.findall(r"`(--[\w-]+)", section)) | set(
+        re.findall(r" (--[\w-]+)", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command").choices["vqe"]
+    common = {flag for a in sub._actions for flag in a.option_strings
+              if a.dest != "help"}
+    assert listed == common
 
 
 def test_python_quick_start():

@@ -9,7 +9,8 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      decay_projector, decay_spec, diagonalize, embed_compact,
                      embed_direct, enumerate_block, expectation_exact,
                      expectation_sampled, jw_to_bk_pauli, mass_radius,
-                     mass_radius_matrix, pauli_sum_to_matrix)
+                     mass_radius_matrix, pauli_sum_to_matrix,
+                     sampled_estimates)
 from blfqvqe import simulator, vqe
 from blfqvqe.simulator import Circuit, Gate
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
@@ -74,11 +75,9 @@ class TestAngles:
 class TestOptimizerConfig:
     def test_defaults(self):
         c = OptimizerConfig()
-        assert c.method == "simplex" and c.tolerance == 1.0
+        assert (c.max_iterations, c.tolerance) == (500, 1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(method="bfgs")
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
@@ -95,28 +94,9 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             OptimizerConfig(**kwargs)
 
-    @pytest.mark.parametrize("budget", [1, 4])
-    def test_cobyla_needs_the_angles_plus_two(self, budget):
-        # scipy's COBYLA raises a smaller budget to 3 + 2 with a warning,
-        # so the recorded setting would not be the one that ran
-        with pytest.raises(ValueError, match="at least 5 for "
-                                             "linear-trust-region"):
-            OptimizerConfig(method="linear-trust-region",
-                            max_iterations=budget)
-
     def test_whole_budgets_are_accepted(self):
-        OptimizerConfig(method="linear-trust-region", max_iterations=5)
         OptimizerConfig(max_iterations=np.int64(4))
         assert OptimizerConfig(max_iterations=1).max_iterations == 1
-
-    def test_cobyla_at_its_floor_runs_without_warning(self):
-        # the suite turns warnings into errors, so scipy's MAXFUN warning
-        # would fail this run
-        cost = lambda t: float(np.sum((t - 1.0) ** 2))
-        res = minimize(cost, np.zeros(3),
-                       OptimizerConfig(method="linear-trust-region",
-                                       max_iterations=5))
-        assert res.n_iterations == 5
 
 
 class TestVqeResult:
@@ -126,34 +106,74 @@ class TestVqeResult:
                       mode="exact", converged=True, n_iterations=1)
 
 
+def trig_bowl(kinds, target):
+    """A cost of the form `minimize` assumes, 0 at `target` alone (mod
+    2 pi k per angle): angle a enters through sum_m (1 - cos(m x)) / m
+    over m = 1..k, x = (a - t) / k, k = 1 for Ry and 2 for CRy, summed
+    over the angles and, for coupling, multiplied."""
+    k = np.array([{"Ry": 1, "CRy": 2}[kind] for kind in kinds])
+
+    def cost(theta):
+        x = (np.asarray(theta) - target) / k
+        u = 1.0 - np.cos(x) + np.where(k == 2, (1.0 - np.cos(2 * x)) / 2, 0.0)
+        return float(u.sum() + 0.5 * u.prod())
+    return cost
+
+
+def recorded(cost):
+    """`cost` that also appends each (angles, value) it returns to .calls."""
+    def wrapper(theta):
+        wrapper.calls.append((tuple(theta), cost(theta)))
+        return wrapper.calls[-1][1]
+    wrapper.calls = []
+    return wrapper
+
+
 class TestMinimize:
-    def test_quadratic_bowl(self):
-        cost = lambda t: float(np.sum((t - 1.0) ** 2))
-        res = minimize(cost, np.zeros(3),
-                       OptimizerConfig(tolerance=1e-14, max_iterations=2000))
-        assert np.abs(np.asarray(res.theta) - 1.0).max() < 1e-6
-        assert res.converged
+    @pytest.mark.parametrize("kinds", [("Ry",) * 3, ("CRy",) * 3,
+                                       ("Ry", "CRy", "Ry")],
+                             ids=["Ry", "CRy", "mixed"])
+    def test_trig_bowl_reaches_its_minimum(self, kinds):
+        target = np.array([1.0, -2.0, 2.5])
+        res = minimize(trig_bowl(kinds, target), np.zeros(3), kinds,
+                       OptimizerConfig(tolerance=1e-12))
+        assert res.converged and res.energy < 1e-12
+        period = 2 * np.pi * np.array([{"Ry": 1, "CRy": 2}[k] for k in kinds])
+        offset = np.remainder(np.asarray(res.theta) - target + period / 2,
+                              period) - period / 2
+        assert np.abs(offset).max() < 1e-6
+        assert res.n_iterations == len(res.trace) <= 500
 
-    def test_quadratic_bowl_trust_region(self):
-        cost = lambda t: float(np.sum((t - 1.0) ** 2))
-        res = minimize(cost, np.zeros(3),
-                       OptimizerConfig(method="linear-trust-region",
-                                       max_iterations=2000))
-        assert np.abs(np.asarray(res.theta) - 1.0).max() < 1e-3
-        assert res.converged
-
-    def test_non_convergence_flag(self):
-        cost = lambda t: float(np.sum((t - 1.0) ** 2))
-        res = minimize(cost, np.zeros(3),
-                       OptimizerConfig(tolerance=1e-14, max_iterations=3))
+    @pytest.mark.parametrize("budget, evaluations", [(3, 1), (10, 10),
+                                                      (12, 10)])
+    def test_non_convergence_flag(self, budget, evaluations):
+        # the first evaluation, then 3 per Ry angle: a budget of 10 ends
+        # one sweep, which gained too much to stop, and an angle update
+        # that would run past the budget is not begun
+        res = minimize(trig_bowl(("Ry",) * 3, np.ones(3)), np.zeros(3),
+                       ("Ry",) * 3, OptimizerConfig(max_iterations=budget))
         assert not res.converged
+        assert res.n_iterations == len(res.trace) == evaluations
 
     def test_trace_monotone(self):
-        rng = np.random.default_rng(1)
-        cost = lambda t: float(np.sum(t**2) + 0.1 * np.sin(40 * t[0]))
-        res = minimize(cost, rng.normal(size=3), OptimizerConfig())
-        energies = [e for _, e in res.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+        # a cost off the assumed form, as a sampled one is: the trace is the
+        # running minimum of the evaluated costs, and the result is the
+        # first evaluation reaching it, never a curve's prediction
+        cost = recorded(lambda t: float(np.sum(np.cos(t))
+                                        + 0.1 * np.sin(40 * t[0])))
+        res = minimize(cost, np.random.default_rng(1).normal(size=3),
+                       ("Ry",) * 3)
+        values = [e for _, e in cost.calls]
+        assert [e for _, e in res.trace] == list(np.minimum.accumulate(values))
+        assert res.energy == min(values)
+        assert res.theta == next(t for t, e in cost.calls if e == res.energy)
+
+    def test_stops_on_a_sweep_that_gains_less_than_the_tolerance(self):
+        # from the minimum itself the first sweep gains nothing
+        target = np.array([0.5, 1.0, 1.5])
+        res = minimize(trig_bowl(("CRy",) * 3, target), target, ("CRy",) * 3)
+        assert res.converged and res.n_iterations == 1 + 3 * 5
+        assert res.energy == 0.0 and res.theta == tuple(target)
 
 
 @pytest.mark.parametrize("name", sorted(ENCODINGS))
@@ -209,7 +229,7 @@ class TestVqeRun:
                                 lambda self, check=check: (built.append(self),
                                                            check(self)))
         res = vqe_run(sums[name], name, mode="exact")
-        assert len(res.trace) > 100 and built == []
+        assert len(res.trace) > 10 and built == []
 
     def test_good_guess_state(self, problem):
         for enc in ("direct", "compact"):
@@ -275,6 +295,32 @@ def test_sampled_error_bars_cover(problem, name, mitigate):
     assert 0.90 <= np.mean(np.abs(z) <= 2.0) <= 0.99
 
 
+@pytest.mark.parametrize("name", ["direct", "bk"])
+def test_sampled_solves_end_at_the_ground_state(problem, name):
+    # each angle moves by whole curves, not by small steps onto the
+    # sampled cost's plateaus: over 20 seeds the exact energy at the
+    # returned angles lies within one reported standard error of e0
+    # (measured: within 0.05)
+    _, sums, e0 = problem
+    for seed in range(20):
+        res = vqe_run(sums[name], name, mode="sampled", shots=8192, seed=seed)
+        exact = expectation_exact(prepared_state(name, res.theta), sums[name])
+        assert exact - e0 <= res.std_error, (seed, exact, res.std_error)
+
+
+def test_a_category_summing_past_one_is_drawn(problem):
+    # at this state a folded category's probabilities sum to 1 + 2.2e-16,
+    # which numpy's multinomial refuses unless it is clipped
+    _, sums, _ = problem
+    theta = (11.000334272051917, 11.583520688364755, 0.0)
+    state = prepared_state("bk", theta)
+    est, se = expectation_sampled(state, sums["bk"], 8192, 0)
+    assert np.isfinite(est) and se > 0
+    assert sampled_estimates(state, sums["bk"], 8192, 0, 3)[0] == est
+    res = vqe_run(sums["bk"], "bk", mode="sampled", seed=0, initial=theta)
+    assert res.trace[0] == (0, est)
+
+
 def counted_solve(monkeypatch, hamiltonian, name, mode, seed):
     """A vqe_run whose state preparations and sampled estimates are
     recorded; returns the result, the preparation count and the
@@ -314,14 +360,23 @@ def test_sampled_solve_draws_once_per_evaluation(problem, monkeypatch, name,
 
 def test_tied_estimates_keep_the_first_error(problem, monkeypatch):
     # equal estimates at different angles carry different errors; the
-    # reported error is the one of the first evaluation reaching the minimum
+    # reported error is the one of the first evaluation reaching the
+    # minimum.  Estimates rounded to 1,000 MeV^2 make such ties certain.
     _, sums, _ = problem
-    res, _, draws = counted_solve(monkeypatch, sums["direct"], "direct",
-                                  "sampled", seed=11)
+    draws = []
+    sampled = vqe.expectation_sampled
+
+    def rounded(*args, **kwargs):
+        est, se = sampled(*args, **kwargs)
+        draws.append((round(est, -3), se))
+        return draws[-1]
+
+    monkeypatch.setattr(vqe, "expectation_sampled", rounded)
+    res = vqe_run(sums["direct"], "direct", mode="sampled", seed=11)
     errors = {}
     for est, se in draws:
         errors.setdefault(est, set()).add(se)
-    assert any(len(ses) > 1 for ses in errors.values())
+    assert len(errors[res.energy]) > 1
     assert res.energy == min(est for est, _ in draws)
     assert res.std_error == next(se for est, se in draws if est == res.energy)
 
