@@ -17,10 +17,11 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 
 class UnsupportedCutoffError(ValueError):
@@ -119,6 +120,79 @@ def compute_exponents(params):
     return LongitudinalExponents(alpha=al, beta=be)
 
 
+# Cephes `lgam` (gamma.c), the routine behind scipy.special.gammaln, ported
+# line for line so that every log-Gamma, and so the Hamiltonian's bits,
+# match scipy's.  Cephes Math Library Release 2.8, copyright 1984-2000
+# Stephen L. Moshier; distributed with scipy under its BSD licence.
+# Coefficients run highest degree first; _p1evl has an implied leading 1.
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
+           -3.31612992738871184744E5, -1.16237097492762307383E6,
+           -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4,
+           -2.20528590553854454839E5, -1.13933444367982507207E6,
+           -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178   # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305            # lgam overflows above this
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def gammaln(x):
+    """log Gamma(x) for a scalar x >= 0, bit for bit scipy's gammaln.
+
+    0 and +inf give inf and nan gives nan, as in scipy; a negative x
+    raises ValueError, since no caller needs the reflection branch.
+    """
+    x = float(x)
+    if x < 0:
+        raise ValueError(f"gammaln takes x >= 0, got {x!r}")
+    if not math.isfinite(x):
+        return x
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
 def _c00(a, b_exp, alpha, beta):
     # the coefficient C_00 of the l = 0 mode, all Gamma factors in log space
     args = (alpha + beta + 1, alpha + 1, beta + 1,
@@ -140,9 +214,17 @@ def longitudinal_integral(a, b_exp, alpha, beta):
                  * _c00(a, b_exp, alpha, beta))
 
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(128)
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@functools.cache
+def gauss_legendre(n):
+    """The n-node Gauss-Legendre rule mapped to (0, 1): (nodes, weights).
+
+    Built on first use, since no VQE run reads one, and returned read-only
+    because every caller shares the cached arrays.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def chi(x, alpha, beta):

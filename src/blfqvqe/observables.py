@@ -19,9 +19,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, roots_legendre
 
-from .basisfuncs import (_GL_W, _GL_X, chi, compute_exponents,
+from .basisfuncs import (chi, compute_exponents, gammaln, gauss_legendre,
                          longitudinal_integral, require_tabulated)
 from .hamiltonian import HermitianObservable
 from .vqe import lookup_encoding
@@ -29,10 +28,6 @@ from .vqe import lookup_encoding
 HBARC = 197.327  # MeV fm
 E_QUARK = 2.0 / 3.0
 E_ANTIQUARK = -1.0 / 3.0
-
-_GL96_NODES, _GL96_WEIGHTS = roots_legendre(96)
-_GL96_NODES = 0.5 * (_GL96_NODES + 1.0)
-_GL96_WEIGHTS = 0.5 * _GL96_WEIGHTS
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(16)
 
@@ -128,9 +123,10 @@ class PdfDensity:
 
     def normalization(self):
         """Quadrature of f over (0,1); equals rho analytically."""
-        chi0 = chi(_GL_X, self.alpha, self.beta)
+        x, w = gauss_legendre(128)
+        chi0 = chi(x, self.alpha, self.beta)
         f = self.rho * chi0 * chi0 / (4.0 * np.pi)
-        return float(np.sum(_GL_W * f))
+        return float(np.sum(w * f))
 
 
 def pdf(psi, x_grid, exponents):
@@ -148,13 +144,26 @@ def pdf(psi, x_grid, exponents):
                       alpha=exponents.alpha, beta=exponents.beta)
 
 
+def _laguerre(n, a, x):
+    # generalized Laguerre L_n^(a)(x) by the three-term recurrence from
+    # L_0 = 1 and L_1 = 1 + a - x; at the degrees <= 1 that the form
+    # factor reads it returns scipy's eval_genlaguerre bit for bit
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)
+    prev, cur = 1.0, 1.0 + a - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return cur
+
+
 def _mode_polynomial(n, m, qx, qy):
     # 2D HO momentum mode at b = 1 with the Gaussian stripped
     q2 = qx**2 + qy**2
     phase = np.arctan2(qy, qx)
     norm = np.exp(0.5 * (np.log(4.0 * np.pi) + gammaln(n + 1)
                          - gammaln(n + abs(m) + 1)))
-    return (norm * np.sqrt(q2) ** abs(m) * eval_genlaguerre(n, abs(m), q2)
+    return (norm * np.sqrt(q2) ** abs(m) * _laguerre(n, abs(m), q2)
             * np.exp(1j * m * phase))
 
 
@@ -217,8 +226,8 @@ def _charge_bracket(n_bar, q2_over_b2, alpha, beta, nodes, weights):
     x = nodes
     zq = (1.0 - x) / (2.0 * x) * q2_over_b2
     zqb = x / (2.0 * (1.0 - x)) * q2_over_b2
-    term_q = E_QUARK * np.exp(-zq / 2.0) * eval_genlaguerre(n_bar, 0, zq)
-    term_qb = E_ANTIQUARK * np.exp(-zqb / 2.0) * eval_genlaguerre(n_bar, 0, zqb)
+    term_q = E_QUARK * np.exp(-zq / 2.0) * _laguerre(n_bar, 0, zq)
+    term_qb = E_ANTIQUARK * np.exp(-zqb / 2.0) * _laguerre(n_bar, 0, zqb)
     chi0 = chi(x, alpha, beta)
     integrand = chi0 * chi0 / (4.0 * np.pi) * (term_q - term_qb)
     return np.sum(weights * integrand, axis=-1)
@@ -237,8 +246,8 @@ def _charge_diagonal(q2, params, exponents, block):
     al, be = exponents.alpha, exponents.beta
     brackets = {}  # relative mode nbar -> its bracket at each Q^2
     for n_bar in dict.fromkeys(t[1] for s in block for t in _tm_terms(s.m)):
-        fine = _charge_bracket(n_bar, q2b, al, be, _GL_X, _GL_W)
-        coarse = _charge_bracket(n_bar, q2b, al, be, _GL96_NODES, _GL96_WEIGHTS)
+        fine = _charge_bracket(n_bar, q2b, al, be, *gauss_legendre(128))
+        coarse = _charge_bracket(n_bar, q2b, al, be, *gauss_legendre(96))
         bad = np.abs(fine - coarse) > 1e-8 * np.maximum(1.0, np.abs(fine))
         if bad.any():
             k = np.argmax(bad)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blfqvqe.basisfuncs import _GL_W, _GL_X, chi
+from blfqvqe.basisfuncs import chi, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,6 @@ def longitudinal_integral_quadrature(a, b_exp, alpha, beta):
     The integrand vanishes like x^(beta/2) at the endpoints for the
     physical exponents, so no singular treatment is needed.
     """
-    x = _GL_X
+    x, w = gauss_legendre(128)
     vals = chi(x, alpha, beta) * x**b_exp * (1 - x) ** a
-    return float(np.sum(_GL_W * vals) / (4 * np.pi))
+    return float(np.sum(w * vals) / (4 * np.pi))

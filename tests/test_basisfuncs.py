@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import j0, roots_legendre
 
 from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
                                 UnsupportedCutoffError, WaveFunction, chi,
-                                compute_exponents, enumerate_block,
-                                longitudinal_integral)
+                                compute_exponents, enumerate_block, gammaln,
+                                gauss_legendre, longitudinal_integral)
 from oracles import longitudinal_integral_quadrature
 
 PARAMS = ModelParameters()
@@ -92,6 +93,45 @@ class TestLongitudinalIntegral:
     def test_gamma_domain_error(self):
         with pytest.raises(ValueError):
             longitudinal_integral(-5.0, 0, 0.0, 0.0)
+
+
+class TestGammaln:
+    # scipy's gammaln is the oracle: the port must reproduce its bits, so
+    # that the Hamiltonian stays byte-identical
+
+    def test_bit_equal_on_a_seeded_sample(self):
+        x = np.exp(np.random.default_rng(26).uniform(
+            np.log(0.01), np.log(2000.0), 220_000))
+        ours = np.array([gammaln(v) for v in x.tolist()])
+        assert np.array_equal(ours, scipy.special.gammaln(x))
+
+    # 2.5563481e305 lies just past Cephes' overflow threshold, where the
+    # asymptotic formula would still be finite
+    @pytest.mark.parametrize("x", [
+        1e-300, 1e-10, 0.5, 1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 1e300,
+        2.5563481e305, 2.6e305, 0.0, np.inf, np.nan])
+    def test_bit_equal_at_edge_values(self, x):
+        assert np.array_equal(gammaln(x), scipy.special.gammaln(x),
+                              equal_nan=True)
+
+    def test_negative_argument_refused(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            gammaln(-0.5)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_matches_scipy_rule_on_unit_interval(self, n):
+        x, w = gauss_legendre(n)
+        nodes, weights = roots_legendre(n)
+        assert np.max(np.abs(x - 0.5 * (nodes + 1.0))) < 5e-14
+        assert np.max(np.abs(w - 0.5 * weights)) < 5e-14
+
+    def test_cached_rule_is_read_only(self):
+        x, w = gauss_legendre(96)
+        assert gauss_legendre(96)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestChi:

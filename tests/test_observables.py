@@ -180,6 +180,20 @@ class TestPdf:
                            alpha=1.0, beta=1.0)
 
 
+class TestLaguerre:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_recurrence_matches_scipy(self, n, a):
+        x = np.linspace(0.0, 50.0, 2001)
+        ours = observables._laguerre(n, a, x)
+        ref = eval_genlaguerre(n, a, x)
+        # relative where |L| >= 1; near a root both routes round the same
+        # O(1) terms, so the error there is absolute
+        assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
+        if n <= 1:  # the degrees the form factor reads keep scipy's bits
+            assert np.array_equal(ours, ref)
+
+
 class TestTmCoefficient:
     def test_ground_coefficient_is_one(self):
         assert tm_coefficient(0, 0, 0, 0, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
@@ -360,9 +374,9 @@ class TestElasticFormFactor:
         assert sorted(calls) == [0, 0, 1, 1]
 
     def test_unconverged_quadrature_names_q2(self, psi, monkeypatch):
-        nodes, weights = roots_legendre(8)
-        monkeypatch.setattr(observables, "_GL96_NODES", 0.5 * (nodes + 1.0))
-        monkeypatch.setattr(observables, "_GL96_WEIGHTS", 0.5 * weights)
+        rule = observables.gauss_legendre
+        monkeypatch.setattr(observables, "gauss_legendre",
+                            lambda n: rule(8 if n == 96 else n))
         with pytest.raises(RuntimeError, match=r"not converged at Q\^2 = \d"):
             elastic_form_factor(psi, PARAMS)
 

@@ -1,0 +1,145 @@
+"""Compare two source checkouts with the repository's benchmark.
+
+Runs `python3 bench/run.py` in each checkout, one process at a time:
+
+* untraced pairs, one per seed and workload, alternating which side runs
+  first, summarised per workload as medians, interquartile ranges and
+  pairs won for each end-to-end metric;
+* one traced pair per workload, for the per-layer figures such as
+  `import.cold_s`;
+* fresh CLI processes, alternating sides, timed as medians of wall clock.
+
+Usage:
+    python3 tools/bench_pairs.py PARENT CHANGE --seeds 61-70 --seconds 25 \\
+        --out BENCH.json
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+WORKLOADS = ("vqe-exact", "shot-scaling", "noisy-vqe", "cli-pipeline")
+END_TO_END = ("setup_s", "job_ms", "peak_rss_mb")
+TRACE_SEED = 3
+PROCESS_ROUNDS = 7
+# run in this order: `observables` reads the result `vqe` wrote just before
+PROCESSES = {
+    "import blfqvqe.cli": ["-c", "import blfqvqe.cli"],
+    "hamiltonian": ["-m", "blfqvqe.cli", "hamiltonian"],
+    "vqe": ["-m", "blfqvqe.cli", "vqe"],
+    "observables": ["-m", "blfqvqe.cli", "observables"],
+    "observables --exact": ["-m", "blfqvqe.cli", "observables", "--exact"],
+    "scaling --encoding direct": ["-m", "blfqvqe.cli", "scaling",
+                                  "--encoding", "direct"],
+}
+
+
+def bench(root, workload, seed, seconds, trace):
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True)
+    if run.returncode != 0:
+        return {"seed": seed, "exit": run.returncode}
+    out = json.loads(run.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "attempted": out["attempted"],
+            "failed": out["failed"],
+            **{k: round(v["value"], 4) for k, v in out["metrics"].items()}}
+
+
+def quartiles(values):
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(q2), 4), "iqr": round(float(q3 - q1), 4)}
+
+
+def summarise(runs):
+    ok = {side: [r for r in runs[side] if "exit" not in r] for side in runs}
+    out = {side: {**{m: quartiles([r[m] for r in ok[side]])
+                     for m in END_TO_END},
+                  "attempted": sum(r["attempted"] for r in ok[side]),
+                  "failed": sum(r["failed"] for r in ok[side]),
+                  "nonzero_exit": len(runs[side]) - len(ok[side])}
+           for side in runs}
+    won = {m: {"change": 0, "parent": 0} for m in END_TO_END}
+    for p, c in zip(ok["parent"], ok["change"]):
+        for m in END_TO_END:
+            if p[m] != c[m]:
+                won[m]["change" if c[m] < p[m] else "parent"] += 1
+    out["pairs_won"] = won
+    out["change_over_parent_minus_1"] = {
+        m: round(out["change"][m]["median"] / out["parent"][m]["median"] - 1,
+                 4) for m in END_TO_END}
+    out["runs"] = runs
+    return out
+
+
+def fresh_processes(roots):
+    times = {side: {name: [] for name in PROCESSES} for side in roots}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in roots:
+            os.makedirs(os.path.join(tmp, side))
+        for k in range(PROCESS_ROUNDS):
+            order = list(roots) if k % 2 == 0 else list(roots)[::-1]
+            for side in order:
+                env = {**os.environ,
+                       "PYTHONPATH": os.path.join(roots[side], "src"),
+                       "BLFQVQE_OUT": os.path.join(tmp, side)}
+                for name, argv in PROCESSES.items():
+                    t0 = time.perf_counter()
+                    subprocess.run([sys.executable, *argv], env=env,
+                                   check=True, capture_output=True)
+                    times[side][name].append(time.perf_counter() - t0)
+    return {side: {name: round(float(np.median(t)), 3)
+                   for name, t in per.items()} for side, per in times.items()}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--seeds", default="61-70")
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    lo, hi = map(int, args.seeds.split("-"))
+    roots = {"parent": args.parent, "change": args.change}
+    t0 = time.time()
+    workloads = {}
+    for w in WORKLOADS:
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(range(lo, hi + 1)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench(roots[side], w, seed, args.seconds, 0))
+                print(w, seed, side, runs[side][-1], file=sys.stderr)
+        workloads[w] = summarise(runs)
+    traced = {w: {side: bench(roots[side], w, TRACE_SEED, args.seconds, 1)
+                  for side in roots} for w in WORKLOADS}
+    result = {
+        "command": "python3 bench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seeds": list(range(lo, hi + 1)),
+        "order": "pair i runs parent first when i is even, change first "
+                 "when odd",
+        "workloads": workloads,
+        "traced_pair": {"command": "python3 bench/run.py --workload W "
+                                   f"--seed {TRACE_SEED} "
+                                   f"--seconds {args.seconds:g} --trace 1",
+                        **traced},
+        "fresh_process_median_s": {
+            "rounds": PROCESS_ROUNDS, **fresh_processes(roots)},
+        "wall_s": round(time.time() - t0, 1),
+    }
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()
