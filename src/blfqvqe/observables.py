@@ -2,8 +2,9 @@
 
 Covers the decay constant (explicit sum and projector routes), the mass
 radius, the valence parton distribution, the elastic form factor through
-a Talmi-Moshinsky separation of the two-body harmonic modes (each relative
-mode's longitudinal bracket computed once per curve), and the charge
+a Talmi-Moshinsky separation of the two-body harmonic modes (closed-form
+brackets; each relative mode's longitudinal bracket computed once per
+curve), and the charge
 radius from the form-factor slope at the origin.  Lengths are
 presented in fm via hbar*c = 197.327 MeV fm; quark charges are the up
 and anti-down values (+2/3, +1/3 -> e_qbar = -1/3 as the antiquark
@@ -16,11 +17,14 @@ refuses a wave function or an operator on any other block.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basisfuncs import (chi, compute_exponents, gammaln, gauss_legendre,
+from .basisfuncs import (chi, compute_exponents, gauss_legendre,
                          longitudinal_integral, require_tabulated)
 from .hamiltonian import HermitianObservable
 from .vqe import lookup_encoding
@@ -28,9 +32,6 @@ from .vqe import lookup_encoding
 HBARC = 197.327  # MeV fm
 E_QUARK = 2.0 / 3.0
 E_ANTIQUARK = -1.0 / 3.0
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(16)
-
 
 @dataclass(frozen=True)
 class DecayConstantSpec:
@@ -157,52 +158,45 @@ def _laguerre(n, a, x):
     return cur
 
 
-def _mode_polynomial(n, m, qx, qy):
-    # 2D HO momentum mode at b = 1 with the Gaussian stripped
-    q2 = qx**2 + qy**2
-    phase = np.arctan2(qy, qx)
-    norm = np.exp(0.5 * (np.log(4.0 * np.pi) + gammaln(n + 1)
-                         - gammaln(n + abs(m) + 1)))
-    return (norm * np.sqrt(q2) ** abs(m) * _laguerre(n, abs(m), q2)
-            * np.exp(1j * m * phase))
-
-
 def tm_coefficient(n_prime, m_prime, n, m, big_n, big_m, n_bar, m_bar):
     """Two-mode to center-of-mass/relative expansion coefficient.
 
     Computes C(n', -m', n, m; N, M, nbar, mbar): the overlap of
     phi_{n',-m'}(q1) phi_{n,m}(q2) with phi_{N,M}(P) phi_{nbar,mbar}(p)
-    for P = (q1+q2)/sqrt2, p = (q1-q2)/sqrt2, by 4D Gauss-Hermite
-    projection (exact for these polynomial-times-Gaussian integrands).
-    Angular-momentum and energy selection rules are returned as exact
-    zeros without quadrature.
+    for P = (q1+q2)/sqrt2, p = (q1-q2)/sqrt2, in closed form (M. Moshinsky,
+    Nucl. Phys. 13, 104 (1959)).  At n = n' = 0 the creation operators
+    split as a1 = (A + a)/sqrt2, a2 = (A - a)/sqrt2, so C is a binomial sum
+    over the i of q1's |m'| quanta and the j of q2's |m| quanta that go to
+    P; (-1)^(N + nbar) is the Laguerre sign of the modes.  A set that breaks
+    the angular or energy selection rule leaves the sum empty: exactly 0.0.
     """
+    args = (n_prime, m_prime, n, m, big_n, big_m, n_bar, m_bar)
+    try:
+        q = tuple(map(operator.index, args))
+    except TypeError:
+        raise ValueError(f"quantum numbers must be integers: {args}") from None
+    n_prime, m_prime, n, m, big_n, big_m, n_bar, m_bar = q
     if n_prime != 0 or n != 0 or abs(m_prime) > 2 or abs(m) > 2:
         raise ValueError("coefficient table covers n = n' = 0, |m| <= 2 only")
     if min(big_n, n_bar) < 0:
         raise ValueError("negative radial quantum number")
-    if big_m + m_bar != -m_prime + m:
+    # (P+, P-, p+, p-) circular quanta, with m = N+ - N- and n = min(N+, N-)
+    target = (big_n + max(big_m, 0), big_n + max(-big_m, 0),
+              n_bar + max(m_bar, 0), n_bar + max(-m_bar, 0))
+    a, b = abs(m_prime), abs(m)
+    s1, s2 = int(m_prime > 0), int(m < 0)  # 1 for the - sense of -m' and m
+    total = 0
+    for i, j in itertools.product(range(a + 1), range(b + 1)):
+        got = [0, 0, 0, 0]
+        for slot, k in ((s1, i), (s2, j), (2 + s1, a - i), (2 + s2, b - j)):
+            got[slot] += k
+        if tuple(got) == target:
+            total += math.comb(a, i) * math.comb(b, j) * (-1) ** (b - j)
+    if total == 0:
         return 0.0
-    if (2 * big_n + abs(big_m) + 2 * n_bar + abs(m_bar)
-            != 2 * n_prime + abs(m_prime) + 2 * n + abs(m)):
-        return 0.0
-    s2 = np.sqrt(2.0)
-    px = _GH_NODES[:, None, None, None]
-    py = _GH_NODES[None, :, None, None]
-    rx = _GH_NODES[None, None, :, None]
-    ry = _GH_NODES[None, None, None, :]
-    w = (_GH_WEIGHTS[:, None, None, None] * _GH_WEIGHTS[None, :, None, None]
-         * _GH_WEIGHTS[None, None, :, None] * _GH_WEIGHTS[None, None, None, :])
-    q1x, q1y = (px + rx) / s2, (py + ry) / s2
-    q2x, q2y = (px - rx) / s2, (py - ry) / s2
-    integrand = (np.conj(_mode_polynomial(big_n, big_m, px, py))
-                 * np.conj(_mode_polynomial(n_bar, m_bar, rx, ry))
-                 * _mode_polynomial(n_prime, -m_prime, q1x, q1y)
-                 * _mode_polynomial(n, m, q2x, q2y))
-    val = np.sum(w * integrand) / (2.0 * np.pi) ** 4
-    if abs(val.imag) > 1e-12:
-        raise RuntimeError(f"Talmi-Moshinsky projection came out complex: {val}")
-    return float(val.real)
+    scale = math.factorial(a) * math.factorial(b) * 2 ** (a + b)
+    return ((-1) ** (big_n + n_bar) * total
+            * math.sqrt(math.prod(map(math.factorial, target)) / scale))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Independent reference implementations that the tests check the package
 against: the parity-tree encoder matrix behind the Bravyi-Kitaev CNOT
-network, and a quadrature form of the longitudinal integral."""
+network, a quadrature form of the longitudinal integral, and a
+Gauss-Hermite projection of the Talmi-Moshinsky brackets."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_genlaguerre, gammaln
 
 from blfqvqe.basisfuncs import chi, gauss_legendre
 
@@ -73,3 +75,35 @@ def longitudinal_integral_quadrature(a, b_exp, alpha, beta):
     x, w = gauss_legendre(128)
     vals = chi(x, alpha, beta) * x**b_exp * (1 - x) ** a
     return float(np.sum(w * vals) / (4 * np.pi))
+
+
+def _mode_polynomial(n, m, qx, qy):
+    # 2D HO momentum mode at b = 1 with the Gaussian stripped
+    q2 = qx**2 + qy**2
+    norm = np.exp(0.5 * (np.log(4.0 * np.pi) + gammaln(n + 1)
+                         - gammaln(n + abs(m) + 1)))
+    return (norm * np.sqrt(q2) ** abs(m) * eval_genlaguerre(n, abs(m), q2)
+            * np.exp(1j * m * np.arctan2(qy, qx)))
+
+
+def tm_coefficient_projection(n_prime, m_prime, n, m, big_n, big_m, n_bar,
+                              m_bar):
+    """C(n', -m', n, m; N, M, nbar, mbar) by 4D Gauss-Hermite projection.
+
+    The overlap of phi_{n',-m'}(q1) phi_{n,m}(q2) with
+    phi_{N,M}(P) phi_{nbar,mbar}(p), P = (q1+q2)/sqrt2, p = (q1-q2)/sqrt2,
+    as a complex number.  The integrand is exp(-P^2 - p^2) times a
+    polynomial of total degree 2N+|M| + 2nbar+|mbar| + 2n'+|m'| + 2n+|m|,
+    which is 2(|m'| + |m|) <= 8 on the energy shell at n = n' = 0, |m| <= 2;
+    8 nodes per axis are exact up to degree 15 in each variable.
+    """
+    t, w = np.polynomial.hermite.hermgauss(8)
+    px, py, rx, ry = np.meshgrid(t, t, t, t, indexing="ij", sparse=True)
+    wx, wy, wrx, wry = np.meshgrid(w, w, w, w, indexing="ij", sparse=True)
+    s2 = np.sqrt(2.0)
+    integrand = (np.conj(_mode_polynomial(big_n, big_m, px, py))
+                 * np.conj(_mode_polynomial(n_bar, m_bar, rx, ry))
+                 * _mode_polynomial(n_prime, -m_prime, (px + rx) / s2,
+                                    (py + ry) / s2)
+                 * _mode_polynomial(n, m, (px - rx) / s2, (py - ry) / s2))
+    return complex(np.sum(wx * wy * wrx * wry * integrand) / (2.0 * np.pi) ** 4)

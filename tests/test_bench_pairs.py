@@ -1,0 +1,48 @@
+"""The benchmark pair summary in tools/bench_pairs.py."""
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BOUNDS = {"setup_s": 0.25, "job_ms": 0.25, "peak_rss_mb": 0.05}
+
+
+def run(seed, job_ms, failed=0, rss=40.0):
+    return {"seed": seed, "attempted": 100, "failed": failed,
+            "setup_s": 0.05, "job_ms": job_ms, "peak_rss_mb": rss}
+
+
+def test_reads_the_repository_bounds():
+    assert bench_pairs.read_bounds(ROOT) == BOUNDS
+
+
+def test_bounds_and_failed_share():
+    runs = {"parent": [run(1, 2.0), run(2, 2.0), run(3, 2.0)],
+            "change": [run(1, 2.4, failed=1), run(2, 2.6), run(3, 2.4,
+                                                             rss=43.0)]}
+    out = bench_pairs.summarise(runs, BOUNDS)
+    assert out["within_bound"] == {"setup_s": True, "job_ms": True,
+                                   "peak_rss_mb": True}
+    assert out["pairs_won"]["job_ms"] == {"change": 0, "parent": 3}
+    assert out["change"]["failed_share"] == pytest.approx(1 / 300, abs=1e-4)
+    assert out["parent"]["failed_share"] == 0.0
+    runs["change"][0]["job_ms"] = runs["change"][2]["job_ms"] = 2.6
+    assert not bench_pairs.summarise(runs, BOUNDS)["within_bound"]["job_ms"]
+
+
+def test_a_side_with_no_successful_run_is_recorded():
+    runs = {"parent": [run(1, 2.0), run(2, 2.0)],
+            "change": [{"seed": 1, "exit": 1}, {"seed": 2, "exit": 1}]}
+    out = bench_pairs.summarise(runs, BOUNDS)
+    assert out["change"]["job_ms"] is None
+    assert out["change"]["nonzero_exit"] == 2
+    assert out["change"]["failed_share"] is None
+    assert out["within_bound"]["job_ms"] is None
+    assert out["pairs_won"]["job_ms"] == {"change": 0, "parent": 0}
+    assert out["parent"]["job_ms"]["median"] == 2.0

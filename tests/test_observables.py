@@ -1,4 +1,5 @@
 """Observable values frozen against independent quadrature routes."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from blfqvqe.pauli import embed_compact, pauli_sum_to_matrix
 from blfqvqe.simulator import Statevector, expectation_exact
 from blfqvqe.vqe import (extract_amplitudes, lookup_encoding, prepared_state,
                          vqe_run)
+from oracles import tm_coefficient_projection
 
 PARAMS = ModelParameters()
 EXPS = compute_exponents(PARAMS)
@@ -196,7 +198,7 @@ class TestLaguerre:
 
 class TestTmCoefficient:
     def test_ground_coefficient_is_one(self):
-        assert tm_coefficient(0, 0, 0, 0, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
+        assert tm_coefficient(0, 0, 0, 0, 0, 0, 0, 0) == 1.0
 
     def test_angular_selection_rule_exact_zero(self):
         assert tm_coefficient(0, 0, 0, 0, 0, 1, 0, 0) == 0.0
@@ -207,8 +209,32 @@ class TestTmCoefficient:
         assert tm_coefficient(0, 1, 0, 1, 0, 0, 0, 0) == 0.0
 
     def test_m_one_values(self):
-        assert tm_coefficient(0, 1, 0, 1, 0, 0, 1, 0) == pytest.approx(0.5, abs=1e-10)
-        assert tm_coefficient(0, 1, 0, 1, 1, 0, 0, 0) == pytest.approx(-0.5, abs=1e-10)
+        assert tm_coefficient(0, 1, 0, 1, 0, 0, 1, 0) == 0.5
+        assert tm_coefficient(0, 1, 0, 1, 1, 0, 0, 0) == -0.5
+
+    def test_form_factor_terms_are_exact(self):
+        assert observables._tm_terms(1) == ((0, 1, 0.5), (1, 0, -0.5))
+        assert observables._tm_terms(-1) == ((0, 1, 0.5), (1, 0, -0.5))
+        assert observables._tm_terms(0) == ((0, 0, 1.0),)
+
+    def test_matches_gauss_hermite_projection(self):
+        # every set the guards accept with N, nbar <= 2 and |M|, |mbar| <= 4:
+        # the selection-allowed ones against the oracle, the rest exact zeros
+        allowed = 0
+        for m_prime, m, big_n, big_m, n_bar, m_bar in itertools.product(
+                range(-2, 3), range(-2, 3), range(3), range(-4, 5), range(3),
+                range(-4, 5)):
+            c = tm_coefficient(0, m_prime, 0, m, big_n, big_m, n_bar, m_bar)
+            if (big_m + m_bar == m - m_prime and 2 * big_n + abs(big_m)
+                    + 2 * n_bar + abs(m_bar) == abs(m_prime) + abs(m)):
+                allowed += 1
+                ref = tm_coefficient_projection(0, m_prime, 0, m, big_n,
+                                                big_m, n_bar, m_bar)
+                assert abs(c - ref) < 1e-14, (m_prime, m, big_n, big_m,
+                                              n_bar, m_bar)
+            else:
+                assert c == 0.0
+        assert allowed == 103
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_completeness(self, m):
@@ -232,6 +258,11 @@ class TestTmCoefficient:
             tm_coefficient(0, 3, 0, 3, 0, 0, 3, 0)
         with pytest.raises(ValueError):
             tm_coefficient(0, 0, 0, 0, -1, 0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0])
+    def test_non_integer_quantum_number_raises(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            tm_coefficient(0, bad, 0, 1, 0, 0, 1, 0)
 
 
 def transverse_ctilde(m, q2):

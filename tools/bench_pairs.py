@@ -4,7 +4,10 @@ Runs `python3 bench/run.py` in each checkout, one process at a time:
 
 * untraced pairs, one per seed and workload, alternating which side runs
   first, summarised per workload as medians, interquartile ranges and
-  pairs won for each end-to-end metric;
+  pairs won for each end-to-end metric, whether the change's median stays
+  within the parent's times (1 + bound) with the bounds read from the
+  change's BENCHMARK.json, and each side's share of failed operations; a
+  side whose runs all exit nonzero is recorded with no medians;
 * one traced pair per workload, for the per-layer figures such as
   `import.cold_s`;
 * fresh CLI processes, alternating sides, timed as medians of wall clock.
@@ -24,7 +27,6 @@ import time
 import numpy as np
 
 WORKLOADS = ("vqe-exact", "shot-scaling", "noisy-vqe", "cli-pipeline")
-END_TO_END = ("setup_s", "job_ms", "peak_rss_mb")
 TRACE_SEED = 3
 PROCESS_ROUNDS = 7
 # run in this order: `observables` reads the result `vqe` wrote just before
@@ -54,27 +56,56 @@ def bench(root, workload, seed, seconds, trace):
 
 
 def quartiles(values):
+    if not values:
+        return None
     q1, q2, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(q2), 4), "iqr": round(float(q3 - q1), 4)}
 
 
-def summarise(runs):
+def read_bounds(root):
+    """End-to-end metric -> bound from the checkout's BENCHMARK.json; every
+    metric must be one where lower is better."""
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    if any(m["better"] != "lower" for m in spec["end_to_end"]):
+        raise ValueError("only lower-is-better end-to-end metrics are handled")
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def summarise(runs, bounds):
+    """Per side: quartiles of each end-to-end metric over the runs that
+    exited 0 (None when none did), operations attempted and failed, and
+    the failed share.  Then pairs won, the change's median against the
+    parent's, and whether it stays within each metric's bound."""
     ok = {side: [r for r in runs[side] if "exit" not in r] for side in runs}
-    out = {side: {**{m: quartiles([r[m] for r in ok[side]])
-                     for m in END_TO_END},
-                  "attempted": sum(r["attempted"] for r in ok[side]),
-                  "failed": sum(r["failed"] for r in ok[side]),
-                  "nonzero_exit": len(runs[side]) - len(ok[side])}
-           for side in runs}
-    won = {m: {"change": 0, "parent": 0} for m in END_TO_END}
-    for p, c in zip(ok["parent"], ok["change"]):
-        for m in END_TO_END:
+    out = {}
+    for side in runs:
+        attempted = sum(r["attempted"] for r in ok[side])
+        failed = sum(r["failed"] for r in ok[side])
+        out[side] = {**{m: quartiles([r[m] for r in ok[side]])
+                        for m in bounds},
+                     "attempted": attempted, "failed": failed,
+                     "failed_share": (round(failed / attempted, 4)
+                                      if attempted else None),
+                     "nonzero_exit": len(runs[side]) - len(ok[side])}
+    won = {m: {"change": 0, "parent": 0} for m in bounds}
+    for p, c in zip(runs["parent"], runs["change"]):
+        if "exit" in p or "exit" in c:
+            continue
+        for m in bounds:
             if p[m] != c[m]:
                 won[m]["change" if c[m] < p[m] else "parent"] += 1
     out["pairs_won"] = won
-    out["change_over_parent_minus_1"] = {
-        m: round(out["change"][m]["median"] / out["parent"][m]["median"] - 1,
-                 4) for m in END_TO_END}
+    ratio, within = {}, {}
+    for m, bound in bounds.items():
+        if out["parent"][m] is None or out["change"][m] is None:
+            ratio[m] = within[m] = None
+            continue
+        parent, change = out["parent"][m]["median"], out["change"][m]["median"]
+        ratio[m] = round(change / parent - 1, 4)
+        within[m] = change <= parent * (1 + bound)
+    out["change_over_parent_minus_1"] = ratio
+    out["within_bound"] = within
     out["runs"] = runs
     return out
 
@@ -109,6 +140,7 @@ def main():
     args = ap.parse_args()
     lo, hi = map(int, args.seeds.split("-"))
     roots = {"parent": args.parent, "change": args.change}
+    bounds = read_bounds(args.change)
     t0 = time.time()
     workloads = {}
     for w in WORKLOADS:
@@ -118,13 +150,14 @@ def main():
             for side in order:
                 runs[side].append(bench(roots[side], w, seed, args.seconds, 0))
                 print(w, seed, side, runs[side][-1], file=sys.stderr)
-        workloads[w] = summarise(runs)
+        workloads[w] = summarise(runs, bounds)
     traced = {w: {side: bench(roots[side], w, TRACE_SEED, args.seconds, 1)
                   for side in roots} for w in WORKLOADS}
     result = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
         "seeds": list(range(lo, hi + 1)),
+        "bounds": bounds,
         "order": "pair i runs parent first when i is even, change first "
                  "when odd",
         "workloads": workloads,
