@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,10 +32,10 @@ class UnsupportedCutoffError(ValueError):
 class ModelParameters:
     """Physical constants of the light-front model, in MeV-based units.
 
-    g_pi is the four-fermion contact coupling in MeV^-2; n_c the number
-    of colors.  The basis scale b defaults to the confinement strength
-    kappa (a single scale controls both in the fits used here).  The five
-    constants must be finite, and the masses and scales positive.
+    g_pi is the four-fermion contact coupling in MeV^-2.  The basis scale
+    b defaults to the confinement strength kappa (a single scale controls
+    both in the fits used here).  The five constants must be finite, and
+    the masses and scales positive.
     """
 
     m: float = 337.01
@@ -43,14 +43,13 @@ class ModelParameters:
     kappa: float = 227.00
     b: float | None = None
     g_pi: float = 250.785e-6
-    n_c: int = 3
 
     def __post_init__(self):
         if self.b is None:
             object.__setattr__(self, "b", float(self.kappa))
-        for name in ("m", "mbar", "kappa", "b", "g_pi"):
-            if not np.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for field in fields(self):
+            if not np.isfinite(value := getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):
             raise ValueError("masses and scales must be positive")
 

@@ -10,8 +10,9 @@ and its hash, never wall-clock data, so a fixed seed reruns
 byte-identically.  A setting the run does not read (`_COMMAND_READS`,
 `_MODE_READS`) must keep its default.
 
-Each output file is written to a temporary file beside it and renamed
-into place; a failed write keeps the previous file and exits 2.
+A command writes all its files to temporary files before it renames
+any into place, so a failed write keeps every previous file and exits
+2; only a rename failing after an earlier one succeeded mixes the sets.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer
 non-convergence (`vqe` only), 4 numerical failure (model settings that
@@ -51,7 +52,7 @@ EXIT_NUMERICAL = 4
 
 # the settings that fix the Hamiltonian, which every run reads: stored
 # angles fitted under other values belong to another problem
-_MODEL_FIELDS = ("m", "mbar", "kappa", "b", "g_pi")
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelParameters))
 # the settings each run reads beyond _MODEL_FIELDS, `seed` and `out`
 _COMMAND_READS = {"hamiltonian": (), "observables": ("encoding",),
                   "observables --exact": (),
@@ -118,17 +119,16 @@ class RunConfig:
                               "but noise_p01 + noise_p10 = 1 is singular")
 
     def model_parameters(self):
-        return ModelParameters(m=self.m, mbar=self.mbar, kappa=self.kappa,
-                               b=self.b, g_pi=self.g_pi)
+        return ModelParameters(**{k: getattr(self, k) for k in _MODEL_FIELDS})
 
     def optimizer_config(self):
         return OptimizerConfig(max_iterations=self.max_iterations,
                                tolerance=self.tolerance)
 
     def noise_model(self):
-        if self.mode != "noisy":
-            return None
-        return ReadoutNoiseModel(self.noise_p01, self.noise_p10)
+        # a given flip probability must be one in every mode; unset is 0
+        noise = ReadoutNoiseModel(self.noise_p01 or 0.0, self.noise_p10 or 0.0)
+        return noise if self.mode == "noisy" else None
 
     def vqe_mode(self):
         if self.mode == "noisy":
@@ -227,33 +227,33 @@ def resolve_config(args):
     return RunConfig(**settings)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file that replaces `path` only once it is completely written."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header, rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _write_outputs(out, files):
+    """Write a command's files (name -> text) under `out`; return the paths."""
+    paths = [os.path.join(out, name) for name in files]
+    made = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        for path, text in zip(paths, files.values()):
+            made.append(f"{path}.{os.getpid()}.tmp")
+            with open(made[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, tmp in zip(paths, made):
+            os.replace(tmp, path)
     except BaseException as err:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in made:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         if isinstance(err, OSError):
             raise ConfigError(f"cannot write {path}: {err}") from err
         raise
-
-
-def _write_json(path, payload):
-    with _replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    with _replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    return paths
 
 
 def _pauli_dicts(h):
@@ -275,14 +275,13 @@ def cmd_hamiltonian(config, h):
         "pauli": _pauli_dicts(h),
         "provenance": provenance(config),
     }
-    out = os.path.join(config.out, "hamiltonian.json")
-    _write_json(out, payload)
+    paths = _write_outputs(config.out, {"hamiltonian.json": _json(payload)})
     print("effective Hamiltonian (MeV^2), J_z = 0 block:")
     for row in h.entries:
         print("  " + "  ".join(f"{v:12.1f}" for v in row))
     print("eigenvalues (MeV^2): "
           + "  ".join(f"{v:.1f}" for v in sol.eigenvalues))
-    print(f"wrote {out}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 
@@ -291,9 +290,6 @@ def cmd_vqe(config, h):
     result = vqe_run(ham, config.encoding, mode=config.vqe_mode(),
                      shots=config.shots, noise=config.noise_model(),
                      seed=config.seed, config=config.optimizer_config())
-    trace_path = os.path.join(config.out, "vqe_trace.csv")
-    _write_csv(trace_path, ("iteration", "energy[MeV^2]", "mode"),
-               [(i + 1, e, result.mode) for i, e in result.trace])
     payload = {
         "theta": list(result.theta),
         "energy": _tagged(result.energy, "MeV^2", result.mode),
@@ -303,13 +299,15 @@ def cmd_vqe(config, h):
         "n_iterations": result.n_iterations,
         "provenance": provenance(config),
     }
-    result_path = os.path.join(config.out, "vqe_result.json")
-    _write_json(result_path, payload)
+    trace = _csv(("iteration", "energy[MeV^2]", "mode"),
+                 [(i + 1, e, result.mode) for i, e in result.trace])
+    paths = _write_outputs(config.out, {"vqe_trace.csv": trace,
+                                        "vqe_result.json": _json(payload)})
     print(f"VQE [{config.encoding}, {result.mode}]: "
           f"energy = {result.energy:.4f} MeV^2 after "
           f"{result.n_iterations} evaluations"
           + ("" if result.converged else "  (DID NOT CONVERGE)"))
-    print(f"wrote {trace_path}, {result_path}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
@@ -320,10 +318,14 @@ def _check_provenance(stored, config, angles_path):
     if not isinstance(fitted, dict):
         raise ConfigError(f"{angles_path} has no provenance.config, so its "
                           f"angles cannot be matched to this run's physics")
-    current = config.as_dict()
-    differ = [f"{k} = {fitted.get(k)!r} there, {current[k]!r} here"
-              for k in _MODEL_FIELDS
-              if k not in fitted or fitted[k] != current[k]]
+    try:
+        # compare the physics, not its spelling: an unset b is b = kappa
+        there = ModelParameters(**{k: fitted[k] for k in _MODEL_FIELDS})
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{angles_path}: provenance.config: {err!r}") from err
+    here = config.model_parameters()
+    differ = [f"{k} = {getattr(there, k)!r} there, {getattr(here, k)!r} here"
+              for k in _MODEL_FIELDS if getattr(there, k) != getattr(here, k)]
     if differ:
         raise ConfigError(f"{angles_path} was fitted under other physics: "
                           + "; ".join(differ))
@@ -410,27 +412,22 @@ def cmd_observables(config, h, args):
     if vqe_energy is not None:
         table["vqe_energy"] = _tagged(vqe_energy, "MeV^2", mode)
 
-    obs_path = os.path.join(config.out, "observables.json")
-    _write_json(obs_path, table)
-    ff_path = os.path.join(config.out, "form_factor.csv")
-    _write_csv(ff_path, ("Q2[MeV^2]", "F_P[dimensionless]"),
-               zip(curve.q2, curve.values))
-    pdf_path = os.path.join(config.out, "pdf.csv")
-    _write_csv(pdf_path, ("x[dimensionless]", "f[dimensionless]"),
-               zip(x_grid.tolist(), density.values.tolist()))
+    paths = _write_outputs(config.out, {
+        "observables.json": _json(table),
+        "form_factor.csv": _csv(("Q2[MeV^2]", "F_P[dimensionless]"),
+                                zip(curve.q2, curve.values)),
+        "pdf.csv": _csv(("x[dimensionless]", "f[dimensionless]"),
+                        zip(x_grid.tolist(), density.values.tolist()))})
     print(f"observables [{mode}]: m_pi^2 = {m_pi2:.2f} MeV^2, "
           f"f_pi = {f_pi:.3f} MeV, <r_m^2> = {r_m2:.4f} fm^2, "
           f"r_c = {r_c:.4e} MeV^-1")
-    print(f"wrote {obs_path}, {ff_path}, {pdf_path}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 
 def cmd_scaling(config, h):
     ham = lookup_encoding(config.encoding).embed(h)
     result = scaling_experiment(ham, config.encoding, seed=config.seed)
-    csv_path = os.path.join(config.out, "scaling.csv")
-    _write_csv(csv_path, ("shots_per_term", "rms_relative_error"),
-               result.rows)
     payload = {
         "encoding": result.encoding,
         "exponent": result.exponent,
@@ -440,12 +437,14 @@ def cmd_scaling(config, h):
         "total_shots": result.total_shots,
         "provenance": provenance(config),
     }
-    json_path = os.path.join(config.out, "scaling.json")
-    _write_json(json_path, payload)
+    paths = _write_outputs(config.out, {
+        "scaling.csv": _csv(("shots_per_term", "rms_relative_error"),
+                            result.rows),
+        "scaling.json": _json(payload)})
     print(f"scaling [{config.encoding}]: shots ~ "
           f"{result.constant:.1f} / eps^{result.exponent:.3f} "
           f"({result.repeats} repeats per point)")
-    print(f"wrote {csv_path}, {json_path}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ from .hamiltonian import HermitianObservable
 from .vqe import lookup_encoding
 
 HBARC = 197.327  # MeV fm
+N_C = 3  # colors
 E_QUARK = 2.0 / 3.0
 E_ANTIQUARK = -1.0 / 3.0
 
@@ -51,7 +52,7 @@ class DecayConstantSpec:
 def decay_spec(params):
     """Reference vector and MeV prefactor for the lowest J_z = 0 block."""
     exps = compute_exponents(params)
-    base = (2.0 * np.sqrt(params.n_c) * params.b / np.sqrt(np.pi)
+    base = (2.0 * np.sqrt(N_C) * params.b / np.sqrt(np.pi)
             * longitudinal_integral(0.5, 0.5, exps.alpha, exps.beta))
     s = 1.0 / np.sqrt(2.0)
     return DecayConstantSpec(reference_vector=(0.0, s, -s, 0.0),
@@ -67,7 +68,7 @@ def decay_constant(psi, params, exponents):
     c = psi.coefficients
     L = longitudinal_integral(0.5, 0.5, exponents.alpha, exponents.beta)
     total = c[1] * L - c[2] * L
-    return float(2.0 * np.sqrt(params.n_c) * params.b / np.sqrt(np.pi) * total)
+    return float(2.0 * np.sqrt(N_C) * params.b / np.sqrt(np.pi) * total)
 
 
 def decay_projector(encoding):
@@ -111,7 +112,6 @@ class PdfDensity:
     """Longitudinal norm rho (the l = 0 weight) and f(x) on an x grid."""
 
     rho: float
-    x_grid: np.ndarray
     values: np.ndarray
     alpha: float
     beta: float
@@ -141,7 +141,7 @@ def pdf(psi, x_grid, exponents):
     x = np.asarray(x_grid, dtype=float)
     chi0 = chi(x, exponents.alpha, exponents.beta)
     f = rho * chi0 * chi0 / (4.0 * np.pi)
-    return PdfDensity(rho=rho, x_grid=x, values=np.asarray(f, dtype=float),
+    return PdfDensity(rho=rho, values=np.asarray(f, dtype=float),
                       alpha=exponents.alpha, beta=exponents.beta)
 
 

@@ -301,7 +301,6 @@ class ScalingResult:
     exponent: float          # p in n ~ A / eps^p
     constant: float          # A
     repeats: int
-    seed: int
     total_shots: int         # shots drawn for the whole table
 
 
@@ -361,6 +360,6 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
     measured = sum(1 for t in hamiltonian.terms if t.weight)
     return ScalingResult(encoding=encoding, rows=tuple(rows),
                          exponent=float(exponent), constant=constant,
-                         repeats=repeats, seed=seed,
+                         repeats=repeats,
                          total_shots=sum(SHOTS_PER_TERM_GRID) * measured
                          * repeats)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ class TestModelParameters:
         assert PARAMS.m == PARAMS.mbar == 337.01
         assert PARAMS.kappa == 227.00
         assert PARAMS.b == 227.00  # defaults to kappa
-        assert PARAMS.n_c == 3
+        # the five model settings, and nothing else, are the record's fields
+        assert [f.name for f in fields(PARAMS)] == ["m", "mbar", "kappa", "b",
+                                                    "g_pi"]
         assert PARAMS.g_pi == pytest.approx(250.785e-6)
 
     def test_b_override(self):

@@ -1,6 +1,7 @@
 """The benchmark pair summary in tools/bench_pairs.py."""
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -46,3 +47,26 @@ def test_a_side_with_no_successful_run_is_recorded():
     assert out["within_bound"]["job_ms"] is None
     assert out["pairs_won"]["job_ms"] == {"change": 0, "parent": 0}
     assert out["parent"]["job_ms"]["median"] == 2.0
+
+
+def test_a_checkout_with_bytecode_caches_is_refused(tmp_path, monkeypatch,
+                                                   capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in ("src/blfqvqe/__pycache__", "bench/__pycache__",
+              "tests/__pycache__"):
+        (change / d).mkdir(parents=True)
+    (parent / "src" / "blfqvqe").mkdir(parents=True)
+    cached = [str(change / "bench" / "__pycache__"),
+              str(change / "src" / "blfqvqe" / "__pycache__")]
+    assert bench_pairs.bytecode_caches(str(parent)) == []
+    assert bench_pairs.bytecode_caches(str(change)) == cached
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent),
+                                      str(change), "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main()
+    assert exit_info.value.code == 2
+    assert ", ".join(cached) in capsys.readouterr().err
+    assert not out.exists()
+    # refused, not deleted
+    assert all(os.path.isdir(c) for c in cached)

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -149,6 +150,20 @@ class TestRunConfig:
             RunConfig(mode="noisy", noise_p01=0.3, noise_p10=0.7,
                       mitigate=True)
         RunConfig(mode="noisy", noise_p01=0.3, noise_p10=0.7)
+
+    @pytest.mark.parametrize("record, message", [
+        ({"noise_p01": float("nan")}, "noise_p01 must lie in [0, 1), got nan"),
+        ({"noise_p01": 2.0, "noise_p10": -1.0},
+         "noise_p01 must lie in [0, 1), got 2.0"),
+        ({"mode": "sampled", "noise_p01": float("inf")},
+         "noise_p01 must lie in [0, 1), got inf"),
+        ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0")],
+        ids=["nan-exact", "both-exact", "inf-sampled", "p10-exact"])
+    def test_flip_probability_refused_in_every_mode(self, record, message):
+        # the record refuses what provenance could not hold as valid JSON,
+        # whether or not the mode reads the setting
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**record)
 
 
 class TestConfigFile:
@@ -531,22 +546,70 @@ class TestOutputFiles:
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
                                                   capsys):
-        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
-        before = (tmp_path / "vqe_result.json").read_bytes()
-
-        def dump_then_fail(payload, fh, **kwargs):
-            fh.write('{"theta": [')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        assert run_cli("hamiltonian", "--out", str(tmp_path)) == EXIT_OK
+        before = snapshot(tmp_path)
+        fail_writing(monkeypatch, "hamiltonian.json", OSError("disk full"))
         capsys.readouterr()
-        assert run_cli("vqe", "--seed", "3", "--out", str(tmp_path)) == EXIT_CONFIG
+        assert run_cli("hamiltonian", "--kappa", "200",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error: cannot write" in err
-        assert str(tmp_path / "vqe_result.json") in err and "disk full" in err
-        assert (tmp_path / "vqe_result.json").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "vqe_result.json", "vqe_trace.csv"]
+        assert str(tmp_path / "hamiltonian.json") in err and "disk full" in err
+        assert snapshot(tmp_path) == before
+
+    def test_failed_write_keeps_every_file_of_the_set(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # the trace is written before the result: it must not be renamed
+        # into place beside the previous result
+        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
+        before = snapshot(tmp_path)
+        fail_writing(monkeypatch, "vqe_result.json", OSError("disk full"))
+        capsys.readouterr()
+        assert run_cli("vqe", "--mode", "sampled", "--seed", "3",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / 'vqe_result.json'}: disk full" in err
+        assert snapshot(tmp_path) == before
+
+    def test_failed_last_write_keeps_all_three_files(self, tmp_path,
+                                                     monkeypatch, capsys):
+        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_OK
+        before = snapshot(tmp_path)
+        fail_writing(monkeypatch, "pdf.csv", OSError("disk full"))
+        assert run_cli("observables", "--exact",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
+
+    def test_interrupted_write_is_cleaned_up_and_re_raised(self, tmp_path,
+                                                          monkeypatch):
+        assert run_cli("observables", "--exact", "--out", str(tmp_path)) == EXIT_OK
+        before = snapshot(tmp_path)
+        fail_writing(monkeypatch, "form_factor.csv", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("observables", "--exact", "--kappa", "200",
+                    "--out", str(tmp_path))
+        assert snapshot(tmp_path) == before
+
+
+def snapshot(directory):
+    """Every file in `directory`, name -> bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def fail_writing(monkeypatch, name, error):
+    """Make the CLI's write of output file `name` raise `error` once part
+    of its text is on disk."""
+    def opener(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith(name + "."):
+            fh.write("{")
+            fh.close()
+            raise error
+        return fh
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
 
 
 class TestHamiltonianCommand:
@@ -785,13 +848,20 @@ class TestObservablesCommand:
                        "--out", str(tmp_path)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_angles_from_other_physics_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fitted, here, message", [
+        ((), ("--kappa", "200"), "kappa = 227.0 there, 200.0 here"),
+        ((), ("--b", "200"), "b = 227.0 there, 200.0 here"),
+        (("--b", "200"), (), "b = 200.0 there, 227.0 here")],
+        ids=["kappa", "b-set-here", "b-set-there"])
+    def test_angles_from_other_physics_exit_two(self, tmp_path, capsys,
+                                                fitted, here, message):
         # the default kappa is 227 MeV; the angles fitted there do not
-        # describe the kappa = 200 MeV ground state
-        assert run_cli("vqe", "--out", str(tmp_path)) == EXIT_OK
-        assert run_cli("observables", "--kappa", "200",
+        # describe the kappa = 200 MeV ground state, nor b = 200 MeV's
+        assert run_cli("vqe", *fitted, "--out", str(tmp_path)) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("observables", *here,
                        "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "kappa" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "observables.json").exists()
 
     @pytest.mark.parametrize("provenance", [None, {}, {"config": "x"},
@@ -812,7 +882,7 @@ class TestObservablesCommand:
         assert not (tmp_path / "observables.json").exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("m", 338.0), ("mbar", 338.0), ("kappa", 200.0), ("b", 227.0),
+        ("m", 338.0), ("mbar", 338.0), ("kappa", 200.0), ("b", 200.0),
         ("g_pi", 10.0)])
     def test_each_physics_field_is_checked(self, fitted_result, tmp_path,
                                            capsys, field, value):
@@ -821,6 +891,33 @@ class TestObservablesCommand:
         angles.write_text(json.dumps(fitted_result))
         assert run_cli("observables", "--out", str(tmp_path)) == EXIT_CONFIG
         assert f"{field} = {value!r} there" in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    @pytest.mark.parametrize("fitted, here", [
+        ((), ("--b", "227")), (("--b", "227"), ()),
+        (("--kappa", "200"), ("--kappa", "200", "--b", "200"))],
+        ids=["b-unset-there", "b-unset-here", "b-unset-there-kappa-200"])
+    def test_an_unset_b_matches_b_equal_to_kappa(self, tmp_path, fitted,
+                                                 here):
+        # both spellings build the same Hamiltonian, so the angles apply
+        assert run_cli("vqe", *fitted, "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("observables", *here, "--out", str(tmp_path)) == EXIT_OK
+        energy = read_json(tmp_path / "vqe_result.json")["energy"]["value"]
+        table = read_json(tmp_path / "observables.json")
+        assert table["m_pi2"]["value"] == pytest.approx(energy, rel=1e-9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", "337.01"), ("mbar", None), ("kappa", -1.0), ("b", [227.0]),
+        ("g_pi", 10**400), ("m", float("nan"))],
+        ids=["text", "null", "negative", "list", "beyond-float", "nan"])
+    def test_a_stored_model_setting_that_is_no_model_exits_two(
+            self, fitted_result, tmp_path, capsys, field, value):
+        fitted_result["provenance"]["config"][field] = value
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {angles}: provenance.config")
         assert not (tmp_path / "observables.json").exists()
 
     @pytest.mark.parametrize("field, value", [

@@ -172,14 +172,13 @@ class TestPdf:
         np.testing.assert_allclose(den.values, closed_form, rtol=1e-12, atol=0)
 
     def test_validation(self):
-        x = np.array([0.5])
-        good = dict(x_grid=x, values=np.array([0.1]), alpha=1.0, beta=1.0)
+        good = dict(values=np.array([0.1]), alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
             PdfDensity(rho=1.5, **good)
         for bad in (-0.1, np.nan):
             with pytest.raises(ValueError):
-                PdfDensity(rho=1.0, x_grid=x, values=np.array([bad]),
-                           alpha=1.0, beta=1.0)
+                PdfDensity(rho=1.0, values=np.array([bad]), alpha=1.0,
+                           beta=1.0)
 
 
 class TestLaguerre:

@@ -12,6 +12,10 @@ Runs `python3 bench/run.py` in each checkout, one process at a time:
   `import.cold_s`;
 * fresh CLI processes, alternating sides, timed as medians of wall clock.
 
+Every child runs with PYTHONDONTWRITEBYTECODE=1, and a checkout that
+already holds a `__pycache__` under `src/` or `bench/` is refused: a side
+that loads cached bytecode reads a shorter `setup_s`.
+
 Usage:
     python3 tools/bench_pairs.py PARENT CHANGE --seeds 61-70 --seconds 25 \\
         --out BENCH.json
@@ -29,6 +33,8 @@ import numpy as np
 WORKLOADS = ("vqe-exact", "shot-scaling", "noisy-vqe", "cli-pipeline")
 TRACE_SEED = 3
 PROCESS_ROUNDS = 7
+# children compile from source, so neither side's imports come from a cache
+CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 # run in this order: `observables` reads the result `vqe` wrote just before
 PROCESSES = {
     "import blfqvqe.cli": ["-c", "import blfqvqe.cli"],
@@ -46,7 +52,7 @@ def bench(root, workload, seed, seconds, trace):
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, env=CHILD_ENV, capture_output=True, text=True)
     if run.returncode != 0:
         return {"seed": seed, "exit": run.returncode}
     out = json.loads(run.stdout.strip().splitlines()[-1])
@@ -70,6 +76,13 @@ def read_bounds(root):
     if any(m["better"] != "lower" for m in spec["end_to_end"]):
         raise ValueError("only lower-is-better end-to-end metrics are handled")
     return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def bytecode_caches(root):
+    """The `__pycache__` directories under the checkout's src/ and bench/."""
+    return sorted(os.path.join(d, "__pycache__") for top in ("src", "bench")
+                  for d, dirs, _ in os.walk(os.path.join(root, top))
+                  if "__pycache__" in dirs)
 
 
 def summarise(runs, bounds):
@@ -118,7 +131,7 @@ def fresh_processes(roots):
         for k in range(PROCESS_ROUNDS):
             order = list(roots) if k % 2 == 0 else list(roots)[::-1]
             for side in order:
-                env = {**os.environ,
+                env = {**CHILD_ENV,
                        "PYTHONPATH": os.path.join(roots[side], "src"),
                        "BLFQVQE_OUT": os.path.join(tmp, side)}
                 for name, argv in PROCESSES.items():
@@ -140,6 +153,10 @@ def main():
     args = ap.parse_args()
     lo, hi = map(int, args.seeds.split("-"))
     roots = {"parent": args.parent, "change": args.change}
+    caches = [c for root in roots.values() for c in bytecode_caches(root)]
+    if caches:
+        ap.error("remove the bytecode caches, which shorten one side's "
+                 "set-up: " + ", ".join(caches))
     bounds = read_bounds(args.change)
     t0 = time.time()
     workloads = {}
