@@ -34,8 +34,8 @@ class ModelParameters:
 
     g_pi is the four-fermion contact coupling in MeV^-2.  The basis scale
     b defaults to the confinement strength kappa (a single scale controls
-    both in the fits used here).  The five constants must be finite, and
-    the masses and scales positive.
+    both in the fits used here).  The five constants must be finite
+    numbers, not booleans, and the masses and scales positive.
     """
 
     m: float = 337.01
@@ -48,7 +48,10 @@ class ModelParameters:
         if self.b is None:
             object.__setattr__(self, "b", float(self.kappa))
         for field in fields(self):
-            if not np.isfinite(value := getattr(self, field.name)):
+            if isinstance(value := getattr(self, field.name), (bool, np.bool_)):
+                raise ValueError(f"{field.name} must be a number, not a "
+                                 f"boolean, got {value!r}")
+            if not np.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):
             raise ValueError("masses and scales must be positive")

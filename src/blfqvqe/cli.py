@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -299,8 +300,11 @@ def cmd_vqe(config, h):
         "n_iterations": result.n_iterations,
         "provenance": provenance(config),
     }
+    # the running best as `minimize` keeps it: from +inf, moved on a strict
+    # drop only; row i is the best of the first i evaluations
+    best = itertools.accumulate(result.trace, min, initial=np.inf)
     trace = _csv(("iteration", "energy[MeV^2]", "mode"),
-                 [(i + 1, e, result.mode) for i, e in result.trace])
+                 [(i, e, result.mode) for i, e in enumerate(best) if i])
     paths = _write_outputs(config.out, {"vqe_trace.csv": trace,
                                         "vqe_result.json": _json(payload)})
     print(f"VQE [{config.encoding}, {result.mode}]: "

@@ -21,14 +21,13 @@ basis changes, readout response, and each row's fold of the 2^n
 outcomes onto the K distinct values of its weight (K = 2 without
 mitigation), one row per non-identity term in axes-string order.  An
 evaluation draws those categories, which are all the estimator reads,
-for every row from the stream seeded by `seed`, so a fixed seed gives
-identical results whatever order the sum lists its terms in.  Each seed's
-generator is built once and cached (`_rewound`); every draw first rewinds
-it to its seeded start, so it draws exactly what a new
-`default_rng(seed)` would.  Repeated estimates add a leading repeats
-axis: one multinomial draw of shape (repeats, terms, K) from that
-stream, reduced row by row, and the first repeat draws exactly what a
-single estimate with that seed draws.
+for every row from `np.random.default_rng(seed)`, so a fixed seed gives
+identical results whatever order the sum lists its terms in.  A seed is
+anything `default_rng` takes; a `Generator` is drawn from where it
+stands.  Repeated estimates add a leading repeats axis: one multinomial
+draw of shape (repeats, terms, K) from that stream, reduced row by row,
+and the first repeat draws exactly what a single estimate with that
+seed draws.
 """
 from __future__ import annotations
 
@@ -314,36 +313,6 @@ def _measurement(pauli_sum, noise, mitigate):
             _frozen(fold.reshape(-1)), _frozen(g), _frozen(g**2))
 
 
-@functools.lru_cache(maxsize=32)
-def _seeded(key):
-    """A generator seeded by `key` and the bit-generator state it starts in."""
-    rng = np.random.default_rng(key)
-    return rng, rng.bit_generator.state
-
-
-def _rewound(seed):
-    """The generator `np.random.default_rng(seed)` would build, at its start.
-
-    An int seed (numpy ints too) or a sequence of ints is keyed as
-    `default_rng` reads it, and its cached generator (`_seeded`) is
-    rewound to its seeded state: ~3 us against ~12 us for seeding anew
-    on a 2-CPU machine.  The generator is module state shared by every
-    caller, which is safe because the package runs no threads and each
-    caller draws from it before the next rewind.  Any other seed
-    `default_rng` takes, such as None, builds a fresh generator.
-    """
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        try:
-            key = tuple(map(operator.index, seed))
-        except TypeError:
-            return np.random.default_rng(seed)
-    rng, start = _seeded(key)
-    rng.bit_generator.state = start
-    return rng
-
-
 def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
                repeats):
     """Estimates and standard errors; arrays over repeats unless None.
@@ -351,9 +320,9 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     Only what changes with the state is done here: the probabilities of
     the compiled bases through the readout response, summed into each
     row's weight categories (`_measurement`), one multinomial draw of
-    category frequencies f from the rewound stream of `seed` (`_rewound`;
-    rows in axes-string order; a leading repeats axis, filled repeat by
-    repeat), and f.g, f.g^2 - (f.g)^2 per term.
+    category frequencies f from `np.random.default_rng(seed)` (rows in
+    axes-string order; a leading repeats axis, filled repeat by repeat),
+    and f.g, f.g^2 - (f.g)^2 per term.
     The estimator reads an outcome only through its weight, so drawing
     categories instead of outcomes leaves its distribution unchanged.
     The unsized draw for repeats=None consumes the stream exactly as a
@@ -373,8 +342,8 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     # a category's sum can round to 1 + 2e-16, which multinomial refuses
     P = np.minimum(np.bincount(fold, weights=P.ravel(), minlength=g.size), 1.0)
     size = None if repeats is None else (int(repeats), len(c))
-    f = _rewound(seed).multinomial(int(shots_per_term), P.reshape(g.shape),
-                                   size=size) / shots_per_term
+    f = np.random.default_rng(seed).multinomial(
+        int(shots_per_term), P.reshape(g.shape), size=size) / shots_per_term
     fg = (f * g).sum(axis=-1)
     variances = np.maximum(0.0, (f * g2).sum(axis=-1) - fg**2)
     return offset + fg @ c, np.sqrt(variances @ c2 / shots_per_term)
@@ -386,7 +355,7 @@ def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
     Returns an array of length `repeats`, each entry computed as by
     `expectation_sampled`.  All repeats come from one multinomial draw
     of shape (repeats, terms, 2) over each term's parity categories
-    (`_measurement`) from the stream seeded by `seed`; repeat 0 is
+    (`_measurement`) from `np.random.default_rng(seed)`; repeat 0 is
     the estimate `expectation_sampled` gives with that seed.
     """
     if repeats < 1 or repeats % 1:
@@ -400,12 +369,13 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     """Shot-based estimate of <psi|S|psi> with its standard error.
 
     The non-identity terms are measured in one stacked pass, one row per
-    term in axes-string order, all drawn from the stream seeded by `seed`
-    (`_rewound`); identity terms contribute exactly.  With a noise model,
-    sampled bitstrings pass through per-qubit readout flips; `mitigate`
-    (which needs the model) inverts the confusion, as `_measurement`
-    describes.  This is the one-repeat case of `sampled_estimates`,
-    drawn without the repeats axis.
+    term in axes-string order, all drawn from `np.random.default_rng(seed)`,
+    so a `Generator` is drawn from where it stands; identity terms
+    contribute exactly.  With a noise model, sampled bitstrings pass
+    through per-qubit readout flips; `mitigate` (which needs the model)
+    inverts the confusion, as `_measurement` describes.  This is the
+    one-repeat case of `sampled_estimates`, drawn without the repeats
+    axis.
     """
     est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
                          mitigate, None)

@@ -3,9 +3,10 @@
 The cost surface is the exact or shot-sampled energy of an ansatz state
 under a Pauli-sum Hamiltonian, minimized one angle at a time
 (`minimize`).  Sampled costs reuse the run seed for every evaluation
-(common random numbers), so the surface the optimizer sees is
-deterministic and every run is bit-reproducible for a fixed seed and
-configuration.
+(common random numbers): `vqe_run` seeds one generator and rewinds it to
+its seeded start before each evaluation, so the surface the optimizer
+sees is deterministic and every run is bit-reproducible for a fixed seed
+and configuration.
 """
 from __future__ import annotations
 
@@ -126,18 +127,14 @@ class OptimizerConfig:
 class VqeResult:
     theta: tuple
     energy: float
-    trace: tuple          # (evaluation index, best energy so far) pairs
+    trace: tuple          # the cost of each evaluation, in order
     mode: str
     converged: bool
-    n_iterations: int
     std_error: float = None
 
-    def __post_init__(self):
-        best = np.inf
-        for _, e in self.trace:
-            if e > best + 1e-12:
-                raise ValueError("trace is not monotone non-increasing")
-            best = min(best, e)
+    @property
+    def n_iterations(self):
+        return len(self.trace)
 
 
 def minimize(cost, theta0, kinds, config=None, mode="exact"):
@@ -152,8 +149,8 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
     evaluated.  The best evaluation so far is the current point and the
     result, never a curve's prediction.  Sweeps end, converged, when one
     gains less than config.tolerance, or, not converged, before an
-    angle's 2k + 1 evaluations would pass config.max_iterations;
-    n_iterations counts the evaluations.
+    angle's 2k + 1 evaluations would pass config.max_iterations; the
+    trace holds every evaluation's cost, in order.
     """
     config = config or OptimizerConfig()
     theta, best, trace = np.array(theta0, dtype=float), np.inf, []
@@ -163,7 +160,7 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
         e = float(cost(t))
         if e < best:
             best, theta = e, t
-        trace.append((len(trace), best))
+        trace.append(e)
         return e
 
     evaluate(theta)
@@ -187,7 +184,7 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
             evaluate(base + unit * (np.remainder(p + np.pi, 2 * np.pi) - np.pi))
         converged = not spent and start - best < config.tolerance
     return VqeResult(theta=tuple(theta), energy=best, trace=tuple(trace),
-                     mode=mode, converged=converged, n_iterations=len(trace))
+                     mode=mode, converged=converged)
 
 
 def prepared_state(encoding, theta):
@@ -248,6 +245,9 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     reach the lowest energy; in sampled modes std_error is that
     evaluation's own combined shot noise, with no further draw, and an
     estimate or error there that is not finite raises ArithmeticError.
+    A sampled solve seeds one generator with `seed` and rewinds it to
+    its seeded start before each evaluation (common random numbers);
+    exact mode seeds nothing.
     """
     enc = lookup_encoding(encoding)
     if mode not in MODES:
@@ -260,12 +260,16 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     mitigate = mode == "sampled+noise+mitigation"
     use_noise = noise if mode != "sampled" else None
     errors = {}  # each energy's error at the first evaluation reaching it
+    if mode != "exact":
+        rng = np.random.default_rng(seed)
+        start = rng.bit_generator.state
 
     def cost(theta):
         state = prepared_state(encoding, theta)
         if mode == "exact":
             return expectation_exact(state, hamiltonian)
-        est, se = expectation_sampled(state, hamiltonian, shots, seed,
+        rng.bit_generator.state = start
+        est, se = expectation_sampled(state, hamiltonian, shots, rng,
                                       noise=use_noise, mitigate=mitigate)
         errors.setdefault(est, se)
         return est

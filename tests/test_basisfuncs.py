@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -42,6 +43,16 @@ class TestModelParameters:
         # the record refuses its own bad values, so a library caller gets
         # the refusal the CLI prints
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            ModelParameters(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool"])
+    @pytest.mark.parametrize("name", ["m", "mbar", "kappa", "b", "g_pi"])
+    def test_refuses_booleans(self, name, value):
+        # a boolean reads as 1 in arithmetic, so m = True would build a
+        # model with m = 1 MeV
+        with pytest.raises(ValueError, match=f"^{name} must be a number, "
+                                             f"not a boolean, got "
+                                             f"{re.escape(repr(value))}$"):
             ModelParameters(**{name: value})
 
 

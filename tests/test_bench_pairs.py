@@ -37,6 +37,30 @@ def test_bounds_and_failed_share():
     assert not bench_pairs.summarise(runs, BOUNDS)["within_bound"]["job_ms"]
 
 
+def test_a_gain_is_shown_by_nine_of_ten_pairs_beyond_the_parent_iqr():
+    parent = [2.0, 2.1, 2.0, 2.2, 2.0, 2.1, 2.0, 2.2, 2.0, 2.1]
+    change = [1.5] * 9 + [2.1]    # the last pair ties
+    runs = {"parent": [run(i, v) for i, v in enumerate(parent)],
+            "change": [run(i, v) for i, v in enumerate(change)]}
+    out = bench_pairs.summarise(runs, BOUNDS)
+    assert out["pairs_won"]["job_ms"] == {"change": 9, "parent": 0}
+    assert out["gain_shown"] == {"setup_s": False, "job_ms": True,
+                                 "peak_rss_mb": False}
+    # 8 of 10 pairs won
+    runs["change"][0] = run(0, 2.5)
+    assert not bench_pairs.summarise(runs, BOUNDS)["gain_shown"]["job_ms"]
+    runs["change"][0] = run(0, 1.5)
+    # more operations failed than at the parent
+    runs["change"][1] = run(1, 1.5, failed=1)
+    assert not bench_pairs.summarise(runs, BOUNDS)["gain_shown"]["job_ms"]
+    runs["change"][1] = run(1, 1.5)
+    # won every pair, by less than the parent's interquartile range (0.1)
+    runs["change"] = [run(i, v - 0.05) for i, v in enumerate(parent)]
+    out = bench_pairs.summarise(runs, BOUNDS)
+    assert out["pairs_won"]["job_ms"] == {"change": 10, "parent": 0}
+    assert not out["gain_shown"]["job_ms"]
+
+
 def test_a_side_with_no_successful_run_is_recorded():
     runs = {"parent": [run(1, 2.0), run(2, 2.0)],
             "change": [{"seed": 1, "exit": 1}, {"seed": 2, "exit": 1}]}
@@ -45,6 +69,7 @@ def test_a_side_with_no_successful_run_is_recorded():
     assert out["change"]["nonzero_exit"] == 2
     assert out["change"]["failed_share"] is None
     assert out["within_bound"]["job_ms"] is None
+    assert out["gain_shown"]["job_ms"] is None
     assert out["pairs_won"]["job_ms"] == {"change": 0, "parent": 0}
     assert out["parent"]["job_ms"]["median"] == 2.0
 

@@ -920,6 +920,19 @@ class TestObservablesCommand:
         assert err.startswith(f"config error: {angles}: provenance.config")
         assert not (tmp_path / "observables.json").exists()
 
+    def test_a_stored_boolean_model_setting_exits_two(
+            self, fitted_result, tmp_path, capsys):
+        # true would read as m = 1 MeV and match --mq 1
+        fitted_result["provenance"]["config"]["m"] = True
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--mq", "1",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {angles}: provenance.config")
+        assert "m must be a number, not a boolean" in err
+        assert not (tmp_path / "observables.json").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 99), ("shots", 1024), ("mode", "sampled"),
         ("optimizer", "linear-trust-region"), ("tolerance", 0.5)])

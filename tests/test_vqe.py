@@ -14,7 +14,7 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
 from blfqvqe import simulator, vqe
 from blfqvqe.simulator import Circuit, Gate
 from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
-                         ScalingResult, VqeResult, extract_amplitudes,
+                         ScalingResult, extract_amplitudes,
                          lookup_encoding, minimize, prepared_state,
                          relative_variance, scaling_experiment, vqe_run)
 
@@ -99,13 +99,6 @@ class TestOptimizerConfig:
         assert OptimizerConfig(max_iterations=1).max_iterations == 1
 
 
-class TestVqeResult:
-    def test_rejects_non_monotone_trace(self):
-        with pytest.raises(ValueError):
-            VqeResult(theta=(0,), energy=1.0, trace=((0, 2.0), (1, 3.0)),
-                      mode="exact", converged=True, n_iterations=1)
-
-
 def trig_bowl(kinds, target):
     """A cost of the form `minimize` assumes, 0 at `target` alone (mod
     2 pi k per angle): angle a enters through sum_m (1 - cos(m x)) / m
@@ -156,15 +149,15 @@ class TestMinimize:
         assert res.n_iterations == len(res.trace) == evaluations
 
     def test_trace_monotone(self):
-        # a cost off the assumed form, as a sampled one is: the trace is the
-        # running minimum of the evaluated costs, and the result is the
-        # first evaluation reaching it, never a curve's prediction
+        # a cost off the assumed form, as a sampled one is: the trace is
+        # every evaluated cost in order, and the result is the first
+        # evaluation reaching its minimum, never a curve's prediction
         cost = recorded(lambda t: float(np.sum(np.cos(t))
                                         + 0.1 * np.sin(40 * t[0])))
         res = minimize(cost, np.random.default_rng(1).normal(size=3),
                        ("Ry",) * 3)
         values = [e for _, e in cost.calls]
-        assert [e for _, e in res.trace] == list(np.minimum.accumulate(values))
+        assert res.trace == tuple(values)
         assert res.energy == min(values)
         assert res.theta == next(t for t, e in cost.calls if e == res.energy)
 
@@ -255,6 +248,25 @@ class TestVqeRun:
         assert a.energy == b.energy and a.theta == b.theta and a.trace == b.trace
         assert a.energy != c.energy
 
+    @pytest.mark.parametrize("mode", ["sampled", "sampled+noise",
+                                      "sampled+noise+mitigation"])
+    @pytest.mark.parametrize("name", sorted(ENCODINGS))
+    def test_a_draw_between_runs_leaves_a_rerun_unchanged(self, problem,
+                                                          name, mode):
+        # the solve rewinds the one generator it seeds, so what was drawn
+        # before it, from another seed, cannot reach its stream
+        _, sums, _ = problem
+        runs = []
+        for _ in range(2):
+            runs.append(vqe_run(sums[name], name, mode=mode, shots=256,
+                                seed=5, noise=ReadoutNoiseModel(0.03, 0.05),
+                                config=OptimizerConfig(max_iterations=30)))
+            expectation_sampled(prepared_state(name, GOOD_GUESS[name]),
+                                sums[name], 64, 6)
+        a, b = runs
+        assert (a.trace, a.theta, a.energy, a.std_error) == (
+            b.trace, b.theta, b.energy, b.std_error)
+
     def test_mitigation_recovers(self, problem):
         _, sums, e0 = problem
         noise = ReadoutNoiseModel(0.03, 0.03)
@@ -318,7 +330,7 @@ def test_a_category_summing_past_one_is_drawn(problem):
     assert np.isfinite(est) and se > 0
     assert sampled_estimates(state, sums["bk"], 8192, 0, 3)[0] == est
     res = vqe_run(sums["bk"], "bk", mode="sampled", seed=0, initial=theta)
-    assert res.trace[0] == (0, est)
+    assert res.trace[0] == est
 
 
 def counted_solve(monkeypatch, hamiltonian, name, mode, seed):
@@ -356,6 +368,32 @@ def test_sampled_solve_draws_once_per_evaluation(problem, monkeypatch, name,
     assert prepared == len(draws) == len(res.trace)
     first = next(se for est, se in draws if est == res.energy)
     assert res.std_error == first
+
+
+@pytest.mark.parametrize("mode", ["sampled", "sampled+noise",
+                                  "sampled+noise+mitigation"])
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+def test_every_evaluation_draws_from_the_seeds_start(problem, monkeypatch,
+                                                     name, mode):
+    # common random numbers: each evaluation draws what a new generator
+    # seeded with the run seed draws, whatever the evaluations before it
+    _, sums, _ = problem
+    noise = ReadoutNoiseModel(0.03, 0.05)
+    states, draws = [], []
+    sampled = vqe.expectation_sampled
+
+    def recording(state, *args, **kwargs):
+        states.append(state)
+        draws.append(sampled(state, *args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(vqe, "expectation_sampled", recording)
+    res = vqe_run(sums[name], name, mode=mode, shots=256, seed=5, noise=noise,
+                  config=OptimizerConfig(max_iterations=30))
+    assert len(draws) == len(res.trace) > 1
+    kwargs = {"noise": None if mode == "sampled" else noise,
+              "mitigate": mode == "sampled+noise+mitigation"}
+    assert draws == [sampled(s, sums[name], 256, 5, **kwargs) for s in states]
 
 
 def test_tied_estimates_keep_the_first_error(problem, monkeypatch):

@@ -6,8 +6,9 @@ Runs `python3 bench/run.py` in each checkout, one process at a time:
   first, summarised per workload as medians, interquartile ranges and
   pairs won for each end-to-end metric, whether the change's median stays
   within the parent's times (1 + bound) with the bounds read from the
-  change's BENCHMARK.json, and each side's share of failed operations; a
-  side whose runs all exit nonzero is recorded with no medians;
+  change's BENCHMARK.json, whether a gain is shown, and each side's share
+  of failed operations; a side whose runs all exit nonzero is recorded
+  with no medians;
 * one traced pair per workload, for the per-layer figures such as
   `import.cold_s`;
 * fresh CLI processes, alternating sides, timed as medians of wall clock.
@@ -89,7 +90,11 @@ def summarise(runs, bounds):
     """Per side: quartiles of each end-to-end metric over the runs that
     exited 0 (None when none did), operations attempted and failed, and
     the failed share.  Then pairs won, the change's median against the
-    parent's, and whether it stays within each metric's bound."""
+    parent's, whether it stays within each metric's bound, and whether it
+    shows a gain: the change won at least 9 of every 10 pairs run (ties
+    count for neither), its median beats the parent's by more than the
+    parent's interquartile range, and no larger share of its operations
+    failed."""
     ok = {side: [r for r in runs[side] if "exit" not in r] for side in runs}
     out = {}
     for side in runs:
@@ -109,16 +114,22 @@ def summarise(runs, bounds):
             if p[m] != c[m]:
                 won[m]["change" if c[m] < p[m] else "parent"] += 1
     out["pairs_won"] = won
-    ratio, within = {}, {}
+    pairs = min(len(runs["parent"]), len(runs["change"]))
+    no_more_failed = (out["change"]["failed"] * out["parent"]["attempted"]
+                      <= out["parent"]["failed"] * out["change"]["attempted"])
+    ratio, within, gain = {}, {}, {}
     for m, bound in bounds.items():
         if out["parent"][m] is None or out["change"][m] is None:
-            ratio[m] = within[m] = None
+            ratio[m] = within[m] = gain[m] = None
             continue
         parent, change = out["parent"][m]["median"], out["change"][m]["median"]
         ratio[m] = round(change / parent - 1, 4)
         within[m] = change <= parent * (1 + bound)
+        gain[m] = (10 * won[m]["change"] >= 9 * pairs and no_more_failed
+                   and parent - change > out["parent"][m]["iqr"])
     out["change_over_parent_minus_1"] = ratio
     out["within_bound"] = within
+    out["gain_shown"] = gain
     out["runs"] = runs
     return out
 
