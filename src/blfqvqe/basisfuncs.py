@@ -24,6 +24,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+def refuse_boolean(name, value):
+    """ValueError when the setting `name` holds a boolean, which arithmetic
+    would read as the number 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a boolean, "
+                         f"got {value!r}")
+
+
 class UnsupportedCutoffError(ValueError):
     """Raised when a basis cutoff outside the tabulated scheme is requested."""
 
@@ -48,9 +56,7 @@ class ModelParameters:
         if self.b is None:
             object.__setattr__(self, "b", float(self.kappa))
         for field in fields(self):
-            if isinstance(value := getattr(self, field.name), (bool, np.bool_)):
-                raise ValueError(f"{field.name} must be a number, not a "
-                                 f"boolean, got {value!r}")
+            refuse_boolean(field.name, value := getattr(self, field.name))
             if not np.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basisfuncs import refuse_boolean
 from .pauli import BK_CNOTS_4, kron_axes, one_qubit_axes, pauli_string_matrix
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -148,14 +149,16 @@ class Statevector:
 
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
-    """Independent per-qubit readout flips: p01 = P(read 1 | true 0)."""
+    """Independent per-qubit readout flips: p01 = P(read 1 | true 0).
+    Each is a number in [0, 1), not a boolean."""
 
     p01: float
     p10: float
 
     def __post_init__(self):
         for name in ("p01", "p10"):
-            if not 0.0 <= (p := getattr(self, name)) < 1.0:
+            refuse_boolean(name, p := getattr(self, name))
+            if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {p!r}")
 
     def confusion_matrix(self):

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .basisfuncs import refuse_boolean
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
 # run_circuit runs once here, at import, to find the bk readout; it
@@ -109,12 +110,15 @@ _DEGREE = {"Ry": 1, "CRy": 2}
 class OptimizerConfig:
     """Knobs for `minimize`: max_iterations, its budget of cost
     evaluations, a whole number from 1; tolerance, positive and finite,
-    the drop in the best cost below which a sweep ends the search."""
+    the drop in the best cost below which a sweep ends the search.
+    Neither may be a boolean."""
 
     max_iterations: int = 500
     tolerance: float = 1.0
 
     def __post_init__(self):
+        refuse_boolean("max_iterations", self.max_iterations)
+        refuse_boolean("tolerance", self.tolerance)
         if self.max_iterations % 1 or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be a whole number of at "
                              f"least 1, got {self.max_iterations!r}")
@@ -144,13 +148,18 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
 
     The cost along one angle is a trigonometric polynomial of degree k
     (`_DEGREE`) in angle / k, fixed by 2k + 1 equally spaced shifts over
-    2 pi k, one of them the current angles.  The angle moves to the
-    curve's minimum (a grid, then Newton steps), where the cost is
-    evaluated.  The best evaluation so far is the current point and the
-    result, never a curve's prediction.  Sweeps end, converged, when one
-    gains less than config.tolerance, or, not converged, before an
-    angle's 2k + 1 evaluations would pass config.max_iterations; the
-    trace holds every evaluation's cost, in order.
+    2 pi k, one of them the current angles; each angle's unit step and
+    its 2k shift offsets are built once per call.  The curve's k Fourier
+    coefficients come from one real FFT.  The angle moves to the curve's
+    minimum: the lowest of 32 grid points, then four Newton steps on the
+    slope, each taken only where the curve is convex, with the phase,
+    curvature and slope as Python scalars.  The cost is evaluated there,
+    the step wrapped into [-pi k, pi k).  The best evaluation so far is
+    the current point and the result, never a curve's prediction.
+    Sweeps end, converged, when one gains less than config.tolerance, or,
+    not converged, before an angle's 2k + 1 evaluations would pass
+    config.max_iterations; the trace holds every evaluation's cost, in
+    order.
     """
     config = config or OptimizerConfig()
     theta, best, trace = np.array(theta0, dtype=float), np.inf, []
@@ -163,24 +172,35 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
         trace.append(e)
         return e
 
+    # per angle: its evaluations per step, its unit step k e_i, the 2k
+    # shifts of it, one row each, and i m for the harmonics m = 1..k
+    steps = []
+    for i, kind in enumerate(kinds):
+        k = _DEGREE[kind]
+        unit = k * np.eye(theta.size)[i]
+        shifts = 2 * np.pi * np.arange(1, 2 * k + 1) / (2 * k + 1)
+        steps.append((2 * k + 1, unit, shifts[:, None] * unit,
+                      1j * np.arange(1, k + 1)))
     evaluate(theta)
     converged = spent = False
     while not (converged or spent):
         start = best
-        for i, kind in enumerate(kinds):
-            k = _DEGREE[kind]
-            spent = len(trace) + 2 * k + 1 > config.max_iterations
+        for n, unit, offsets, im in steps:
+            spent = len(trace) + n > config.max_iterations
             if spent:
                 break
-            base, unit, m = theta, k * np.eye(theta.size)[i], np.arange(1, k + 1)
+            base = theta
             # the curve at phase p is Re(F_0 + 2 sum_m F_m e^imp) / (2k + 1)
-            shifts = 2 * np.pi * np.arange(1, 2 * k + 1) / (2 * k + 1)
-            F = np.fft.rfft([best, *(evaluate(base + unit * s) for s in shifts)])
-            p = 2 * np.pi * np.argmin(np.fft.irfft(F, 32)) / 32
+            F = np.fft.rfft([best, *map(evaluate, base + offsets)])
+            harmonics = F[1:]
+            p = 2 * np.pi * np.fft.irfft(F, 32).argmin() / 32
             for _ in range(4):  # Newton steps on the slope where it is convex
-                z = F[1:] * np.exp(1j * m * p)
-                if (m * m * z.real).sum() < 0:
-                    p -= (m * z.imag).sum() / (m * m * z.real).sum()
+                # the product stays in numpy: Python's has no fused
+                # multiply-add, so it rounds differently and can move a step
+                z = (harmonics * np.exp(im * p)).tolist()
+                curvature = sum(m * m * w.real for m, w in enumerate(z, 1))
+                if curvature < 0:
+                    p -= sum(m * w.imag for m, w in enumerate(z, 1)) / curvature
             evaluate(base + unit * (np.remainder(p + np.pi, 2 * np.pi) - np.pi))
         converged = not spent and start - best < config.tolerance
     return VqeResult(theta=tuple(theta), energy=best, trace=tuple(trace),

@@ -1,13 +1,15 @@
 """Independent reference implementations that the tests check the package
 against: the parity-tree encoder matrix behind the Bravyi-Kitaev CNOT
-network, a quadrature form of the longitudinal integral, and a
-Gauss-Hermite projection of the Talmi-Moshinsky brackets."""
+network, a quadrature form of the longitudinal integral, a
+Gauss-Hermite projection of the Talmi-Moshinsky brackets, and the
+sequential minimizer's step written in numpy alone."""
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from blfqvqe.basisfuncs import chi, gauss_legendre
+from blfqvqe.vqe import _DEGREE, OptimizerConfig, VqeResult
 
 
 @dataclass(frozen=True)
@@ -107,3 +109,42 @@ def tm_coefficient_projection(n_prime, m_prime, n, m, big_n, big_m, n_bar,
                                     (py + ry) / s2)
                  * _mode_polynomial(n, m, (px - rx) / s2, (py - ry) / s2))
     return complex(np.sum(wx * wy * wrx * wry * integrand) / (2.0 * np.pi) ** 4)
+
+
+def reference_minimize(cost, theta0, kinds, config=None, mode="exact"):
+    """`blfqvqe.vqe.minimize` with every step built anew from numpy arrays:
+    the unit step, harmonics and shifts per angle update, and the Newton
+    polish as array sums over the harmonics m = 1..k."""
+    config = config or OptimizerConfig()
+    theta, best, trace = np.array(theta0, dtype=float), np.inf, []
+
+    def evaluate(t):
+        nonlocal best, theta
+        e = float(cost(t))
+        if e < best:
+            best, theta = e, t
+        trace.append(e)
+        return e
+
+    evaluate(theta)
+    converged = spent = False
+    while not (converged or spent):
+        start = best
+        for i, kind in enumerate(kinds):
+            k = _DEGREE[kind]
+            spent = len(trace) + 2 * k + 1 > config.max_iterations
+            if spent:
+                break
+            base, unit, m = theta, k * np.eye(theta.size)[i], np.arange(1, k + 1)
+            # the curve at phase p is Re(F_0 + 2 sum_m F_m e^imp) / (2k + 1)
+            shifts = 2 * np.pi * np.arange(1, 2 * k + 1) / (2 * k + 1)
+            F = np.fft.rfft([best, *(evaluate(base + unit * s) for s in shifts)])
+            p = 2 * np.pi * np.argmin(np.fft.irfft(F, 32)) / 32
+            for _ in range(4):  # Newton steps on the slope where it is convex
+                z = F[1:] * np.exp(1j * m * p)
+                if (m * m * z.real).sum() < 0:
+                    p -= (m * z.imag).sum() / (m * m * z.real).sum()
+            evaluate(base + unit * (np.remainder(p + np.pi, 2 * np.pi) - np.pi))
+        converged = not spent and start - best < config.tolerance
+    return VqeResult(theta=tuple(theta), energy=best, trace=tuple(trace),
+                     mode=mode, converged=converged)

@@ -95,3 +95,33 @@ def test_a_checkout_with_bytecode_caches_is_refused(tmp_path, monkeypatch,
     assert not out.exists()
     # refused, not deleted
     assert all(os.path.isdir(c) for c in cached)
+
+
+def test_traced_runs_alternate_and_report_medians(monkeypatch):
+    # each side runs TRACE_RUNS times, first on alternate runs; a side's
+    # figures are medians over the runs that exited 0
+    calls = []
+    cold = {"parent": iter([0.11, 0.59, 0.13]),
+            "change": iter([0.58, {"exit": 1}, 0.12])}
+
+    def fake_bench(root, workload, seed, seconds, trace):
+        calls.append((root, workload, seed, seconds, trace))
+        value = next(cold[root])
+        if isinstance(value, dict):
+            return {"seed": seed, **value}
+        return {"seed": seed, "attempted": 10, "failed": 0,
+                "import.cold_s": value, "vqe.solves": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    out = bench_pairs.traced({"parent": "parent", "change": "change"},
+                             "vqe-exact", 25)
+    assert bench_pairs.TRACE_RUNS == 3
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent",
+                                     "parent", "change"]
+    assert all(c[1:] == ("vqe-exact", bench_pairs.TRACE_SEED, 25, 1)
+               for c in calls)
+    assert out["parent"] == {"runs": 3, "nonzero_exit": 0, "attempted": 10,
+                             "failed": 0, "import.cold_s": 0.13,
+                             "vqe.solves": 1.0}
+    assert out["change"]["runs"] == 2 and out["change"]["nonzero_exit"] == 1
+    assert out["change"]["import.cold_s"] == pytest.approx(0.35)

@@ -620,6 +620,16 @@ class TestReadoutMitigation:
         with pytest.raises(ValueError, match=fr"^{name} must lie in \[0, 1\)"):
             ReadoutNoiseModel(p01, p10)
 
+    @pytest.mark.parametrize("p01, p10, refusal", [
+        (False, False, "p01 must be a number, not a boolean, got False"),
+        (True, 0.0, "p01 must be a number, not a boolean, got True"),
+        (0.0, np.False_, "p10 must be a number, not a boolean, got np.False_"),
+    ], ids=["both-false", "p01-true", "p10-np.false"])
+    def test_refuses_booleans(self, p01, p10, refusal):
+        # a boolean reads as 0 or 1, so False passes as a noiseless readout
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            ReadoutNoiseModel(p01, p10)
+
     def test_zero_noise_identity(self, hmat, ground):
         # without flips, mitigation leaves the draws and estimates unchanged
         _, v = ground

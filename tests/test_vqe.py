@@ -13,10 +13,11 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      sampled_estimates)
 from blfqvqe import simulator, vqe
 from blfqvqe.simulator import Circuit, Gate
-from blfqvqe.vqe import (ENCODINGS, GOOD_GUESS, OptimizerConfig,
+from blfqvqe.vqe import (_DEGREE, ENCODINGS, GOOD_GUESS, OptimizerConfig,
                          ScalingResult, extract_amplitudes,
                          lookup_encoding, minimize, prepared_state,
                          relative_variance, scaling_experiment, vqe_run)
+from oracles import reference_minimize
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +84,24 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"tolerance": np.nan}, "tolerance"),
-        ({"tolerance": np.inf}, "tolerance"),
-        ({"max_iterations": 2.5}, "max_iterations"),
-        ({"max_iterations": np.nan}, "max_iterations"),
+    @pytest.mark.parametrize("kwargs, refusal", [
+        ({"tolerance": np.nan}, "tolerance must be positive and finite"),
+        ({"tolerance": np.inf}, "tolerance must be positive and finite"),
+        ({"max_iterations": 2.5}, "max_iterations must be a whole number"),
+        ({"max_iterations": np.nan}, "max_iterations must be a whole number"),
+        # a boolean reads as 1: a budget of 1 evaluation, a tolerance of 1
+        ({"max_iterations": True},
+         "max_iterations must be a number, not a boolean, got True$"),
+        ({"tolerance": True},
+         "tolerance must be a number, not a boolean, got True$"),
+        ({"tolerance": np.True_},
+         "tolerance must be a number, not a boolean, got np.True_$"),
     ], ids=["tolerance-nan", "tolerance-inf", "max-iterations-2.5",
-            "max-iterations-nan"])
-    def test_refuses_non_finite_or_fractional_settings(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be "):
+            "max-iterations-nan", "max-iterations-bool", "tolerance-bool",
+            "tolerance-np.bool"])
+    def test_refuses_non_finite_or_fractional_settings(self, kwargs,
+                                                       refusal):
+        with pytest.raises(ValueError, match=f"^{refusal}"):
             OptimizerConfig(**kwargs)
 
     def test_whole_budgets_are_accepted(self):
@@ -167,6 +177,78 @@ class TestMinimize:
         res = minimize(trig_bowl(("CRy",) * 3, target), target, ("CRy",) * 3)
         assert res.converged and res.n_iterations == 1 + 3 * 5
         assert res.energy == 0.0 and res.theta == tuple(target)
+
+
+def assert_same_steps(got, expect, kinds):
+    """Two minimizer results took the same steps: equal trace lengths and
+    convergence, energies within 1e-12 relative and angles equal modulo
+    each angle's period 2 pi k."""
+    assert (len(got.trace), got.converged) == (len(expect.trace),
+                                               expect.converged)
+    np.testing.assert_allclose(got.trace, expect.trace, rtol=1e-12, atol=0)
+    assert got.energy == pytest.approx(expect.energy, rel=1e-12, abs=0)
+    period = 2 * np.pi * np.array([_DEGREE[k] for k in kinds])
+    offset = np.remainder(np.subtract(got.theta, expect.theta) + period / 2,
+                          period) - period / 2
+    assert np.abs(offset).max() <= 1e-12
+
+
+def rotation_kinds(name):
+    return [g.kind for g in ENCODINGS[name].ansatz.gates if g.kind in _DEGREE]
+
+
+class TestReferenceMinimize:
+    """`minimize` against the same step in numpy alone
+    (`oracles.reference_minimize`)."""
+
+    @pytest.mark.parametrize("kinds", [("Ry",) * 3, ("CRy",) * 3,
+                                       ("Ry", "CRy", "Ry")],
+                             ids=["Ry", "CRy", "mixed"])
+    def test_trig_bowl(self, kinds):
+        cost = trig_bowl(kinds, np.array([1.0, -2.0, 2.5]))
+        config = OptimizerConfig(tolerance=1e-12)
+        assert_same_steps(minimize(cost, np.zeros(3), kinds, config),
+                          reference_minimize(cost, np.zeros(3), kinds, config),
+                          kinds)
+
+    @pytest.mark.parametrize("name", sorted(ENCODINGS))
+    def test_exact_costs(self, problem, name):
+        # the good guess, then 30 seeded random starts
+        _, sums, _ = problem
+        kinds = rotation_kinds(name)
+
+        def cost(theta):
+            return expectation_exact(prepared_state(name, theta), sums[name])
+
+        starts = np.random.default_rng(30).uniform(-np.pi, np.pi, (30, 3))
+        for theta0 in (GOOD_GUESS[name], *starts):
+            assert_same_steps(minimize(cost, theta0, kinds),
+                              reference_minimize(cost, theta0, kinds), kinds)
+        # the solve the CLI runs by default takes the same steps to the bit
+        assert (minimize(cost, GOOD_GUESS[name], kinds)
+                == reference_minimize(cost, GOOD_GUESS[name], kinds))
+
+    @pytest.mark.parametrize("name", sorted(ENCODINGS))
+    def test_sampled_costs(self, problem, monkeypatch, name):
+        _, sums, _ = problem
+        kinds = rotation_kinds(name)
+        for seed in range(10):
+            got = vqe_run(sums[name], name, mode="sampled", seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(vqe, "minimize", reference_minimize)
+                expect = vqe_run(sums[name], name, mode="sampled", seed=seed)
+            assert_same_steps(got, expect, kinds)
+            assert got.std_error == pytest.approx(expect.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, evaluations", [("direct", 46),
+                                               ("compact", 19), ("bk", 46)])
+def test_readme_evaluation_counts(problem, name, evaluations):
+    # README, opening section: from the good guess an exact solve takes 46
+    # (direct, bk) or 19 (compact) evaluations, and converges
+    _, sums, _ = problem
+    res = vqe_run(sums[name], name)
+    assert (res.n_iterations, res.converged) == (evaluations, True)
 
 
 @pytest.mark.parametrize("name", sorted(ENCODINGS))

@@ -9,8 +9,9 @@ Runs `python3 bench/run.py` in each checkout, one process at a time:
   change's BENCHMARK.json, whether a gain is shown, and each side's share
   of failed operations; a side whose runs all exit nonzero is recorded
   with no medians;
-* one traced pair per workload, for the per-layer figures such as
-  `import.cold_s`;
+* TRACE_RUNS traced runs per side and workload, alternating which side
+  runs first, recorded as each per-layer figure's median (such as
+  `import.cold_s`) over the runs that exited 0, and how many did;
 * fresh CLI processes, alternating sides, timed as medians of wall clock.
 
 Every child runs with PYTHONDONTWRITEBYTECODE=1, and a checkout that
@@ -33,6 +34,7 @@ import numpy as np
 
 WORKLOADS = ("vqe-exact", "shot-scaling", "noisy-vqe", "cli-pipeline")
 TRACE_SEED = 3
+TRACE_RUNS = 3
 PROCESS_ROUNDS = 7
 # children compile from source, so neither side's imports come from a cache
 CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -60,6 +62,25 @@ def bench(root, workload, seed, seconds, trace):
     return {"seed": seed, "attempted": out["attempted"],
             "failed": out["failed"],
             **{k: round(v["value"], 4) for k, v in out["metrics"].items()}}
+
+
+def traced(roots, workload, seconds):
+    """TRACE_RUNS traced runs per side at TRACE_SEED, alternating which
+    side runs first; per side, the runs that exited 0 and the median of
+    each figure over them."""
+    runs = {side: [] for side in roots}
+    for j in range(TRACE_RUNS):
+        for side in list(roots) if j % 2 == 0 else list(roots)[::-1]:
+            runs[side].append(bench(roots[side], workload, TRACE_SEED,
+                                    seconds, 1))
+            print(workload, "traced", side, runs[side][-1], file=sys.stderr)
+    out = {}
+    for side, done in runs.items():
+        ok = [r for r in done if "exit" not in r]
+        out[side] = {"runs": len(ok), "nonzero_exit": len(done) - len(ok),
+                     **{k: round(float(np.median([r[k] for r in ok])), 4)
+                        for k in (ok[0] if ok else ()) if k != "seed"}}
+    return out
 
 
 def quartiles(values):
@@ -179,8 +200,7 @@ def main():
                 runs[side].append(bench(roots[side], w, seed, args.seconds, 0))
                 print(w, seed, side, runs[side][-1], file=sys.stderr)
         workloads[w] = summarise(runs, bounds)
-    traced = {w: {side: bench(roots[side], w, TRACE_SEED, args.seconds, 1)
-                  for side in roots} for w in WORKLOADS}
+    traced_runs = {w: traced(roots, w, args.seconds) for w in WORKLOADS}
     result = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -189,10 +209,13 @@ def main():
         "order": "pair i runs parent first when i is even, change first "
                  "when odd",
         "workloads": workloads,
-        "traced_pair": {"command": "python3 bench/run.py --workload W "
-                                   f"--seed {TRACE_SEED} "
-                                   f"--seconds {args.seconds:g} --trace 1",
-                        **traced},
+        "traced_medians": {"command": "python3 bench/run.py --workload W "
+                                      f"--seed {TRACE_SEED} "
+                                      f"--seconds {args.seconds:g} --trace 1",
+                           "runs_per_side": TRACE_RUNS,
+                           "order": "run j runs parent first when j is "
+                                    "even, change first when odd",
+                           **traced_runs},
         "fresh_process_median_s": {
             "rounds": PROCESS_ROUNDS, **fresh_processes(roots)},
         "wall_s": round(time.time() - t0, 1),
