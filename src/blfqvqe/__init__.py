@@ -20,10 +20,8 @@ from .hamiltonian import (Eigensolution, HermitianObservable,
                           build_njl_matrix, diagonalize)
 from .pauli import (PauliString, PauliSum, embed_compact, embed_direct,
                     jw_hopping_pauli, jw_to_bk_pauli, pauli_sum_to_matrix)
-from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
-                        Circuit, Gate, ReadoutNoiseModel, Statevector,
-                        expectation_exact, expectation_sampled, run_circuit,
-                        sampled_estimates)
+from .simulator import (ReadoutNoiseModel, Statevector, expectation_exact,
+                        expectation_sampled, sampled_estimates)
 from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           FormFactorCurve, MassRadiusMatrix, PdfDensity,
                           charge_radius, decay_constant, decay_projector,

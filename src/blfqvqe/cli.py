@@ -128,7 +128,8 @@ class RunConfig:
 
     def noise_model(self):
         # a given flip probability must be one in every mode; unset is 0
-        noise = ReadoutNoiseModel(self.noise_p01 or 0.0, self.noise_p10 or 0.0)
+        noise = ReadoutNoiseModel(*(0.0 if p is None else p
+                                    for p in (self.noise_p01, self.noise_p10)))
         return noise if self.mode == "noisy" else None
 
     def vqe_mode(self):

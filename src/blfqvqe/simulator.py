@@ -1,19 +1,9 @@
-"""Statevector circuit simulator with shot sampling and readout mitigation.
+"""Statevector expectations, shot sampling and readout mitigation.
 
 Conventions: qubit 0 is the least-significant bit of a basis index (and
-the rightmost character of a bitstring or axes string).  Every gate,
-Pauli term and measurement basis is one dense 2^n matrix built from
-pauli.py's Kronecker convention.  Ry(theta) is the real rotation
-[[cos t/2, -sin t/2], [sin t/2, cos t/2]].  A gate is structure only:
-the ansätze are fixed circuits, and `run_circuit` takes one angle per
-rotation, in gate order.  Each gate's parts are built once
-(`_gate_parts`): the read-only matrices of U(a) = A + cos(a/2) B +
-sin(a/2) C, or A alone for a fixed gate.  Running a circuit applies its
-gates one at a time and checks the norm of the result once.  Every
-part is a signed partial permutation, so a circuit's state is
-multilinear in the per-rotation vectors (1, cos a/2, sin a/2);
-`Circuit.monomial_states` holds the zero state pushed through every
-choice of parts, from which vqe.py prepares its ansätze.
+the rightmost character of a bitstring or axes string).  Every Pauli
+term and measurement basis is one dense 2^n matrix built from pauli.py's
+Kronecker convention.
 Pauli terms are measured by rotating X to Z with H and Y to Z with
 S-dagger followed by H, then sampling outcomes.  Each sum's
 measurement is compiled once per readout model (`_measurement`): its
@@ -33,98 +23,16 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basisfuncs import refuse_boolean
-from .pauli import BK_CNOTS_4, kron_axes, one_qubit_axes, pauli_string_matrix
+from .pauli import kron_axes
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
                "Y": _H @ np.diag([1.0, -1.0j])}
-
-# qubit indices each gate kind takes; the rotations take an angle
-_GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
-_ROTATIONS = ("Ry", "CRy")
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One primitive gate, without an angle; build with the class methods."""
-
-    kind: str
-    qubits: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in _GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        try:
-            q = tuple(map(operator.index, self.qubits))
-        except TypeError:
-            raise ValueError(f"gate indices must be integers: "
-                             f"{self.qubits!r}") from None
-        object.__setattr__(self, "qubits", q)
-        if any(x < 0 for x in q) or len(set(q)) != len(q):
-            raise ValueError(f"gate indices must be distinct and non-negative: {q}")
-        if len(q) != _GATE_KINDS[self.kind]:
-            raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
-
-    @classmethod
-    def x(cls, qubit):
-        return cls("X", (qubit,))
-
-    @classmethod
-    def ry(cls, qubit):
-        return cls("Ry", (qubit,))
-
-    @classmethod
-    def cnot(cls, control, target):
-        return cls("CNOT", (control, target))
-
-    @classmethod
-    def cry(cls, control, target):
-        return cls("CRy", (control, target))
-
-
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        try:
-            n = operator.index(self.n_qubits)
-        except TypeError:
-            n = -1
-        if n < 0:
-            raise ValueError(f"n_qubits must be a non-negative integer: "
-                             f"{self.n_qubits!r}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ValueError(f"gate {g.kind} on {g.qubits} exceeds "
-                                 f"{self.n_qubits} qubits")
-
-    @functools.cached_property
-    def monomial_states(self):
-        """The circuit run on the zero state with its angles left open: a
-        read-only (3^r, 2^n) matrix for r rotations.
-
-        Row sum_i p_i 3^(r-1-i) is the zero state pushed through the
-        gates with part p_i of rotation i (0: A, 1: B, 2: C; first
-        rotation most significant) and no angle applied.  The state at
-        angles a is the dot product of these rows with the 3^r products
-        of the vectors (1, cos a_i/2, sin a_i/2), taken in the same order.
-        """
-        rows = [Statevector.zero(self.n_qubits).amplitudes]
-        for g in self.gates:
-            parts = [P for P in _gate_parts(g.kind, g.qubits, self.n_qubits)
-                     if P is not None]
-            rows = [P @ r for r in rows for P in parts]
-        return _frozen(np.array(rows))
 
 
 class Statevector:
@@ -173,74 +81,6 @@ class ReadoutNoiseModel:
 def _frozen(M):
     M.setflags(write=False)
     return M
-
-
-@functools.lru_cache(maxsize=None)
-def _gate_parts(kind, qubits, n):
-    """Read-only 2^n matrices (A, B, C), built once per gate and register:
-    the gate at angle a is A + cos(a/2) B + sin(a/2) C; a fixed gate is A
-    (B = C = None).
-
-    Ry(a) = exp(-i a/2 Y) = cos(a/2) I + sin(a/2) (-i Y); a control c
-    folds in once, as controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U.
-    """
-    *control, target = qubits
-    eye = pauli_string_matrix("I" * n)
-    if kind not in _ROTATIONS:
-        A, B, C = pauli_string_matrix(one_qubit_axes(n, target, "X")), None, None
-    else:
-        A, B, C = (np.zeros_like(eye), eye,
-                   -1j * pauli_string_matrix(one_qubit_axes(n, target, "Y")))
-    if control:
-        z = pauli_string_matrix(one_qubit_axes(n, control[0], "Z"))
-        on = (eye - z) / 2.0
-        A = (eye + z) / 2.0 + on @ A
-        if B is not None:
-            B, C = on @ B, on @ C
-    return tuple(P if P is None else _frozen(P) for P in (A, B, C))
-
-
-def run_circuit(circuit, initial, angles=()):
-    """Apply the circuit's gates one at a time, each rotation at its angle
-    in `angles` (gate order); the result's norm is checked once, by
-    Statevector."""
-    if 2**circuit.n_qubits != initial.amplitudes.size:
-        raise ValueError("state and circuit dimensions differ")
-    rotations = sum(g.kind in _ROTATIONS for g in circuit.gates)
-    if len(angles) != rotations:
-        raise ValueError(f"circuit has {rotations} rotations, "
-                         f"got {len(angles)} angles")
-    amps, angles = initial.amplitudes, iter(angles)
-    for g in circuit.gates:
-        A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
-        if B is not None:
-            half = float(next(angles)) / 2.0
-            A = A + np.cos(half) * B + np.sin(half) * C
-        amps = A @ amps
-    return Statevector(amps)
-
-
-# 4-qubit circuit spanning the real unit sphere of weight-1 states
-DIRECT_ANSATZ = Circuit(4, (
-    Gate.x(1),
-    Gate.cry(1, 2),
-    Gate.cnot(2, 1),
-    Gate.cry(1, 0),
-    Gate.cry(2, 3),
-    Gate.cnot(0, 1),
-    Gate.cnot(3, 2),
-))
-
-# 2-qubit circuit spanning all real two-qubit states
-COMPACT_ANSATZ = Circuit(2, (
-    Gate.ry(0),
-    Gate.ry(1),
-    Gate.cnot(1, 0),
-    Gate.ry(0),
-))
-
-# 4-qubit CNOT network converting occupancies to parity-tree coordinates
-JW_TO_BK_NETWORK = Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
 
 
 def expectation_exact(state, pauli_sum):

@@ -18,11 +18,8 @@ import numpy as np
 from .basisfuncs import refuse_boolean
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
-# run_circuit runs once here, at import, to find the bk readout; it
-# stays importable as vqe.run_circuit, a name the benchmark's tracer wraps
-from .simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
-                        Circuit, Statevector, expectation_exact,
-                        expectation_sampled, run_circuit, sampled_estimates)
+from .simulator import (Statevector, expectation_exact, expectation_sampled,
+                        sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 _READOUT_TOL = 1e-8  # imaginary amplitude and leak extract_amplitudes allows
@@ -32,25 +29,40 @@ _READOUT_TOL = 1e-8  # imaginary amplitude and leak extract_amplitudes allows
 class Encoding:
     """Everything that tells one qubit encoding of the 4x4 block apart.
 
-    ansatz is the fixed state-preparation Circuit on the n_qubits
-    register, and each evaluation prepares it at its own three angles,
-    one per rotation in gate order; embed maps a one-body matrix to its
-    PauliSum on that register; good_guess are the angles preparing
-    (0, -1/sqrt2, +1/sqrt2, 0).  The four basis coefficients sit on the
-    register indices `readout`; `angles` inverts them.  scaling_repeats
-    is the default repeat count per point of the shot-scaling
-    experiment.
+    embed maps a one-body matrix to its PauliSum on the n_qubits
+    register.  The ansatz is one of the paper's fixed circuits of three
+    rotations, of gate kinds `kinds` in gate order (CRy for direct and
+    bk, Ry for compact); it prepares the four basis coefficients
+    `coefficients(theta)` on the register indices `readout`, and
+    `angles` inverts that map.  good_guess are the angles preparing
+    (0, -1/sqrt2, +1/sqrt2, 0).  scaling_repeats is the default repeat
+    count per point of the shot-scaling experiment.
     """
 
     embed: Callable
-    ansatz: Circuit
+    n_qubits: int
+    kinds: tuple
     good_guess: tuple
     readout: tuple
     scaling_repeats: int
 
-    @property
-    def n_qubits(self):
-        return self.ansatz.n_qubits
+    def coefficients(self, theta):
+        """The four real coefficients the ansatz prepares at the three
+        angles `theta` (README, Encodings): with c_i, s_i the cosine and
+        sine of theta_i/2, direct and bk give (c0 s1, c0 c1, s0 c2,
+        s0 s2) and compact (c1 cos f, c1 sin f, s1 sin g, s1 cos g), f
+        and g the half sum and half difference of theta_0 and theta_2.
+        Each is a sum of the products ((v0 v1) v2) of one factor per
+        angle, as the circuit forms them gate by gate."""
+        if len(theta) != 3:
+            raise ValueError(f"ansatz has 3 rotations, got {len(theta)} angles")
+        half = np.multiply(theta, 0.5)
+        c0, c1, c2 = np.cos(half).tolist()
+        s0, s1, s2 = np.sin(half).tolist()
+        if self.kinds[0] == "CRy":
+            return c0 * s1, c0 * c1, s0 * c2, s0 * s2
+        return (c0 * c1 * c2 - s0 * c1 * s2, s0 * c1 * c2 + c0 * c1 * s2,
+                s0 * s1 * c2 - c0 * s1 * s2, c0 * s1 * c2 + s0 * s1 * s2)
 
     def angles(self, coeffs):
         """The angles preparing the real unit 4-vector `coeffs` on `readout`,
@@ -60,33 +72,30 @@ class Encoding:
                 and abs(np.linalg.norm(v) - 1.0) <= 1e-10):
             raise ValueError(f"need 4 finite reals of unit norm, got {coeffs!r}")
         mid = 2 * np.arctan2(np.hypot(*v[2:]), np.hypot(*v[:2]))
-        if self.ansatz is COMPACT_ANSATZ:
-            f, g = np.arctan2(v[[1, 2]], v[[0, 3]])
-            return float(f + g), float(mid), float(f - g)
-        return (float(mid), *map(float, 2 * np.arctan2(v[[0, 3]], v[[1, 2]])))
+        if self.kinds[0] == "CRy":
+            return (float(mid),
+                    *map(float, 2 * np.arctan2(v[[0, 3]], v[[1, 2]])))
+        f, g = np.arctan2(v[[1, 2]], v[[0, 3]])
+        return float(f + g), float(mid), float(f - g)
 
 
 def _embed_bk(h):
     return jw_to_bk_pauli(embed_direct(h))
 
 
-# the one-excitation indices 2^i; the bk network permutes basis states,
-# and bk reads their images 11, 10, 12, 8 under it
-_ONE_EXCITATION = tuple(1 << i for i in range(4))
-_BK_READOUT = tuple(
-    int(run_circuit(JW_TO_BK_NETWORK, Statevector(np.eye(16)[i]))
-        .amplitudes.real.argmax())
-    for i in _ONE_EXCITATION)
+# the one-excitation indices 2^i; the bk network (BK_CNOTS_4) permutes
+# basis states, and bk reads their images under it
+_ONE_EXCITATION = (1, 2, 4, 8)
+_BK_READOUT = (11, 10, 12, 8)
 
 ENCODINGS = {
-    "direct": Encoding(embed_direct, DIRECT_ANSATZ, (1.5 * np.pi, 0.0, 0.0),
+    "direct": Encoding(embed_direct, 4, ("CRy",) * 3, (1.5 * np.pi, 0.0, 0.0),
                        _ONE_EXCITATION, 244),
-    "compact": Encoding(embed_compact, COMPACT_ANSATZ,
+    "compact": Encoding(embed_compact, 2, ("Ry",) * 3,
                         (0.0, 0.5 * np.pi, -np.pi), (0, 1, 2, 3), 600),
     # the direct ansatz, then the occupancy -> parity-tree network
-    "bk": Encoding(_embed_bk,
-                   Circuit(4, DIRECT_ANSATZ.gates + JW_TO_BK_NETWORK.gates),
-                   (1.5 * np.pi, 0.0, 0.0), _BK_READOUT, 244),
+    "bk": Encoding(_embed_bk, 4, ("CRy",) * 3, (1.5 * np.pi, 0.0, 0.0),
+                   _BK_READOUT, 244),
 }
 
 
@@ -210,23 +219,22 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
 def prepared_state(encoding, theta):
     """The encoding's ansatz state at the three angles `theta`.
 
-    The state is v @ `Circuit.monomial_states` of the ansatz, with v the
-    27 products ((v_0 v_1) v_2) of v_i = (1, cos theta_i/2, sin theta_i/2).
-    Each row of those states has at most one nonzero entry, a real +-1,
-    so every amplitude is a signed sum of the angle products that
-    `run_circuit` forms gate by gate from the zero state: the two agree
-    bit for bit, and this costs about half as much.
+    The state is zero but for `Encoding.coefficients` on the readout
+    indices.  Each amplitude is the signed sum of angle products that the
+    paper's circuit forms gate by gate from the zero state, in the same
+    order, so the two agree bit for bit, a zero amplitude being +0.0
+    (the tests run the circuits in `tests/oracles.py` to check this).
     """
     enc = lookup_encoding(encoding)
-    if len(theta) != 3:
-        raise ValueError(f"ansatz has 3 rotations, got {len(theta)} angles")
-    half = np.multiply(theta, 0.5)
-    t = np.empty((3, 3))    # column i: (1, cos, sin) of angle i
-    t[0] = 1.0
-    t[1] = np.cos(half)
-    t[2] = np.sin(half)
-    v = (t[:, 0, None] * t[:, 1])[:, :, None] * t[:, 2]
-    return Statevector(np.dot(v.ravel(), enc.ansatz.monomial_states))
+    amps = np.zeros(2**enc.n_qubits)
+    for i, c in zip(enc.readout, enc.coefficients(theta)):
+        amps[i] = c + 0.0  # a zero is +0.0, as the gates leave it
+    return Statevector(amps)
+
+
+# the benchmark's tracer (bench/spans.py) wraps this name, which no package
+# code calls; ROADMAP item 12 retires it
+run_circuit = prepared_state
 
 
 def extract_amplitudes(state, encoding):
@@ -260,7 +268,7 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     """Minimize the energy of `hamiltonian` (a PauliSum) for one encoding.
 
     The Pauli sum must already be expressed in the requested encoding;
-    its qubit count is checked against the ansatz register.  The final
+    its qubit count is checked against the encoding's register.  The final
     energy and angles come from the best evaluation seen, the first to
     reach the lowest energy; in sampled modes std_error is that
     evaluation's own combined shot noise, with no further draw, and an
@@ -295,8 +303,7 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
         return est
 
     theta0 = GOOD_GUESS[encoding] if initial is None else initial
-    kinds = [g.kind for g in enc.ansatz.gates if g.kind in _DEGREE]
-    result = minimize(cost, theta0, kinds, config=config, mode=mode)
+    result = minimize(cost, theta0, enc.kinds, config=config, mode=mode)
     if mode == "exact":
         return result
     est, se = result.energy, errors.get(result.energy, np.nan)

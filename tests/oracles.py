@@ -1,15 +1,184 @@
 """Independent reference implementations that the tests check the package
-against: the parity-tree encoder matrix behind the Bravyi-Kitaev CNOT
-network, a quadrature form of the longitudinal integral, a
-Gauss-Hermite projection of the Talmi-Moshinsky brackets, and the
-sequential minimizer's step written in numpy alone."""
-from dataclasses import dataclass
+against: the paper's ansatz circuits and the Bravyi-Kitaev CNOT network
+run gate by gate, the parity-tree encoder matrix behind that network, a
+quadrature form of the longitudinal integral, a Gauss-Hermite projection
+of the Talmi-Moshinsky brackets, and the sequential minimizer's step
+written in numpy alone."""
+import functools
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from blfqvqe.basisfuncs import chi, gauss_legendre
+from blfqvqe.pauli import BK_CNOTS_4, one_qubit_axes, pauli_string_matrix
+from blfqvqe.simulator import Statevector
 from blfqvqe.vqe import _DEGREE, OptimizerConfig, VqeResult
+
+# Gate-level circuits.  Qubit 0 is the least-significant bit of a basis
+# index, and every gate is one dense 2^n matrix built from pauli.py's
+# Kronecker convention.  Ry(a) is the real rotation
+# [[cos a/2, -sin a/2], [sin a/2, cos a/2]].  A gate is structure only:
+# `run_circuit` takes one angle per rotation, in gate order.
+
+# qubit indices each gate kind takes; the rotations take an angle
+_GATE_KINDS = {"X": 1, "Ry": 1, "CNOT": 2, "CRy": 2}
+_ROTATIONS = ("Ry", "CRy")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One primitive gate, without an angle; build with the class methods."""
+
+    kind: str
+    qubits: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in _GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        try:
+            q = tuple(map(operator.index, self.qubits))
+        except TypeError:
+            raise ValueError(f"gate indices must be integers: "
+                             f"{self.qubits!r}") from None
+        object.__setattr__(self, "qubits", q)
+        if any(x < 0 for x in q) or len(set(q)) != len(q):
+            raise ValueError(f"gate indices must be distinct and non-negative: {q}")
+        if len(q) != _GATE_KINDS[self.kind]:
+            raise ValueError(f"{self.kind} takes {_GATE_KINDS[self.kind]} qubit indices")
+
+    @classmethod
+    def x(cls, qubit):
+        return cls("X", (qubit,))
+
+    @classmethod
+    def ry(cls, qubit):
+        return cls("Ry", (qubit,))
+
+    @classmethod
+    def cnot(cls, control, target):
+        return cls("CNOT", (control, target))
+
+    @classmethod
+    def cry(cls, control, target):
+        return cls("CRy", (control, target))
+
+
+@dataclass(frozen=True)
+class Circuit:
+    n_qubits: int
+    gates: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        try:
+            n = operator.index(self.n_qubits)
+        except TypeError:
+            n = -1
+        if n < 0:
+            raise ValueError(f"n_qubits must be a non-negative integer: "
+                             f"{self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for g in self.gates:
+            if max(g.qubits) >= self.n_qubits:
+                raise ValueError(f"gate {g.kind} on {g.qubits} exceeds "
+                                 f"{self.n_qubits} qubits")
+
+    @functools.cached_property
+    def monomial_states(self):
+        """The circuit run on the zero state with its angles left open: a
+        read-only (3^r, 2^n) matrix for r rotations.
+
+        Row sum_i p_i 3^(r-1-i) is the zero state pushed through the
+        gates with part p_i of rotation i (0: A, 1: B, 2: C; first
+        rotation most significant) and no angle applied.  The state at
+        angles a is the dot product of these rows with the 3^r products
+        of the vectors (1, cos a_i/2, sin a_i/2), taken in the same order.
+        """
+        rows = [Statevector.zero(self.n_qubits).amplitudes]
+        for g in self.gates:
+            parts = [P for P in _gate_parts(g.kind, g.qubits, self.n_qubits)
+                     if P is not None]
+            rows = [P @ r for r in rows for P in parts]
+        return _frozen(np.array(rows))
+
+
+def _frozen(M):
+    M.setflags(write=False)
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_parts(kind, qubits, n):
+    """Read-only 2^n matrices (A, B, C), built once per gate and register:
+    the gate at angle a is A + cos(a/2) B + sin(a/2) C; a fixed gate is A
+    (B = C = None).
+
+    Ry(a) = exp(-i a/2 Y) = cos(a/2) I + sin(a/2) (-i Y); a control c
+    folds in once, as controlled-U = (I + Z_c)/2 + (I - Z_c)/2 . U.
+    """
+    *control, target = qubits
+    eye = pauli_string_matrix("I" * n)
+    if kind not in _ROTATIONS:
+        A, B, C = pauli_string_matrix(one_qubit_axes(n, target, "X")), None, None
+    else:
+        A, B, C = (np.zeros_like(eye), eye,
+                   -1j * pauli_string_matrix(one_qubit_axes(n, target, "Y")))
+    if control:
+        z = pauli_string_matrix(one_qubit_axes(n, control[0], "Z"))
+        on = (eye - z) / 2.0
+        A = (eye + z) / 2.0 + on @ A
+        if B is not None:
+            B, C = on @ B, on @ C
+    return tuple(P if P is None else _frozen(P) for P in (A, B, C))
+
+
+def run_circuit(circuit, initial, angles=()):
+    """Apply the circuit's gates one at a time, each rotation at its angle
+    in `angles` (gate order); the result's norm is checked once, by
+    Statevector."""
+    if 2**circuit.n_qubits != initial.amplitudes.size:
+        raise ValueError("state and circuit dimensions differ")
+    rotations = sum(g.kind in _ROTATIONS for g in circuit.gates)
+    if len(angles) != rotations:
+        raise ValueError(f"circuit has {rotations} rotations, "
+                         f"got {len(angles)} angles")
+    amps, angles = initial.amplitudes, iter(angles)
+    for g in circuit.gates:
+        A, B, C = _gate_parts(g.kind, g.qubits, circuit.n_qubits)
+        if B is not None:
+            half = float(next(angles)) / 2.0
+            A = A + np.cos(half) * B + np.sin(half) * C
+        amps = A @ amps
+    return Statevector(amps)
+
+
+# 4-qubit circuit spanning the real unit sphere of weight-1 states
+DIRECT_ANSATZ = Circuit(4, (
+    Gate.x(1),
+    Gate.cry(1, 2),
+    Gate.cnot(2, 1),
+    Gate.cry(1, 0),
+    Gate.cry(2, 3),
+    Gate.cnot(0, 1),
+    Gate.cnot(3, 2),
+))
+
+# 2-qubit circuit spanning all real two-qubit states
+COMPACT_ANSATZ = Circuit(2, (
+    Gate.ry(0),
+    Gate.ry(1),
+    Gate.cnot(1, 0),
+    Gate.ry(0),
+))
+
+# 4-qubit CNOT network converting occupancies to parity-tree coordinates
+JW_TO_BK_NETWORK = Circuit(4, tuple(Gate.cnot(c, t) for c, t in BK_CNOTS_4))
+
+# each encoding's ansatz; bk's is the direct ansatz, then the network
+ANSATZ = {"direct": DIRECT_ANSATZ, "compact": COMPACT_ANSATZ,
+          "bk": Circuit(4, DIRECT_ANSATZ.gates + JW_TO_BK_NETWORK.gates)}
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,12 @@ class TestRunConfig:
          "noise_p01 must lie in [0, 1), got 2.0"),
         ({"mode": "sampled", "noise_p01": float("inf")},
          "noise_p01 must lie in [0, 1), got inf"),
-        ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0")],
-        ids=["nan-exact", "both-exact", "inf-sampled", "p10-exact"])
+        ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0"),
+        # False would read as an unset probability, and run as 0
+        ({"mode": "noisy", "noise_p01": False, "noise_p10": 0.1},
+         "noise_p01 must be a number, not a boolean, got False")],
+        ids=["nan-exact", "both-exact", "inf-sampled", "p10-exact",
+             "false-noisy"])
     def test_flip_probability_refused_in_every_mode(self, record, message):
         # the record refuses what provenance could not hold as valid JSON,
         # whether or not the mode reads the setting

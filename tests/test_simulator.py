@@ -1,4 +1,8 @@
-"""Simulator, ansatz, sampling, and mitigation tests."""
+"""Simulator, ansatz, sampling, and mitigation tests.
+
+The paper's circuits, gate by gate, live in `oracles`; the package
+prepares their states in closed form (`prepared_state`), checked here
+against them bit for bit."""
 import functools
 
 import numpy as np
@@ -9,14 +13,13 @@ from blfqvqe import (ModelParameters, build_effective_hamiltonian,
                      diagonalize)
 from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
                            pauli_string_matrix)
-from blfqvqe.simulator import (COMPACT_ANSATZ, DIRECT_ANSATZ,
-                               JW_TO_BK_NETWORK, Circuit, Gate,
-                               ReadoutNoiseModel, Statevector, _gate_parts,
-                               _measurement, expectation_exact,
-                               expectation_sampled, run_circuit,
+from blfqvqe.simulator import (ReadoutNoiseModel, Statevector, _measurement,
+                               expectation_exact, expectation_sampled,
                                sampled_estimates)
-from blfqvqe.vqe import ENCODINGS, prepared_state, scaling_experiment
-from oracles import bk_encoder
+from blfqvqe.vqe import (_BK_READOUT, ENCODINGS, GOOD_GUESS, prepared_state,
+                         scaling_experiment)
+from oracles import (ANSATZ, COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
+                     Circuit, Gate, _gate_parts, bk_encoder, run_circuit)
 
 
 @pytest.fixture(scope="module")
@@ -173,16 +176,19 @@ class TestRunCircuit:
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_ansatz_needs_its_angles(self, encoding):
         # an ansatz holds no angles of its own, so none are run by default
-        enc = ENCODINGS[encoding]
+        circuit = ANSATZ[encoding]
+        assert circuit.n_qubits == ENCODINGS[encoding].n_qubits
         with pytest.raises(ValueError, match="3 rotations, got 0 angles"):
-            run_circuit(enc.ansatz, Statevector.zero(enc.n_qubits))
+            run_circuit(circuit, Statevector.zero(circuit.n_qubits))
 
     @pytest.mark.parametrize("encoding, kind", [("direct", "CRy"),
                                                 ("compact", "Ry"),
                                                 ("bk", "CRy")])
     def test_rotation_kinds(self, encoding, kind):
-        gates = ENCODINGS[encoding].ansatz.gates
-        assert [g.kind for g in gates if g.kind.endswith("Ry")] == [kind] * 3
+        # the kinds the encoding records for the minimizer are its circuit's
+        gates = ANSATZ[encoding].gates
+        kinds = [g.kind for g in gates if g.kind.endswith("Ry")]
+        assert kinds == [kind] * 3 == list(ENCODINGS[encoding].kinds)
 
     def test_nan_angle_fails_the_norm_check(self):
         with pytest.raises(ValueError, match="amplitudes are not normalized"):
@@ -254,39 +260,58 @@ def monomial_run(circuit, angles):
     return np.dot(v.ravel(), circuit.monomial_states)
 
 
-class TestMonomialStates:
+class TestPreparedState:
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
-    def test_prepared_states_match_gate_by_gate(self, encoding):
-        # the monomial states give, bit for bit, the gates applied one at
-        # a time by run_circuit
-        enc = ENCODINGS[encoding]
-        zero = Statevector.zero(enc.n_qubits)
+    def test_matches_the_circuit_bit_for_bit(self, encoding):
+        # the closed form gives, bit for bit, the paper's circuit run gate
+        # by gate, zero amplitudes and the good guess's exact zeros included
+        circuit = ANSATZ[encoding]
+        zero = Statevector.zero(circuit.n_qubits)
         rng = np.random.default_rng(31)
-        for theta in [enc.good_guess, *rng.uniform(-10, 10, (1000, 3))]:
+        for theta in [GOOD_GUESS[encoding], (0.0, 0.0, 0.0),
+                      *rng.uniform(-10, 10, (1000, 3))]:
             got = prepared_state(encoding, theta).amplitudes
-            expected = run_circuit(enc.ansatz, zero, theta).amplitudes
+            expected = run_circuit(circuit, zero, theta).amplitudes
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
-    def test_monomial_states_are_compiled_once(self, encoding):
-        enc = ENCODINGS[encoding]
-        basis = enc.ansatz.monomial_states
-        assert basis is enc.ansatz.monomial_states
-        assert basis.shape == (27, 2**enc.n_qubits)
-        with pytest.raises(ValueError):
-            basis[0, 0] = 2.0
+    def test_needs_three_angles(self, encoding):
         for theta in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
             with pytest.raises(ValueError, match="3 rotations"):
                 prepared_state(encoding, theta)
+
+
+class TestMonomialStates:
+    """The oracle's second form of a circuit: its zero state pushed through
+    every choice of its rotations' parts, with the angles left open."""
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_monomial_states_match_gate_by_gate(self, encoding):
+        circuit = ANSATZ[encoding]
+        zero = Statevector.zero(circuit.n_qubits)
+        rng = np.random.default_rng(31)
+        for theta in [GOOD_GUESS[encoding], *rng.uniform(-10, 10, (200, 3))]:
+            expected = run_circuit(circuit, zero, theta).amplitudes
+            assert monomial_run(circuit, theta).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_monomial_states_are_compiled_once(self, encoding):
+        circuit = ANSATZ[encoding]
+        basis = circuit.monomial_states
+        assert basis is circuit.monomial_states
+        assert basis.shape == (27, 2**circuit.n_qubits)
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
 
     @pytest.mark.parametrize("encoding, nonzero", [("direct", 4),
                                                    ("compact", 8),
                                                    ("bk", 4)])
     def test_real_signed_one_hot_rows_on_readout(self, encoding, nonzero):
-        # every row is 0 or +-e_j with j on readout, so each prepared
-        # state is real and leak-free at every angle
+        # every row is 0 or +-e_j with j on readout, so each circuit's
+        # state is real and leak-free at every angle: four amplitudes,
+        # each a signed sum of angle products, as the closed form has it
         enc = ENCODINGS[encoding]
-        basis = enc.ansatz.monomial_states
+        basis = ANSATZ[encoding].monomial_states
         assert not basis.imag.any()
         assert set(basis.real.ravel().tolist()) <= {0.0, 1.0, -1.0}
         assert (np.count_nonzero(basis, axis=1) <= 1).all()
@@ -409,12 +434,15 @@ class TestJwToBkCircuit:
         assert np.abs(out.amplitudes - amps).max() < 1e-12
 
     def test_one_excitations_land_on_bk_readout(self):
-        # the bk encoding reads its coefficients off these images
-        readout = ENCODINGS["bk"].readout
+        # the bk encoding reads its coefficients off the images of 1, 2, 4
+        # and 8, which it holds as literals
+        images = []
         for i in range(4):
             out = run_circuit(JW_TO_BK_NETWORK,
                               Statevector(np.eye(16)[1 << i])).amplitudes
-            assert out[readout[i]] == 1.0 and np.abs(out).sum() == 1.0
+            images.append(int(np.flatnonzero(out)[0]))
+            assert out[images[-1]] == 1.0 and np.abs(out).sum() == 1.0
+        assert tuple(images) == _BK_READOUT == ENCODINGS["bk"].readout
 
 
 class TestExpectationExact:
