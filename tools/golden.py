@@ -45,6 +45,9 @@ RUNS = {
     "observables-without-angles": [["observables"]],
     **{f"vqe-{enc}": [["vqe", "--encoding", enc]]
        for enc in ("direct", "bk")},
+    **{f"vqe-{enc}-then-observables": [["vqe", "--encoding", enc],
+                                        ["observables", "--encoding", enc]]
+       for enc in ("direct", "bk")},
     **{f"vqe-{enc}-sampled": [["vqe", "--encoding", enc, "--mode", "sampled",
                                "--seed", "5"]]
        for enc in ("direct", "compact", "bk")},
