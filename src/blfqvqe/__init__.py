@@ -29,5 +29,5 @@ from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           form_factor_matrix, mass_radius,
                           mass_radius_matrix, pdf, tm_coefficient)
 from .vqe import (GOOD_GUESS, OptimizerConfig, ScalingResult, VqeResult,
-                  extract_amplitudes, minimize, prepared_state,
-                  relative_variance, scaling_experiment, vqe_run)
+                  minimize, prepared_state, relative_variance,
+                  scaling_experiment, vqe_run)

@@ -41,9 +41,8 @@ from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
-from .vqe import (ENCODINGS, MODES, OptimizerConfig, extract_amplitudes,
-                  lookup_encoding, prepared_state, scaling_experiment,
-                  vqe_run)
+from .vqe import (ENCODINGS, MODES, OptimizerConfig, lookup_encoding,
+                  scaling_experiment, vqe_run)
 
 OUT_ENV = "BLFQVQE_OUT"
 EXIT_OK = 0
@@ -381,9 +380,9 @@ def _state_from_config(config, h, args):
         raise ConfigError(f"{angles_path}: 'energy.value' must be a finite "
                           f"number, got {vqe_energy!r}")
     _check_provenance(stored, config, angles_path)
-    state = prepared_state(config.encoding, tuple(theta))
-    coeffs = extract_amplitudes(state, config.encoding)
-    return WaveFunction(coeffs, block), mode, vqe_energy
+    coeffs = np.array(ENCODINGS[config.encoding].coefficients(theta))
+    return (WaveFunction(coeffs / np.linalg.norm(coeffs), block), mode,
+            vqe_energy)
 
 
 def cmd_observables(config, h, args):

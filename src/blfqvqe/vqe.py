@@ -22,7 +22,6 @@ from .simulator import (Statevector, expectation_exact, expectation_sampled,
                         sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
-_READOUT_TOL = 1e-8  # imaginary amplitude and leak extract_amplitudes allows
 
 
 @dataclass(frozen=True)
@@ -235,32 +234,6 @@ def prepared_state(encoding, theta):
 # the benchmark's tracer (bench/spans.py) wraps this name, which no package
 # code calls; ROADMAP item 12 retires it
 run_circuit = prepared_state
-
-
-def extract_amplitudes(state, encoding):
-    """Real basis coefficients encoded in a prepared qubit state.
-
-    Inverts the encoding map: reads the four coefficients off the
-    encoding's readout indices (the whole compact register, the
-    one-excitation indices 2^i of the direct register, and their images
-    under the bk network).  The global sign is fixed so the
-    largest-magnitude coefficient is positive.  Raises if the state
-    leaks outside the encoded subspace or carries imaginary amplitude
-    beyond _READOUT_TOL.
-    """
-    enc = lookup_encoding(encoding)
-    amps = state.amplitudes
-    if np.abs(amps.imag).max() > _READOUT_TOL:
-        raise ValueError("state has imaginary amplitudes")
-    coeffs = amps.real[list(enc.readout)]
-    leak = np.linalg.norm(amps) ** 2 - np.linalg.norm(coeffs) ** 2
-    if leak > _READOUT_TOL:
-        raise ValueError(f"state leaks outside the encoded subspace "
-                         f"by {leak:.3e}")
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    if coeffs[np.argmax(np.abs(coeffs))] < 0:
-        coeffs = -coeffs
-    return coeffs
 
 
 def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blfqvqe import cli
+import blfqvqe
+from blfqvqe import cli, simulator, vqe
 from blfqvqe.cli import (EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERICAL,
                          EXIT_OK, OUT_ENV, ConfigError, RunConfig,
                          build_parser, config_hash, main, read_config_file,
@@ -758,6 +759,26 @@ class TestObservablesCommand:
         values = np.array([[float(a), float(b)] for a, b in rows])
         assert np.all(values[:, 1] >= 0.0)
         assert values[:, 0].min() > 0.0 and values[:, 0].max() < 1.0
+
+    @pytest.mark.parametrize("encoding", ["direct", "compact", "bk"])
+    def test_stored_angles_give_the_coefficients_without_a_register(
+            self, tmp_path, monkeypatch, encoding):
+        # the wave function is Encoding.coefficients of the stored angles;
+        # nothing reads it back off a qubit register
+        assert not hasattr(blfqvqe, "extract_amplitudes")
+        assert not hasattr(vqe, "extract_amplitudes")
+        assert run_cli("vqe", "--encoding", encoding,
+                       "--out", str(tmp_path)) == EXIT_OK
+
+        def no_register(*args, **kwargs):
+            raise AssertionError("observables built a Statevector")
+
+        monkeypatch.setattr(simulator.Statevector, "__init__", no_register)
+        assert run_cli("observables", "--encoding", encoding,
+                       "--out", str(tmp_path)) == EXIT_OK
+        energy = read_json(tmp_path / "vqe_result.json")["energy"]["value"]
+        table = read_json(tmp_path / "observables.json")
+        assert table["m_pi2"]["value"] == pytest.approx(energy, rel=1e-12)
 
     def test_angles_route(self, tmp_path):
         run_cli("vqe", "--encoding", "compact", "--mode", "sampled",

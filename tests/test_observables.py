@@ -20,8 +20,7 @@ from blfqvqe.observables import (E_ANTIQUARK, E_QUARK, HBARC, FormFactorCurve,
                                  tm_coefficient)
 from blfqvqe.pauli import embed_compact, pauli_sum_to_matrix
 from blfqvqe.simulator import Statevector, expectation_exact
-from blfqvqe.vqe import (extract_amplitudes, lookup_encoding, prepared_state,
-                         vqe_run)
+from blfqvqe.vqe import ENCODINGS, lookup_encoding, vqe_run
 from oracles import tm_coefficient_projection
 
 PARAMS = ModelParameters()
@@ -414,8 +413,7 @@ class TestElasticFormFactor:
         h = build_effective_hamiltonian(PARAMS)
         res = vqe_run(embed_compact(h.entries), "compact",
                       mode="sampled", shots=8192, seed=7)
-        coeffs = extract_amplitudes(prepared_state("compact", res.theta),
-                                    "compact")
+        coeffs = ENCODINGS["compact"].coefficients(res.theta)
         sampled = elastic_form_factor(WaveFunction(coeffs, BLOCK), PARAMS)
         diff = np.abs(np.asarray(sampled.values) - np.asarray(curve.values))
         assert diff.max() < 0.01

@@ -14,8 +14,8 @@ from blfqvqe import (BasisCutoffs, ModelParameters, ReadoutNoiseModel,
                      sampled_estimates)
 from blfqvqe import simulator, vqe
 from blfqvqe.vqe import (_DEGREE, ENCODINGS, GOOD_GUESS, OptimizerConfig,
-                         ScalingResult, extract_amplitudes,
-                         lookup_encoding, minimize, prepared_state,
+                         ScalingResult, lookup_encoding, minimize,
+                         prepared_state,
                          relative_variance, scaling_experiment, vqe_run)
 from oracles import reference_minimize
 
@@ -605,42 +605,6 @@ class TestScaling:
             assert [s for s, _ in res.rows] == grid
 
 
-class TestExtractAmplitudes:
-    def test_roundtrip_all_encodings(self, problem):
-        h, sums, _ = problem
-        v0 = diagonalize(h).eigenvectors[:, 0]
-        for enc in ("direct", "compact", "bk"):
-            c = extract_amplitudes(prepared_state(enc, ground_angles(h, enc)),
-                                   enc)
-            err = min(np.abs(c - v0).max(), np.abs(c + v0).max())
-            assert err < 1e-12, enc
-
-    def test_unit_norm_and_sign(self, problem):
-        _, sums, _ = problem
-        theta = vqe_run(sums["compact"], "compact").theta
-        c = extract_amplitudes(prepared_state("compact", theta), "compact")
-        assert abs(np.linalg.norm(c) - 1.0) < 1e-12
-        assert c[np.argmax(np.abs(c))] > 0
-
-    def test_rejects_leaky_state(self):
-        from blfqvqe import Statevector
-        state = Statevector.zero(4)  # vacuum sits outside the one-excitation span
-        with pytest.raises(ValueError):
-            extract_amplitudes(state, "direct")
-
-    def test_rejects_imaginary_amplitudes(self):
-        from blfqvqe import Statevector
-        amps = np.zeros(4, dtype=complex)
-        amps[1] = 1j
-        with pytest.raises(ValueError):
-            extract_amplitudes(Statevector(amps), "compact")
-
-    def test_unknown_encoding(self):
-        from blfqvqe import Statevector
-        with pytest.raises(ValueError):
-            extract_amplitudes(Statevector.zero(2), "gray")
-
-
 @pytest.mark.parametrize("name", ENCODINGS)
 def test_encoding_table(name, problem):
     h, _, _ = problem
@@ -648,10 +612,9 @@ def test_encoding_table(name, problem):
     params = ModelParameters()
     block = enumerate_block(0, BasisCutoffs())
 
-    good = extract_amplitudes(prepared_state(name, enc.good_guess), name)
+    good = np.array(enc.coefficients(enc.good_guess))
     expect = np.array([0, -1, 1, 0]) / np.sqrt(2)
-    assert min(np.abs(good - expect).max(),
-               np.abs(good + expect).max()) < 1e-12
+    assert np.abs(good - expect).max() < 1e-12
 
     # embed(h) seen from the readout indices
     dense = pauli_sum_to_matrix(enc.embed(h)).entries
@@ -662,7 +625,7 @@ def test_encoding_table(name, problem):
     radius = enc.embed(mass_radius_matrix(block, params).fm2)
     for theta in [(0.3, -1.1, 2.0), (2.5, 0.7, -0.4)]:
         state = prepared_state(name, theta)
-        c = extract_amplitudes(state, name)
+        c = np.array(enc.coefficients(theta))
         assert expectation_exact(state, decay_projector(name)) == \
             pytest.approx(np.dot(v, c) ** 2, abs=1e-12)
         r2, _ = mass_radius(WaveFunction(c, block), params)
