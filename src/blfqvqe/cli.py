@@ -379,7 +379,14 @@ def _state_from_config(config, h, args):
     if "value" in energy and not _finite(vqe_energy):
         raise ConfigError(f"{angles_path}: 'energy.value' must be a finite "
                           f"number, got {vqe_energy!r}")
+    converged = stored.get("converged", True)
+    if type(converged) is not bool:
+        raise ConfigError(f"{angles_path}: 'converged' must be true or "
+                          f"false, got {converged!r}")
     _check_provenance(stored, config, angles_path)
+    if not converged:
+        print(f"warning: {angles_path} holds the angles of a vqe run that "
+              f"did not converge", file=sys.stderr)
     coeffs = np.array(ENCODINGS[config.encoding].coefficients(theta))
     return (WaveFunction(coeffs / np.linalg.norm(coeffs), block), mode,
             vqe_energy)

@@ -863,6 +863,32 @@ class TestObservablesCommand:
         assert "config error" in err and field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vqe_result.json"]
 
+    def test_unconverged_angles_warn_and_exit_zero(self, fitted_result,
+                                                   tmp_path, capsys):
+        # a run that did not converge still has angles to read, so the
+        # observables follow with one line of warning that names the file
+        fitted_result["converged"] = False
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().err == (
+            f"warning: {angles} holds the angles of a vqe run that did not "
+            f"converge\n")
+        assert (tmp_path / "observables.json").exists()
+
+    @pytest.mark.parametrize("converged", ["no", 0, 1, None, [False]],
+                             ids=["string", "zero", "one", "null", "list"])
+    def test_a_converged_that_is_no_boolean_exits_two(
+            self, fitted_result, tmp_path, capsys, converged):
+        fitted_result["converged"] = converged
+        angles = tmp_path / "vqe_result.json"
+        angles.write_text(json.dumps(fitted_result))
+        assert run_cli("observables", "--out", str(tmp_path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {angles}: 'converged' must be true or false, "
+            f"got {converged!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vqe_result.json"]
+
     @pytest.mark.parametrize("blob", [b'{"encoding": "compact\xff"}',
                                       b"[" * 100_000 + b"]" * 100_000],
                              ids=["non-utf8", "nested-too-deep"])
