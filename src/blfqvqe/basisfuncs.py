@@ -19,17 +19,21 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 
-def refuse_boolean(name, value):
-    """ValueError when the setting `name` holds a boolean, which arithmetic
-    would read as the number 0 or 1."""
+def require_real(name, value):
+    """ValueError unless the setting `name` holds a real number: not a
+    string or other object, which arithmetic would fail on, and not a
+    boolean, which it would read as the number 0 or 1."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a boolean, "
                          f"got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class UnsupportedCutoffError(ValueError):
@@ -42,7 +46,7 @@ class ModelParameters:
 
     g_pi is the four-fermion contact coupling in MeV^-2.  The basis scale
     b defaults to the confinement strength kappa (a single scale controls
-    both in the fits used here).  The five constants must be finite
+    both in the fits used here).  The five constants must be finite real
     numbers, not booleans, and the masses and scales positive.
     """
 
@@ -56,7 +60,7 @@ class ModelParameters:
         if self.b is None:
             object.__setattr__(self, "b", float(self.kappa))
         for field in fields(self):
-            refuse_boolean(field.name, value := getattr(self, field.name))
+            require_real(field.name, value := getattr(self, field.name))
             if not np.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):

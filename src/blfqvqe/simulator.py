@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basisfuncs import refuse_boolean
+from .basisfuncs import require_real
 from .pauli import kron_axes
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -58,14 +58,14 @@ class Statevector:
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
     """Independent per-qubit readout flips: p01 = P(read 1 | true 0).
-    Each is a number in [0, 1), not a boolean."""
+    Each is a real number in [0, 1), not a boolean."""
 
     p01: float
     p10: float
 
     def __post_init__(self):
         for name in ("p01", "p10"):
-            refuse_boolean(name, p := getattr(self, name))
+            require_real(name, p := getattr(self, name))
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {p!r}")
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basisfuncs import refuse_boolean
+from .basisfuncs import require_real
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
 from .simulator import (Statevector, expectation_exact, expectation_sampled,
@@ -119,14 +119,14 @@ class OptimizerConfig:
     """Knobs for `minimize`: max_iterations, its budget of cost
     evaluations, a whole number from 1; tolerance, positive and finite,
     the drop in the best cost below which a sweep ends the search.
-    Neither may be a boolean."""
+    Each is a real number, not a boolean."""
 
     max_iterations: int = 500
     tolerance: float = 1.0
 
     def __post_init__(self):
-        refuse_boolean("max_iterations", self.max_iterations)
-        refuse_boolean("tolerance", self.tolerance)
+        require_real("max_iterations", self.max_iterations)
+        require_real("tolerance", self.tolerance)
         if self.max_iterations % 1 or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be a whole number of at "
                              f"least 1, got {self.max_iterations!r}")

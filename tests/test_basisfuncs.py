@@ -45,14 +45,16 @@ class TestModelParameters:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             ModelParameters(**{name: value})
 
-    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool"])
+    @pytest.mark.parametrize("value, refusal", [
+        (True, "not a boolean, got True"),
+        (np.True_, "not a boolean, got np.True_"), ("337", "got '337'")],
+        ids=["bool", "np.bool", "string"])
     @pytest.mark.parametrize("name", ["m", "mbar", "kappa", "b", "g_pi"])
-    def test_refuses_booleans(self, name, value):
+    def test_refuses_non_numbers(self, name, value, refusal):
         # a boolean reads as 1 in arithmetic, so m = True would build a
-        # model with m = 1 MeV
+        # model with m = 1 MeV; a string would fail inside numpy
         with pytest.raises(ValueError, match=f"^{name} must be a number, "
-                                             f"not a boolean, got "
-                                             f"{re.escape(repr(value))}$"):
+                                             f"{re.escape(refusal)}$"):
             ModelParameters(**{name: value})
 
 

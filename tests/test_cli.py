@@ -161,9 +161,11 @@ class TestRunConfig:
         ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0"),
         # False would read as an unset probability, and run as 0
         ({"mode": "noisy", "noise_p01": False, "noise_p10": 0.1},
-         "noise_p01 must be a number, not a boolean, got False")],
+         "noise_p01 must be a number, not a boolean, got False"),
+        ({"mode": "noisy", "noise_p01": 0.1, "noise_p10": "0.1"},
+         "noise_p10 must be a number, got '0.1'")],
         ids=["nan-exact", "both-exact", "inf-sampled", "p10-exact",
-             "false-noisy"])
+             "false-noisy", "string-noisy"])
     def test_flip_probability_refused_in_every_mode(self, record, message):
         # the record refuses what provenance could not hold as valid JSON,
         # whether or not the mode reads the setting
@@ -957,18 +959,26 @@ class TestObservablesCommand:
         table = read_json(tmp_path / "observables.json")
         assert table["m_pi2"]["value"] == pytest.approx(energy, rel=1e-9)
 
-    @pytest.mark.parametrize("field, value", [
-        ("m", "337.01"), ("mbar", None), ("kappa", -1.0), ("b", [227.0]),
-        ("g_pi", 10**400), ("m", float("nan"))],
-        ids=["text", "null", "negative", "list", "beyond-float", "nan"])
+    @pytest.mark.parametrize("field, value, refusal", [
+        ("m", "337.01", "m must be a number, got '337.01'"),
+        ("b", "227", "b must be a number, got '227'"),
+        ("mbar", None, "mbar must be a number, got None"),
+        ("kappa", -1.0, "masses and scales must be positive"),
+        ("b", [227.0], "b must be a number, got [227.0]"),
+        # numpy's isfinite has no loop for an int this large
+        ("g_pi", 10**400, "TypeError(\"ufunc 'isfinite' not supported"),
+        ("m", float("nan"), "m must be finite")],
+        ids=["text", "text-b", "null", "negative", "list", "beyond-float",
+             "nan"])
     def test_a_stored_model_setting_that_is_no_model_exits_two(
-            self, fitted_result, tmp_path, capsys, field, value):
+            self, fitted_result, tmp_path, capsys, field, value, refusal):
         fitted_result["provenance"]["config"][field] = value
         angles = tmp_path / "vqe_result.json"
         angles.write_text(json.dumps(fitted_result))
         assert run_cli("observables", "--out", str(tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {angles}: provenance.config")
+        assert refusal in err
         assert not (tmp_path / "observables.json").exists()
 
     def test_a_stored_boolean_model_setting_exits_two(

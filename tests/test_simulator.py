@@ -652,9 +652,13 @@ class TestReadoutMitigation:
         (False, False, "p01 must be a number, not a boolean, got False"),
         (True, 0.0, "p01 must be a number, not a boolean, got True"),
         (0.0, np.False_, "p10 must be a number, not a boolean, got np.False_"),
-    ], ids=["both-false", "p01-true", "p10-np.false"])
-    def test_refuses_booleans(self, p01, p10, refusal):
-        # a boolean reads as 0 or 1, so False passes as a noiseless readout
+        ("0.1", 0.0, "p01 must be a number, got '0.1'"),
+        (0.0, "0", "p10 must be a number, got '0'"),
+    ], ids=["both-false", "p01-true", "p10-np.false", "p01-string",
+            "p10-string"])
+    def test_refuses_non_numbers(self, p01, p10, refusal):
+        # a boolean reads as 0 or 1, so False passes as a noiseless readout;
+        # a string would fail at the range check
         with pytest.raises(ValueError, match=f"^{refusal}$"):
             ReadoutNoiseModel(p01, p10)
 

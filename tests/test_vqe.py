@@ -98,9 +98,12 @@ class TestOptimizerConfig:
          "tolerance must be a number, not a boolean, got True$"),
         ({"tolerance": np.True_},
          "tolerance must be a number, not a boolean, got np.True_$"),
+        # a string would fail inside the arithmetic with numpy's TypeError
+        ({"max_iterations": "5"}, "max_iterations must be a number, got '5'$"),
+        ({"tolerance": "1.0"}, "tolerance must be a number, got '1.0'$"),
     ], ids=["tolerance-nan", "tolerance-inf", "max-iterations-2.5",
             "max-iterations-nan", "max-iterations-bool", "tolerance-bool",
-            "tolerance-np.bool"])
+            "tolerance-np.bool", "max-iterations-string", "tolerance-string"])
     def test_refuses_non_finite_or_fractional_settings(self, kwargs,
                                                        refusal):
         with pytest.raises(ValueError, match=f"^{refusal}"):
