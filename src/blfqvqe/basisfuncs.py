@@ -57,11 +57,18 @@ class ModelParameters:
     g_pi: float = 250.785e-6
 
     def __post_init__(self):
-        if self.b is None:
-            object.__setattr__(self, "b", float(self.kappa))
         for field in fields(self):
+            if field.name == "b" and self.b is None:
+                # unset, b is kappa, which the loop has just checked
+                object.__setattr__(self, "b", float(self.kappa))
+                continue
             require_real(field.name, value := getattr(self, field.name))
-            if not np.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int or fraction beyond float range
+                raise ValueError(f"{field.name} must be finite, got a number "
+                                 "beyond float range") from None
+            if not finite:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):
             raise ValueError("masses and scales must be positive")

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .basisfuncs import (BasisCutoffs, ModelParameters, WaveFunction,
-                         compute_exponents, enumerate_block)
+                         compute_exponents, enumerate_block, require_real)
 from .hamiltonian import build_effective_hamiltonian, diagonalize
 from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
@@ -98,6 +98,15 @@ class RunConfig:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, "
                                   f"got {getattr(self, name)!r}")
+        for name in ("shots", "seed"):
+            try:
+                require_real(name, value := getattr(self, name))
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
+            if value % 1:
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        if not isinstance(self.mitigate, bool):
+            raise ConfigError(f"mitigate must be a boolean, got {self.mitigate!r}")
         if not 1 <= self.shots < 2**63:
             raise ConfigError("shots must be a positive integer below 2^63")
         if self.seed < 0:

@@ -1,6 +1,8 @@
 import itertools
 import re
+import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ class TestModelParameters:
         # the refusal the CLI prints
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             ModelParameters(**{name: value})
+
+    @pytest.mark.parametrize("name", ["m", "kappa", "g_pi"])
+    @pytest.mark.parametrize("value", [10**400, -(2**1024),
+                                       Fraction(10**400, 3)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_refuses_numbers_beyond_float_range(self, name, value):
+        # with b unset, kappa is refused before b copies it
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "
+                                             "a number beyond float range$"):
+            ModelParameters(**{name: value})
+
+    def test_float32_constants_pass_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ModelParameters(g_pi=np.float32(2.5e-4), kappa=np.float32(227))
+        assert p.b == 227.0
 
     @pytest.mark.parametrize("value, refusal", [
         (True, "not a boolean, got True"),

@@ -14,8 +14,8 @@ from blfqvqe import (ModelParameters, build_effective_hamiltonian,
 from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
                            pauli_string_matrix)
 from blfqvqe.simulator import (ReadoutNoiseModel, Statevector, _measurement,
-                               expectation_exact, expectation_sampled,
-                               sampled_estimates)
+                               _row_sums, expectation_exact,
+                               expectation_sampled, sampled_estimates)
 from blfqvqe.vqe import (_BK_READOUT, ENCODINGS, GOOD_GUESS, prepared_state,
                          scaling_experiment)
 from oracles import (ANSATZ, COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
@@ -632,6 +632,32 @@ class TestSampledEstimates:
         with pytest.raises(ValueError, match="whole number of repeats"):
             sampled_estimates(Statevector.zero(2), embed_compact(hmat), 64,
                               seed=0, repeats=repeats)
+
+
+class TestRowSums:
+    # the estimator's f.g sums must keep numpy's bits, or every golden
+    # sampled output moves; a numpy that reorders short sums fails here
+    @pytest.mark.parametrize("lead", [(5,), (16,), (4096,), (244, 16),
+                                      (600, 5)],
+                             ids=lambda lead: "x".join(map(str, lead)))
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_bit_for_bit_numpys_sum(self, lead, width):
+        # both signs over 16 decades, so any reordering moves low bits, and
+        # zeros of both signs, with one row all -0.0, which numpy sums to +0.0
+        rng = np.random.default_rng(width)
+        shape = lead + (width,)
+        a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        a[rng.random(shape) < 0.3] = -0.0
+        a[rng.random(shape) < 0.1] = 0.0
+        a[..., 0, :] = -0.0
+        expected = a.sum(axis=-1)
+        assert np.array_equal(_row_sums(a).view(np.int64),
+                              expected.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(0, 1), (3, 0, 1)])
+    def test_identity_only_sum_has_no_rows(self, shape):
+        # a sum of identities alone compiles to zero rows of width 1
+        assert _row_sums(np.zeros(shape)).shape == shape[:-1]
 
 
 class TestReadoutMitigation:
