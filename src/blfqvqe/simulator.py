@@ -160,20 +160,17 @@ def _row_sums(a):
     """`a.sum(axis=-1)`, bit for bit, added a column at a time.
 
     numpy reduces a short last axis with one inner loop per row (~15 ns
-    each), which on a batched draw costs more than the arithmetic; a
-    column add is one call (~0.7 us), so columns pay from about 64 rows
-    per added column, and fewer rows stay with numpy.  Below 8 values
-    numpy adds left to right from +0.0, so `a0 + a1 (+ 0.0) + a2 + ...`
-    over whole columns gives the same bits: the + 0.0 only turns a row
-    of negative zeros into +0.0, as numpy's start does.  From 8 values
-    on numpy sums pairwise, and that is left to it.
+    each), which on a batched draw of thousands of rows costs more than
+    the arithmetic; a column add is one call over every row.  Below 8
+    values numpy adds left to right from +0.0, so `0.0 + a0 + a1 + ...`
+    over whole columns gives the same bits (the + 0.0 turns a row of
+    negative zeros into +0.0, as numpy's start does).  From 8 values on
+    numpy sums pairwise, and that is left to it.
     """
-    width = a.shape[-1]
-    if not 2 <= width < 8 or a.size < 64 * width * (width - 1):
+    if not 0 < a.shape[-1] < 8:
         return a.sum(axis=-1)
-    s = a[..., 0] + a[..., 1]
-    s += 0.0
-    for k in range(2, width):
+    s = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
         s += a[..., k]
     return s
 
@@ -187,10 +184,11 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     row's weight categories (`_measurement`), one multinomial draw of
     category frequencies f from `np.random.default_rng(seed)` (rows in
     axes-string order; a leading repeats axis, filled repeat by repeat),
-    and f.g, f.g^2 - (f.g)^2 per term.  Those two sums over the K
-    categories are added a column at a time (`_row_sums`): the order
-    numpy's own `sum(axis=-1)` uses for K < 8, so every bit is as before,
-    at a fraction of its cost on a batched draw.
+    and f.g, f.g^2 - (f.g)^2 per term.  On a batched draw those two sums
+    over the K categories are added a column at a time (`_row_sums`), in
+    the order numpy's own `sum(axis=-1)` uses for K < 8, so every bit is
+    as numpy's sum gives it, at a fraction of its cost; an unbatched draw
+    has a row per term and keeps numpy's sum.
     The estimator reads an outcome only through its weight, so drawing
     categories instead of outcomes leaves its distribution unchanged.
     The unsized draw for repeats=None consumes the stream exactly as a
@@ -212,8 +210,12 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     size = None if repeats is None else (int(repeats), len(c))
     f = np.random.default_rng(seed).multinomial(
         int(shots_per_term), P.reshape(g.shape), size=size) / shots_per_term
-    fg = _row_sums(f * g)
-    variances = np.maximum(0.0, _row_sums(f * g2) - fg**2)
+    fg, fg2 = f * g, f * g2
+    if repeats is None:  # a row per term, where numpy's own loop is cheaper
+        fg, fg2 = fg.sum(axis=-1), fg2.sum(axis=-1)
+    else:
+        fg, fg2 = _row_sums(fg), _row_sums(fg2)
+    variances = np.maximum(0.0, fg2 - fg**2)
     return offset + fg @ c, np.sqrt(variances @ c2 / shots_per_term)
 
 
