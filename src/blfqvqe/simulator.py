@@ -210,11 +210,10 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     size = None if repeats is None else (int(repeats), len(c))
     f = np.random.default_rng(seed).multinomial(
         int(shots_per_term), P.reshape(g.shape), size=size) / shots_per_term
-    fg, fg2 = f * g, f * g2
     if repeats is None:  # a row per term, where numpy's own loop is cheaper
-        fg, fg2 = fg.sum(axis=-1), fg2.sum(axis=-1)
+        fg, fg2 = (f * g).sum(axis=-1), (f * g2).sum(axis=-1)
     else:
-        fg, fg2 = _row_sums(fg), _row_sums(fg2)
+        fg, fg2 = _row_sums(f * g), _row_sums(f * g2)
     variances = np.maximum(0.0, fg2 - fg**2)
     return offset + fg @ c, np.sqrt(variances @ c2 / shots_per_term)
 

@@ -637,8 +637,7 @@ class TestSampledEstimates:
 class TestRowSums:
     # the estimator's f.g sums must keep numpy's bits, or every golden
     # sampled output moves; a numpy that reorders short sums fails here
-    @pytest.mark.parametrize("lead", [(5,), (16,), (4096,), (244, 16),
-                                      (600, 5)],
+    @pytest.mark.parametrize("lead", [(5,), (16,), (244, 16), (600, 5)],
                              ids=lambda lead: "x".join(map(str, lead)))
     @pytest.mark.parametrize("width", range(1, 17))
     def test_bit_for_bit_numpys_sum(self, lead, width):
