@@ -67,6 +67,10 @@ RUNS = {
                                   "--encoding", "direct"]],
     **{f"scaling-{enc}": [["scaling", "--encoding", enc]]
        for enc in ("direct", "compact", "bk")},
+    # counts below their least, each refused with exit code 2
+    "count-refusals": [["vqe", "--mode", "sampled", "--shots", "0"],
+                       ["vqe", "--seed", "-1"],
+                       ["vqe", "--max-iterations", "0"]],
 }
 
 
