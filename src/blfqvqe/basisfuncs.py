@@ -36,6 +36,16 @@ def require_real(name, value):
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def require_count(name, value, least):
+    """`value` as an int; ValueError naming the setting `name` unless it
+    is a real number (`require_real`), whole and at least `least`."""
+    require_real(name, value)
+    if not least <= value < math.inf or value % 1:
+        raise ValueError(f"{name} must be a whole number of at least "
+                         f"{least}, got {value!r}")
+    return int(value)
+
+
 class UnsupportedCutoffError(ValueError):
     """Raised when a basis cutoff outside the tabulated scheme is requested."""
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .basisfuncs import (BasisCutoffs, ModelParameters, WaveFunction,
-                         compute_exponents, enumerate_block, require_real)
+                         compute_exponents, enumerate_block, require_count)
 from .hamiltonian import build_effective_hamiltonian, diagonalize
 from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
@@ -98,19 +98,8 @@ class RunConfig:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, "
                                   f"got {getattr(self, name)!r}")
-        for name in ("shots", "seed"):
-            try:
-                require_real(name, value := getattr(self, name))
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-            if value % 1:
-                raise ConfigError(f"{name} must be a whole number, got {value!r}")
         if not isinstance(self.mitigate, bool):
             raise ConfigError(f"mitigate must be a boolean, got {self.mitigate!r}")
-        if not 1 <= self.shots < 2**63:
-            raise ConfigError("shots must be a positive integer below 2^63")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if self.mode == "noisy" and None in (self.noise_p01, self.noise_p10):
             raise ConfigError("mode 'noisy' needs noise_p01 and noise_p10")
         try:
@@ -119,10 +108,14 @@ class RunConfig:
             # the model's fields are these settings without "noise_"
             raise ConfigError(f"noise_{err}") from err
         try:
+            require_count("shots", self.shots, 1)
+            require_count("seed", self.seed, 0)
             self.optimizer_config()
             self.model_parameters()
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        if self.shots >= 2**63:  # numpy's draw limit
+            raise ConfigError(f"shots must be below 2^63, got {self.shots!r}")
         if self.mitigate and noise is not None and noise.is_singular:
             raise ConfigError("mitigate needs an invertible calibration, "
                               "but noise_p01 + noise_p10 = 1 is singular")

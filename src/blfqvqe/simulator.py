@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basisfuncs import require_real
+from .basisfuncs import require_count, require_real
 from .pauli import kron_axes
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -179,6 +179,7 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
                repeats):
     """Estimates and standard errors; arrays over repeats unless None.
 
+    shots_per_term is checked here (`require_count`); repeats by the caller.
     Only what changes with the state is done here: the probabilities of
     the compiled bases through the readout response, summed into each
     row's weight categories (`_measurement`), one multinomial draw of
@@ -195,8 +196,7 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     one-repeat batch but skips its array overhead (~6 us a call on a
     2-CPU machine).
     """
-    if shots_per_term < 1 or shots_per_term % 1:
-        raise ValueError("need a whole number of shots per term, at least one")
+    shots_per_term = require_count("shots_per_term", shots_per_term, 1)
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
     offset, c, c2, U, response, fold, g, g2 = _measurement(pauli_sum, noise,
@@ -207,9 +207,9 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
         P = P @ response.T
     # a category's sum can round to 1 + 2e-16, which multinomial refuses
     P = np.minimum(np.bincount(fold, weights=P.ravel(), minlength=g.size), 1.0)
-    size = None if repeats is None else (int(repeats), len(c))
+    size = None if repeats is None else (repeats, len(c))
     f = np.random.default_rng(seed).multinomial(
-        int(shots_per_term), P.reshape(g.shape), size=size) / shots_per_term
+        shots_per_term, P.reshape(g.shape), size=size) / shots_per_term
     if repeats is None:  # a row per term, where numpy's own loop is cheaper
         fg, fg2 = (f * g).sum(axis=-1), (f * g2).sum(axis=-1)
     else:
@@ -221,14 +221,14 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
 def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
     """`repeats` independent noiseless shot-based estimates of <psi|S|psi>.
 
-    Returns an array of length `repeats`, each entry computed as by
-    `expectation_sampled`.  All repeats come from one multinomial draw
-    of shape (repeats, terms, 2) over each term's parity categories
-    (`_measurement`) from `np.random.default_rng(seed)`; repeat 0 is
-    the estimate `expectation_sampled` gives with that seed.
+    Returns an array of length `repeats`, a count of at least 1
+    (`require_count`), each entry computed as by `expectation_sampled`.
+    All repeats come from one multinomial draw of shape (repeats,
+    terms, 2) over each term's parity categories (`_measurement`) from
+    `np.random.default_rng(seed)`; repeat 0 is the estimate
+    `expectation_sampled` gives with that seed.
     """
-    if repeats < 1 or repeats % 1:
-        raise ValueError("need a whole number of repeats, at least one")
+    repeats = require_count("repeats", repeats, 1)
     return _estimates(state, pauli_sum, shots_per_term, seed, None, False,
                       repeats)[0]
 
@@ -244,7 +244,7 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     through per-qubit readout flips; `mitigate` (which needs the model)
     inverts the confusion, as `_measurement` describes.  This is the
     one-repeat case of `sampled_estimates`, drawn without the repeats
-    axis.
+    axis.  `shots_per_term` is a count of at least 1 (`require_count`).
     """
     est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
                          mitigate, None)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basisfuncs import require_real
+from .basisfuncs import require_count, require_real
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
 from .simulator import (Statevector, expectation_exact, expectation_sampled,
@@ -116,20 +116,16 @@ _DEGREE = {"Ry": 1, "CRy": 2}
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for `minimize`: max_iterations, its budget of cost
-    evaluations, a whole number from 1; tolerance, positive and finite,
-    the drop in the best cost below which a sweep ends the search.
-    Each is a real number, not a boolean."""
+    """Knobs for `minimize`: max_iterations, a count of at least 1, caps
+    cost evaluations; tolerance, a positive finite real (`require_real`),
+    is the drop in the best cost below which a sweep ends the search."""
 
     max_iterations: int = 500
     tolerance: float = 1.0
 
     def __post_init__(self):
-        require_real("max_iterations", self.max_iterations)
+        require_count("max_iterations", self.max_iterations, 1)
         require_real("tolerance", self.tolerance)
-        if self.max_iterations % 1 or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be a whole number of at "
-                             f"least 1, got {self.max_iterations!r}")
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {self.tolerance!r}")
@@ -246,9 +242,10 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     reach the lowest energy; in sampled modes std_error is that
     evaluation's own combined shot noise, with no further draw, and an
     estimate or error there that is not finite raises ArithmeticError.
-    A sampled solve seeds one generator with `seed` and rewinds it to
-    its seeded start before each evaluation (common random numbers);
-    exact mode seeds nothing.
+    A sampled solve takes `shots` per term, a count of at least 1
+    (`require_count`), seeds one generator with `seed` and rewinds it
+    to its seeded start before each evaluation (common random
+    numbers); exact mode reads neither.
     """
     enc = lookup_encoding(encoding)
     if mode not in MODES:
@@ -262,6 +259,7 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     use_noise = noise if mode != "sampled" else None
     errors = {}  # each energy's error at the first evaluation reaching it
     if mode != "exact":
+        shots = require_count("shots", shots, 1)
         rng = np.random.default_rng(seed)
         start = rng.bit_generator.state
 
@@ -317,8 +315,9 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
 
     Holds the angles fixed at `theta` (default: `Encoding.angles` of the
     ground state of the sum's readout block), draws `repeats` independent
-    estimates (default: the encoding's scaling_repeats) at each shot
-    count of SHOTS_PER_TERM_GRID, and fits log eps against log n.
+    estimates (default: the encoding's scaling_repeats; a count of at
+    least 2, `require_count`) at each shot count of
+    SHOTS_PER_TERM_GRID, and fits log eps against log n.
     Returns the fit as n ~ constant / eps^exponent.  Each grid point has
     one seed stream (seed, point index), and all repeats of a point come
     from it in one batched draw.  total_shots counts shots per term x
@@ -328,11 +327,8 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
     if theta is None:
         block = hamiltonian.matrix[np.ix_(enc.readout, enc.readout)].real
         theta = enc.angles(np.linalg.eigh(block)[1][:, 0])
-    if repeats is None:
-        repeats = enc.scaling_repeats
-    if repeats < 2 or repeats % 1:
-        raise ValueError("need a whole number of repeats, at least 2")
-    repeats = int(repeats)
+    repeats = require_count(
+        "repeats", enc.scaling_repeats if repeats is None else repeats, 2)
 
     state = prepared_state(encoding, theta)
     energy = expectation_exact(state, hamiltonian)

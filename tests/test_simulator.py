@@ -629,7 +629,8 @@ class TestSampledEstimates:
 
     @pytest.mark.parametrize("repeats", [0, 2.5])
     def test_rejects_zero_repeats(self, hmat, repeats):
-        with pytest.raises(ValueError, match="whole number of repeats"):
+        with pytest.raises(ValueError, match="^repeats must be a whole number "
+                                             f"of at least 1, got {repeats}$"):
             sampled_estimates(Statevector.zero(2), embed_compact(hmat), 64,
                               seed=0, repeats=repeats)
 

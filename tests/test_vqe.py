@@ -546,7 +546,8 @@ class TestScaling:
         with pytest.raises(ValueError):
             scaling_experiment(sums["compact"], "huffman")
         for repeats in (1, 2.5):
-            with pytest.raises(ValueError, match="whole number of repeats"):
+            with pytest.raises(ValueError, match="^repeats must be a whole "
+                               f"number of at least 2, got {repeats}$"):
                 scaling_experiment(sums["compact"], "compact", repeats=repeats)
         whole = scaling_experiment(sums["compact"], "compact", repeats=2.0)
         assert type(whole.repeats) is int and type(whole.total_shots) is int
