@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basisfuncs import require_real
 from .hamiltonian import HermitianObservable
 
 _AXES = "IXYZ"
@@ -43,6 +44,7 @@ class PauliString:
     def __post_init__(self):
         if not self.axes or any(ch not in _AXES for ch in self.axes):
             raise ValueError(f"axes must be a nonempty string over I,X,Y,Z: {self.axes!r}")
+        require_real("coefficient", self.coefficient)
         if not np.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
 
@@ -69,6 +71,7 @@ class PauliSum:
                 axes, coeff = t.axes, t.coefficient
             else:
                 axes, coeff = t
+                require_real("coefficient", coeff)
             if n_qubits is None:
                 n_qubits = len(axes)
             if len(axes) != n_qubits:

@@ -12,7 +12,13 @@ from scipy.special import j0, roots_legendre
 from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
                                 UnsupportedCutoffError, WaveFunction, chi,
                                 compute_exponents, enumerate_block, gammaln,
-                                gauss_legendre, longitudinal_integral)
+                                gauss_legendre, longitudinal_integral,
+                                require_count)
+from blfqvqe.cli import ConfigError, RunConfig
+from blfqvqe.pauli import PauliSum
+from blfqvqe.simulator import (Statevector, expectation_sampled,
+                               sampled_estimates)
+from blfqvqe.vqe import OptimizerConfig, scaling_experiment, vqe_run
 from oracles import longitudinal_integral_quadrature
 
 PARAMS = ModelParameters()
@@ -225,3 +231,57 @@ class TestWaveFunction:
             WaveFunction(np.array([1.0, 1.0, 0.0, 0.0]), block)
         with pytest.raises(ValueError):
             WaveFunction(np.array([1.0]), block)
+
+
+_SUM = PauliSum([("ZI", 1.0), ("XX", 0.5)])  # any two-qubit observable
+_STATE = Statevector.zero(2)
+# every entry point taking a count: the argument's name, the least count
+# it takes, and a call passing it a value
+_COUNTS = {
+    "RunConfig-shots": ("shots", 1, lambda n: RunConfig(shots=n)),
+    "RunConfig-seed": ("seed", 0, lambda n: RunConfig(seed=n)),
+    "OptimizerConfig": ("max_iterations", 1,
+                        lambda n: OptimizerConfig(max_iterations=n)),
+    "expectation_sampled": ("shots_per_term", 1,
+                            lambda n: expectation_sampled(_STATE, _SUM, n, 0)),
+    "sampled_estimates-shots": ("shots_per_term", 1,
+                                lambda n: sampled_estimates(_STATE, _SUM, n, 0,
+                                                            repeats=2)),
+    "sampled_estimates-repeats": ("repeats", 1,
+                                  lambda n: sampled_estimates(_STATE, _SUM, 8,
+                                                              0, repeats=n)),
+    "scaling_experiment": ("repeats", 2,
+                           lambda n: scaling_experiment(_SUM, "compact",
+                                                        repeats=n)),
+    "vqe_run": ("shots", 1, lambda n: vqe_run(_SUM, "compact", mode="sampled",
+                                              shots=n)),
+}
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value, refusal", [
+        (True, "a number, not a boolean, got True"),
+        (np.True_, "a number, not a boolean, got np.True_"),
+        ("8", "a number, got '8'"),
+        (2.5, "a whole number of at least {least}, got 2.5"),
+        (np.nan, "a whole number of at least {least}, got nan"),
+        (np.inf, "a whole number of at least {least}, got inf"),
+        (None, "a whole number of at least {least}, got {below}")],
+        ids=["bool", "np-bool", "text", "fraction", "nan", "inf", "below"])
+    @pytest.mark.parametrize("entry", _COUNTS)
+    def test_every_count_is_refused_by_one_rule(self, entry, value, refusal):
+        # a boolean must not read as one shot, nor text as a count
+        name, least, call = _COUNTS[entry]
+        if value is None:
+            value = least - 1
+        message = (f"{name} must be "
+                   f"{refusal.format(least=least, below=least - 1)}")
+        error = ConfigError if entry.startswith("RunConfig") else ValueError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.uint8(3),
+                                       np.float32(3.0), Fraction(6, 2), 10**30])
+    def test_a_whole_number_of_any_type_comes_back_as_an_int(self, value):
+        count = require_count("n", value, 3)
+        assert type(count) is int and count == value

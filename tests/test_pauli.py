@@ -6,6 +6,7 @@ the MeV^2; they pin both the physics numbers and the qubit-ordering
 convention (leftmost letter = highest qubit, basis state i+1 on qubit i).
 """
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ class TestPauliString:
     def test_nonfinite_coefficient(self):
         with pytest.raises(ValueError):
             PauliString("XX", np.inf)
+
+
+@pytest.mark.parametrize("coefficient, refusal", [
+    (True, "coefficient must be a number, not a boolean, got True"),
+    (np.True_, "coefficient must be a number, not a boolean, got np.True_"),
+    ("2.5", "coefficient must be a number, got '2.5'")],
+    ids=["bool", "np-bool", "text"])
+@pytest.mark.parametrize("build", [lambda c: PauliString("XX", c),
+                                   lambda c: PauliSum([("XX", c)])],
+                         ids=["string", "sum"])
+def test_a_coefficient_is_a_real_number(build, coefficient, refusal):
+    # float() would read text as its number and a boolean as 0 or 1
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        build(coefficient)
 
 
 class TestPauliSum:
