@@ -281,7 +281,8 @@ class TestRequireCount:
             call(value)
 
     @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.uint8(3),
-                                       np.float32(3.0), Fraction(6, 2), 10**30])
+                                       np.float32(3.0), Fraction(6, 2),
+                                       10**30])
     def test_a_whole_number_of_any_type_comes_back_as_an_int(self, value):
         count = require_count("n", value, 3)
         assert type(count) is int and count == value

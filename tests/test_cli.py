@@ -128,8 +128,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("record, message", [
         ({"shots": "5"}, "shots must be a number, got '5'"),
         ({"seed": "1"}, "seed must be a number, got '1'"),
-        ({"shots": 2.5}, "shots must be a whole number of at least 1, got 2.5"),
-        ({"shots": float("nan")}, "shots must be a whole number of at least 1, got nan"),
+        ({"shots": 2.5},
+         "shots must be a whole number of at least 1, got 2.5"),
+        ({"shots": float("nan")},
+         "shots must be a whole number of at least 1, got nan"),
         ({"seed": 0.5}, "seed must be a whole number of at least 0, got 0.5"),
         ({"seed": True}, "seed must be a number, not a boolean, got True"),
         ({"shots": np.True_},
