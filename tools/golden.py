@@ -71,6 +71,12 @@ RUNS = {
     "count-refusals": [["vqe", "--mode", "sampled", "--shots", "0"],
                        ["vqe", "--seed", "-1"],
                        ["vqe", "--max-iterations", "0"]],
+    # real settings that are not finite, each refused with exit code 2
+    "real-refusals": [["hamiltonian", "--gpi", "1e400"],
+                      ["vqe", "--kappa", "nan"],
+                      ["vqe", "--tolerance", "inf"],
+                      ["vqe", "--mode", "noisy", "--noise-p01", "nan",
+                       "--noise-p10", "0.05"]],
 }
 
 
