@@ -25,10 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-def require_real(name, value):
-    """ValueError unless the setting `name` holds a real number: not a
-    string or other object, which arithmetic would fail on, and not a
-    boolean, which it would read as the number 0 or 1."""
+def _require_number(name, value):
+    # the half of require_real that require_count shares
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a boolean, "
                          f"got {value!r}")
@@ -36,10 +34,24 @@ def require_real(name, value):
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def require_real(name, value):
+    """The one rule for a real input: ValueError naming the setting
+    `name` unless it holds a finite real number, so not a boolean, not
+    nan or an infinity, and no int or fraction beyond float range."""
+    _require_number(name, value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond "
+                         "float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def require_count(name, value, least):
     """`value` as an int; ValueError naming the setting `name` unless it
-    is a real number (`require_real`), whole and at least `least`."""
-    require_real(name, value)
+    is a real number, not a boolean, whole and at least `least`."""
+    _require_number(name, value)
     if not least <= value < math.inf or value % 1:
         raise ValueError(f"{name} must be a whole number of at least "
                          f"{least}, got {value!r}")
@@ -56,8 +68,8 @@ class ModelParameters:
 
     g_pi is the four-fermion contact coupling in MeV^-2.  The basis scale
     b defaults to the confinement strength kappa (a single scale controls
-    both in the fits used here).  The five constants must be finite real
-    numbers, not booleans, and the masses and scales positive.
+    both in the fits used here).  The five constants must pass
+    `require_real`, and the masses and scales be positive.
     """
 
     m: float = 337.01
@@ -72,14 +84,7 @@ class ModelParameters:
                 # unset, b is kappa, which the loop has just checked
                 object.__setattr__(self, "b", float(self.kappa))
                 continue
-            require_real(field.name, value := getattr(self, field.name))
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int or fraction beyond float range
-                raise ValueError(f"{field.name} must be finite, got a number "
-                                 "beyond float range") from None
-            if not finite:
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+            require_real(field.name, getattr(self, field.name))
         if not (self.m > 0 and self.mbar > 0 and self.kappa > 0 and self.b > 0):
             raise ValueError("masses and scales must be positive")
 

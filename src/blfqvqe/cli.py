@@ -35,14 +35,15 @@ import numpy as np
 
 from . import __version__
 from .basisfuncs import (BasisCutoffs, ModelParameters, WaveFunction,
-                         compute_exponents, enumerate_block, require_count)
+                         compute_exponents, enumerate_block, require_count,
+                         require_real)
 from .hamiltonian import build_effective_hamiltonian, diagonalize
 from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
 from .simulator import ReadoutNoiseModel
 from .vqe import (ENCODINGS, MODES, OptimizerConfig, lookup_encoding,
-                  scaling_experiment, vqe_run)
+                  require_angles, scaling_experiment, vqe_run)
 
 OUT_ENV = "BLFQVQE_OUT"
 EXIT_OK = 0
@@ -337,11 +338,6 @@ def _check_provenance(stored, config, angles_path):
                           + "; ".join(differ))
 
 
-def _finite(value):
-    """True for a JSON number in the finite float range; a bool is not one."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _state_from_config(config, h, args):
     """Wave function + mode tag, from --exact or a vqe result file."""
     block = enumerate_block(0, BasisCutoffs())
@@ -364,11 +360,6 @@ def _state_from_config(config, h, args):
     if encoding != config.encoding:
         raise ConfigError(f"angles file used encoding {encoding!r} but this "
                           f"run is configured for {config.encoding!r}")
-    theta = stored.get("theta")
-    if not (isinstance(theta, list) and len(theta) == 3
-            and all(map(_finite, theta))):
-        raise ConfigError(f"{angles_path}: 'theta' must be a list of three "
-                          f"finite angles, got {theta!r}")
     energy = stored.get("energy", {})
     if not isinstance(energy, dict):
         raise ConfigError(f"{angles_path}: 'energy' must be a JSON object, "
@@ -377,10 +368,13 @@ def _state_from_config(config, h, args):
     if mode not in MODES:
         raise ConfigError(f"{angles_path}: 'energy.mode' must be one of "
                           f"{MODES}, got {mode!r}")
-    vqe_energy = energy.get("value")
-    if "value" in energy and not _finite(vqe_energy):
-        raise ConfigError(f"{angles_path}: 'energy.value' must be a finite "
-                          f"number, got {vqe_energy!r}")
+    theta, vqe_energy = stored.get("theta"), energy.get("value")
+    try:  # the value may be left out, but not be null
+        require_angles("'theta'", theta)
+        if "value" in energy:
+            require_real("'energy.value'", vqe_energy)
+    except ValueError as err:
+        raise ConfigError(f"{angles_path}: {err}") from None
     converged = stored.get("converged", True)
     if type(converged) is not bool:
         raise ConfigError(f"{angles_path}: 'converged' must be true or "

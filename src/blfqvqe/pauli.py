@@ -45,8 +45,6 @@ class PauliString:
         if not self.axes or any(ch not in _AXES for ch in self.axes):
             raise ValueError(f"axes must be a nonempty string over I,X,Y,Z: {self.axes!r}")
         require_real("coefficient", self.coefficient)
-        if not np.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
 
     @property
     def n_qubits(self):
@@ -67,11 +65,9 @@ class PauliSum:
     def __init__(self, terms, n_qubits=None):
         merged = {}  # insertion-ordered: first appearance of each axes
         for t in terms:
-            if isinstance(t, PauliString):
-                axes, coeff = t.axes, t.coefficient
-            else:
-                axes, coeff = t
-                require_real("coefficient", coeff)
+            axes, coeff = ((t.axes, t.coefficient)
+                           if isinstance(t, PauliString) else t)
+            require_real("coefficient", coeff)
             if n_qubits is None:
                 n_qubits = len(axes)
             if len(axes) != n_qubits:

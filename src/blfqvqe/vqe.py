@@ -109,6 +109,16 @@ def lookup_encoding(name):
 # Angles preparing the (0, -1/sqrt2, +1/sqrt2, 0) starting state.
 GOOD_GUESS = {name: enc.good_guess for name, enc in ENCODINGS.items()}
 
+
+def require_angles(name, theta):
+    """ValueError naming the parameter `name` unless `theta` holds the
+    ansatz's 3 angles, each passing `require_real`."""
+    if np.asarray(theta, dtype=object).shape != (3,):
+        raise ValueError(f"{name} must be 3 angles, got {theta!r}")
+    for angle in theta:
+        require_real(name, angle)
+
+
 # the cost along a rotation's angle a is a trigonometric polynomial of
 # degree k in a / k: 1, cos a and sin a for Ry; CRy adds cos a/2, sin a/2
 _DEGREE = {"Ry": 1, "CRy": 2}
@@ -126,7 +136,7 @@ class OptimizerConfig:
     def __post_init__(self):
         require_count("max_iterations", self.max_iterations, 1)
         require_real("tolerance", self.tolerance)
-        if not 0 < self.tolerance < np.inf:
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {self.tolerance!r}")
 
@@ -245,7 +255,8 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     A sampled solve takes `shots` per term, a count of at least 1
     (`require_count`), seeds one generator with `seed` and rewinds it
     to its seeded start before each evaluation (common random
-    numbers); exact mode reads neither.
+    numbers); exact mode reads neither.  The search starts at `initial`
+    (`require_angles`), by default the encoding's good guess.
     """
     enc = lookup_encoding(encoding)
     if mode not in MODES:
@@ -255,6 +266,8 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
                          f"operator has {hamiltonian.n_qubits}")
     if mode in ("sampled+noise", "sampled+noise+mitigation") and noise is None:
         raise ValueError(f"mode {mode!r} needs a noise model")
+    theta0 = enc.good_guess if initial is None else initial
+    require_angles("initial", theta0)
     mitigate = mode == "sampled+noise+mitigation"
     use_noise = noise if mode != "sampled" else None
     errors = {}  # each energy's error at the first evaluation reaching it
@@ -273,7 +286,6 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
         errors.setdefault(est, se)
         return est
 
-    theta0 = GOOD_GUESS[encoding] if initial is None else initial
     result = minimize(cost, theta0, enc.kinds, config=config, mode=mode)
     if mode == "exact":
         return result
@@ -313,11 +325,11 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
                        theta=None):
     """RMS relative error of the sampled energy versus shots per term.
 
-    Holds the angles fixed at `theta` (default: `Encoding.angles` of the
-    ground state of the sum's readout block), draws `repeats` independent
-    estimates (default: the encoding's scaling_repeats; a count of at
-    least 2, `require_count`) at each shot count of
-    SHOTS_PER_TERM_GRID, and fits log eps against log n.
+    Holds the angles fixed at `theta` (`require_angles`; default: the
+    `Encoding.angles` of the ground state of the sum's readout block),
+    draws `repeats` independent estimates (default: the encoding's
+    scaling_repeats; a count of at least 2, `require_count`) at each
+    shot count of SHOTS_PER_TERM_GRID, and fits log eps against log n.
     Returns the fit as n ~ constant / eps^exponent.  Each grid point has
     one seed stream (seed, point index), and all repeats of a point come
     from it in one batched draw.  total_shots counts shots per term x
@@ -327,6 +339,7 @@ def scaling_experiment(hamiltonian, encoding, repeats=None, seed=2024,
     if theta is None:
         block = hamiltonian.matrix[np.ix_(enc.readout, enc.readout)].real
         theta = enc.angles(np.linalg.eigh(block)[1][:, 0])
+    require_angles("theta", theta)
     repeats = require_count(
         "repeats", enc.scaling_repeats if repeats is None else repeats, 2)
 

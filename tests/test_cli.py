@@ -181,11 +181,11 @@ class TestRunConfig:
         RunConfig(mode="noisy", noise_p01=0.3, noise_p10=0.7)
 
     @pytest.mark.parametrize("record, message", [
-        ({"noise_p01": float("nan")}, "noise_p01 must lie in [0, 1), got nan"),
+        ({"noise_p01": float("nan")}, "noise_p01 must be finite, got nan"),
         ({"noise_p01": 2.0, "noise_p10": -1.0},
          "noise_p01 must lie in [0, 1), got 2.0"),
         ({"mode": "sampled", "noise_p01": float("inf")},
-         "noise_p01 must lie in [0, 1), got inf"),
+         "noise_p01 must be finite, got inf"),
         ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0"),
         # False would read as an unset probability, and run as 0
         ({"mode": "noisy", "noise_p01": False, "noise_p10": 0.1},
@@ -393,10 +393,11 @@ class TestSettingChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
-    @pytest.mark.parametrize("key, p01, p10", [
-        ("noise_p01", "nan", "0.1"), ("noise_p10", "0.1", "1.0")])
+    @pytest.mark.parametrize("key, p01, p10, refusal", [
+        ("noise_p01", "nan", "0.1", "must be finite, got nan"),
+        ("noise_p10", "0.1", "1.0", "must lie in [0, 1), got 1.0")])
     def test_flip_probability_refusal_names_the_setting(
-            self, tmp_path, capsys, source, key, p01, p10):
+            self, tmp_path, capsys, source, key, p01, p10, refusal):
         if source == "flag":
             setting = ["--noise-p01", p01, "--noise-p10", p10]
         else:
@@ -406,8 +407,7 @@ class TestSettingChecks:
         out = tmp_path / "out"
         assert run_cli("vqe", "--mode", "noisy", *setting, "--max-iterations",
                        "20", "--out", str(out)) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(
-            f"config error: {key} must lie in [0, 1), got ")
+        assert capsys.readouterr().err == f"config error: {key} {refusal}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])

@@ -4,6 +4,7 @@ The paper's circuits, gate by gate, live in `oracles`; the package
 prepares their states in closed form (`prepared_state`), checked here
 against them bit for bit."""
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -667,11 +668,13 @@ class TestReadoutMitigation:
         with pytest.raises(ValueError):
             ReadoutNoiseModel(0.0, 1.0)
 
-    @pytest.mark.parametrize("p01, p10, name", [
-        (np.nan, 0.0, "p01"), (0.0, np.inf, "p10"), (0.0, 1.0, "p10"),
-        (-0.1, 0.0, "p01")])
-    def test_refusal_names_the_probability(self, p01, p10, name):
-        with pytest.raises(ValueError, match=fr"^{name} must lie in \[0, 1\)"):
+    @pytest.mark.parametrize("p01, p10, refusal", [
+        (np.nan, 0.0, "p01 must be finite, got nan"),
+        (0.0, np.inf, "p10 must be finite, got inf"),
+        (0.0, 1.0, "p10 must lie in [0, 1), got 1.0"),
+        (-0.1, 0.0, "p01 must lie in [0, 1), got -0.1")])
+    def test_refusal_names_the_probability(self, p01, p10, refusal):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             ReadoutNoiseModel(p01, p10)
 
     @pytest.mark.parametrize("p01, p10, refusal", [

@@ -87,8 +87,8 @@ class TestOptimizerConfig:
             OptimizerConfig(tolerance=0.0)
 
     @pytest.mark.parametrize("kwargs, refusal", [
-        ({"tolerance": np.nan}, "tolerance must be positive and finite"),
-        ({"tolerance": np.inf}, "tolerance must be positive and finite"),
+        ({"tolerance": np.nan}, "tolerance must be finite, got nan$"),
+        ({"tolerance": np.inf}, "tolerance must be finite, got inf$"),
         ({"max_iterations": 2.5}, "max_iterations must be a whole number"),
         ({"max_iterations": np.nan}, "max_iterations must be a whole number"),
         # a boolean reads as 1: a budget of 1 evaluation, a tolerance of 1
