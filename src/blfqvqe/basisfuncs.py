@@ -138,7 +138,7 @@ class WaveFunction:
         object.__setattr__(self, "coefficients", c)
         if len(c) != len(self.block):
             raise ValueError("coefficient count does not match block size")
-        if abs(np.sum(c * c) - 1.0) > 1e-12:
+        if not abs(np.sum(c * c) - 1.0) <= 1e-12:  # a nan fails too
             raise ValueError("wave function must have unit norm")
 
 

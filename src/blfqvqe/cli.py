@@ -41,7 +41,7 @@ from .hamiltonian import build_effective_hamiltonian, diagonalize
 from .observables import (HBARC, charge_radius, decay_constant,
                           elastic_form_factor, mass_radius, pdf)
 from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
-from .simulator import ReadoutNoiseModel
+from .simulator import ReadoutNoiseModel, require_shots
 from .vqe import (ENCODINGS, MODES, OptimizerConfig, lookup_encoding,
                   require_angles, scaling_experiment, vqe_run)
 
@@ -109,14 +109,12 @@ class RunConfig:
             # the model's fields are these settings without "noise_"
             raise ConfigError(f"noise_{err}") from err
         try:
-            require_count("shots", self.shots, 1)
+            require_shots("shots", self.shots)
             require_count("seed", self.seed, 0)
             self.optimizer_config()
             self.model_parameters()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if self.shots >= 2**63:  # numpy's draw limit
-            raise ConfigError(f"shots must be below 2^63, got {self.shots!r}")
         if self.mitigate and noise is not None and noise.is_singular:
             raise ConfigError("mitigate needs an invertible calibration, "
                               "but noise_p01 + noise_p10 = 1 is singular")

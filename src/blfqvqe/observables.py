@@ -43,9 +43,9 @@ class DecayConstantSpec:
 
     def __post_init__(self):
         v = np.asarray(self.reference_vector, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # a nan fails too
             raise ValueError("reference vector must be a unit vector")
-        if self.prefactor <= 0:
+        if not self.prefactor > 0:
             raise ValueError("prefactor must be positive")
 
 

@@ -30,9 +30,21 @@ import numpy as np
 from .basisfuncs import require_count, require_real
 from .pauli import kron_axes
 
+# numpy's multinomial takes a draw of fewer shots than this
+SHOT_LIMIT = 2**63
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _MEASURE_1Q = {"I": np.eye(2), "Z": np.eye(2), "X": _H,
                "Y": _H @ np.diag([1.0, -1.0j])}
+
+
+def require_shots(name, value):
+    """`value` as an int: a count of at least 1 (`require_count`) below
+    SHOT_LIMIT; ValueError naming the setting `name` otherwise."""
+    shots = require_count(name, value, 1)
+    if shots >= SHOT_LIMIT:
+        raise ValueError(f"{name} must be below 2^63, got {value!r}")
+    return shots
 
 
 class Statevector:
@@ -179,7 +191,7 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
                repeats):
     """Estimates and standard errors; arrays over repeats unless None.
 
-    shots_per_term is checked here (`require_count`); repeats by the caller.
+    shots_per_term is checked here (`require_shots`); repeats by the caller.
     Only what changes with the state is done here: the probabilities of
     the compiled bases through the readout response, summed into each
     row's weight categories (`_measurement`), one multinomial draw of
@@ -196,7 +208,7 @@ def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
     one-repeat batch but skips its array overhead (~6 us a call on a
     2-CPU machine).
     """
-    shots_per_term = require_count("shots_per_term", shots_per_term, 1)
+    shots_per_term = require_shots("shots_per_term", shots_per_term)
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
     offset, c, c2, U, response, fold, g, g2 = _measurement(pauli_sum, noise,
@@ -244,7 +256,7 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     through per-qubit readout flips; `mitigate` (which needs the model)
     inverts the confusion, as `_measurement` describes.  This is the
     one-repeat case of `sampled_estimates`, drawn without the repeats
-    axis.  `shots_per_term` is a count of at least 1 (`require_count`).
+    axis.  `shots_per_term` is a count of shots (`require_shots`).
     """
     est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
                          mitigate, None)

@@ -19,7 +19,7 @@ from .basisfuncs import require_count, require_real
 from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
                     pauli_string_matrix)
 from .simulator import (Statevector, expectation_exact, expectation_sampled,
-                        sampled_estimates)
+                        require_shots, sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 
@@ -252,8 +252,8 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     reach the lowest energy; in sampled modes std_error is that
     evaluation's own combined shot noise, with no further draw, and an
     estimate or error there that is not finite raises ArithmeticError.
-    A sampled solve takes `shots` per term, a count of at least 1
-    (`require_count`), seeds one generator with `seed` and rewinds it
+    A sampled solve takes `shots` per term, a count of shots
+    (`require_shots`), seeds one generator with `seed` and rewinds it
     to its seeded start before each evaluation (common random
     numbers); exact mode reads neither.  The search starts at `initial`
     (`require_angles`), by default the encoding's good guess.
@@ -272,7 +272,7 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
     use_noise = noise if mode != "sampled" else None
     errors = {}  # each energy's error at the first evaluation reaching it
     if mode != "exact":
-        shots = require_count("shots", shots, 1)
+        shots = require_shots("shots", shots)
         rng = np.random.default_rng(seed)
         start = rng.bit_generator.state
 

@@ -13,12 +13,13 @@ from blfqvqe.basisfuncs import (BasisCutoffs, ModelParameters,
                                 UnsupportedCutoffError, WaveFunction, chi,
                                 compute_exponents, enumerate_block, gammaln,
                                 gauss_legendre, longitudinal_integral,
-                                require_count)
+                                require_count, require_real)
 from blfqvqe.cli import ConfigError, RunConfig
-from blfqvqe.pauli import PauliSum
-from blfqvqe.simulator import (Statevector, expectation_sampled,
-                               sampled_estimates)
-from blfqvqe.vqe import OptimizerConfig, scaling_experiment, vqe_run
+from blfqvqe.pauli import PauliString, PauliSum
+from blfqvqe.simulator import (ReadoutNoiseModel, Statevector,
+                               expectation_sampled, sampled_estimates)
+from blfqvqe.vqe import (GOOD_GUESS, OptimizerConfig, scaling_experiment,
+                         vqe_run)
 from oracles import longitudinal_integral_quadrature
 
 PARAMS = ModelParameters()
@@ -231,6 +232,10 @@ class TestWaveFunction:
             WaveFunction(np.array([1.0, 1.0, 0.0, 0.0]), block)
         with pytest.raises(ValueError):
             WaveFunction(np.array([1.0]), block)
+        # nan fails every comparison, so the norm check must fail on it
+        with pytest.raises(ValueError, match="^wave function must have unit "
+                                             "norm$"):
+            WaveFunction(np.array([np.nan] * 4), block)
 
 
 _SUM = PauliSum([("ZI", 1.0), ("XX", 0.5)])  # any two-qubit observable
@@ -286,3 +291,79 @@ class TestRequireCount:
     def test_a_whole_number_of_any_type_comes_back_as_an_int(self, value):
         count = require_count("n", value, 3)
         assert type(count) is int and count == value
+
+    @pytest.mark.parametrize("entry", ["RunConfig-shots", "expectation_sampled",
+                                       "sampled_estimates-shots", "vqe_run"])
+    def test_shots_numpy_cannot_draw_are_refused(self, entry):
+        # numpy's multinomial takes fewer than 2^63 shots; the entry point
+        # refuses more itself, where numpy would raise its own OverflowError
+        name, _, call = _COUNTS[entry]
+        error = ConfigError if entry.startswith("RunConfig") else ValueError
+        with pytest.raises(error, match=f"^{name} must be below 2\\^63, "
+                                        f"got {2**63}$"):
+            call(2**63)
+
+    def test_the_most_shots_numpy_draws_are_drawn(self):
+        est, _ = expectation_sampled(_STATE, _SUM, 2**63 - 1, 0)
+        assert est == pytest.approx(1.0)
+
+
+# every entry point taking a real: the name its refusal gives, and a call
+# passing it a value
+_REALS = {
+    **{f"ModelParameters-{name}": (
+        name, lambda x, name=name: ModelParameters(**{name: x}))
+       for name in ("m", "mbar", "kappa", "b", "g_pi")},
+    "PauliString": ("coefficient", lambda x: PauliString("XX", x)),
+    "PauliSum": ("coefficient", lambda x: PauliSum([("XX", x)])),
+    "OptimizerConfig": ("tolerance", lambda x: OptimizerConfig(tolerance=x)),
+    "ReadoutNoiseModel-p01": ("p01", lambda x: ReadoutNoiseModel(x, 0.0)),
+    "ReadoutNoiseModel-p10": ("p10", lambda x: ReadoutNoiseModel(0.0, x)),
+    "vqe_run": ("initial", lambda x: vqe_run(_SUM, "compact",
+                                             initial=(x, 0.0, 0.0))),
+    "scaling_experiment": ("theta", lambda x: scaling_experiment(
+        _SUM, "compact", theta=(0.0, x, 0.0))),
+}
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value, refusal", [
+        (True, "a number, not a boolean, got True"),
+        (np.True_, "a number, not a boolean, got np.True_"),
+        ("1.5", "a number, got '1.5'"),
+        (np.nan, "finite, got nan"),
+        (np.inf, "finite, got inf"),
+        (-np.inf, "finite, got -inf"),
+        (10**400, "finite, got a number beyond float range")],
+        ids=["bool", "np-bool", "text", "nan", "inf", "-inf", "beyond-float"])
+    @pytest.mark.parametrize("entry", _REALS)
+    def test_every_real_is_refused_by_one_rule(self, entry, value, refusal):
+        # a boolean must not read as 1, nor nan or an overflowing int reach
+        # numpy, whose own errors would not name the setting
+        name, call = _REALS[entry]
+        message = f"{name} must be {refusal}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [-2.5, 0, 10**300, np.float32(1e-3),
+                                       np.int64(7), Fraction(1, 3)])
+    def test_a_finite_real_of_any_type_passes(self, value):
+        assert require_real("x", value) is None
+
+    @pytest.mark.parametrize("entry, call", [
+        ("initial", lambda t: vqe_run(_SUM, "compact", initial=t)),
+        ("theta", lambda t: scaling_experiment(_SUM, "compact", theta=t))])
+    @pytest.mark.parametrize("theta", [(0, 0), (0.1, 0.2, 0.3, 0.4), 0.5,
+                                       "abc", [[0.1], [0.2], [0.3]]],
+                             ids=["two", "four", "scalar", "text", "column"])
+    def test_angles_other_than_three_are_refused(self, entry, call, theta):
+        # (0, 0) once ended in an IndexError inside the minimizer
+        with pytest.raises(ValueError, match=f"^{entry} must be 3 angles, "
+                                             f"got {re.escape(repr(theta))}$"):
+            call(theta)
+
+    def test_three_angles_of_any_sequence_type_are_taken(self):
+        theta = np.array(GOOD_GUESS["compact"], dtype=np.float32)
+        for initial in (theta, list(theta), tuple(theta)):
+            result = vqe_run(_SUM, "compact", initial=initial)
+            assert result.converged

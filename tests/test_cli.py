@@ -852,15 +852,21 @@ class TestObservablesCommand:
 
     # each file is the fitted result with one field spoiled, so the
     # refusal can only come from that field
-    @pytest.mark.parametrize("theta", ["absent", [0.1, 0.2], [0.1, 0.2, 0.3, 0.4],
-                                       ["a", 0.2, 0.3], "123", None,
-                                       ["0.1", "0.2", "0.3"],
-                                       [True, False, True], [10**400, 0.2, 0.3]],
-                             ids=["absent", "two", "four", "non-numeric",
-                                  "string", "null", "numeric-strings",
-                                  "booleans", "beyond-float"])
+    @pytest.mark.parametrize("theta, refusal", [
+        ("absent", "3 angles, got None"),
+        ([0.1, 0.2], "3 angles, got [0.1, 0.2]"),
+        ([0.1, 0.2, 0.3, 0.4], "3 angles, got [0.1, 0.2, 0.3, 0.4]"),
+        (["a", 0.2, 0.3], "a number, got 'a'"),
+        ("123", "3 angles, got '123'"), (None, "3 angles, got None"),
+        (["0.1", "0.2", "0.3"], "a number, got '0.1'"),
+        ([True, False, True], "a number, not a boolean, got True"),
+        ([10**400, 0.2, 0.3], "finite, got a number beyond float range")],
+        ids=["absent", "two", "four", "non-numeric", "string", "null",
+             "numeric-strings", "booleans", "beyond-float"])
     def test_bad_stored_angles_exit_two(self, fitted_result, tmp_path, capsys,
-                                        theta):
+                                        theta, refusal):
+        # the angles pass vqe_run's rule (require_angles), under the key's
+        # name in the file
         del fitted_result["theta"]
         if theta != "absent":
             fitted_result["theta"] = theta
@@ -868,8 +874,8 @@ class TestObservablesCommand:
         angles.write_text(json.dumps(fitted_result))
         assert run_cli("observables", "--angles", str(angles),
                        "--out", str(tmp_path)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "'theta'" in err
+        assert capsys.readouterr().err == (
+            f"config error: {angles}: 'theta' must be {refusal}\n")
         assert not (tmp_path / "observables.json").exists()
 
     @pytest.mark.parametrize("energy, field", [

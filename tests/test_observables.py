@@ -57,6 +57,15 @@ class TestDecayConstant:
         v = np.asarray(decay_spec(PARAMS).reference_vector)
         assert np.allclose(v, [0, 1, -1, 0] / np.sqrt(2.0))
 
+    @pytest.mark.parametrize("field, value, refusal", [
+        ("reference_vector", (np.nan,) * 4,
+         "reference vector must be a unit vector"),
+        ("prefactor", np.nan, "prefactor must be positive")])
+    def test_spec_refuses_nan(self, field, value, refusal):
+        # nan fails every comparison, so each check must fail on it
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            replace(decay_spec(PARAMS), **{field: value})
+
     def test_ground_state_value(self, psi):
         f = decay_constant(psi, PARAMS, EXPS)
         assert f == pytest.approx(54.064409356104036, rel=1e-10)
