@@ -77,6 +77,18 @@ RUNS = {
                       ["vqe", "--tolerance", "inf"],
                       ["vqe", "--mode", "noisy", "--noise-p01", "nan",
                        "--noise-p10", "0.05"]],
+    # settings the run does not read, each refused with exit code 2
+    "unread-refusals": [["vqe", "--shots", "7"],
+                        ["scaling", "--mode", "sampled"],
+                        ["observables", "--exact", "--tolerance", "0.5"],
+                        ["hamiltonian", "--mode", "noisy", "--noise-p01",
+                         "0.5", "--noise-p10", "0.5", "--mitigate"],
+                        ["vqe", "--mode", "sampled", "--noise-p10", "0.1"]],
+    # angles read under other physics or another encoding, refused with
+    # exit code 2; an unset b is b = kappa, so --b 227 reads them
+    "angles-refusals": [["vqe"], ["observables", "--kappa", "200"],
+                        ["observables", "--encoding", "direct"],
+                        ["observables", "--b", "227"]],
 }
 
 
