@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basisfuncs import (chi, compute_exponents, gauss_legendre,
-                         longitudinal_integral, require_tabulated)
+                         longitudinal_integral, require_real,
+                         require_tabulated)
 from .hamiltonian import HermitianObservable
 from .vqe import lookup_encoding
 
@@ -109,7 +110,9 @@ def mass_radius(psi, params):
 
 @dataclass(frozen=True)
 class PdfDensity:
-    """Longitudinal norm rho (the l = 0 weight) and f(x) on an x grid."""
+    """Longitudinal norm rho (the l = 0 weight) and f(x) on an x grid.
+
+    rho, alpha and beta pass `require_real`, and rho lies in [0, 1]."""
 
     rho: float
     values: np.ndarray
@@ -117,8 +120,11 @@ class PdfDensity:
     beta: float
 
     def __post_init__(self):
-        if self.rho > 1.0 + 1e-9:
-            raise ValueError("density norm rho exceeds 1")
+        for name in ("rho", "alpha", "beta"):
+            require_real(name, getattr(self, name))
+        if not 0.0 <= self.rho <= 1.0 + 1e-9:
+            raise ValueError(f"density norm rho must lie in [0, 1], "
+                             f"got {self.rho!r}")
         if not np.all(self.values >= -1e-12):
             raise ValueError("PDF values must be finite and non-negative")
 
@@ -273,8 +279,10 @@ class FormFactorCurve:
             raise ValueError("need at least 3 grid points")
         q2 = np.asarray(self.q2, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if np.any(q2 < 0) or np.any(np.diff(q2) <= 0):
-            raise ValueError("grid must be non-negative and increasing")
+        # written so that nan fails it
+        if not (np.all(np.isfinite(q2)) and q2[0] >= 0
+                and np.all(np.diff(q2) > 0)):
+            raise ValueError("grid must be finite, non-negative and increasing")
         if q2[0] == 0.0 and abs(vals[0] - 1.0) > 1e-6:
             raise ValueError("form factor at Q^2 = 0 must be 1")
         if not np.all(np.abs(vals) <= 1.0 + 1e-9):

@@ -110,11 +110,12 @@ def lookup_encoding(name):
 GOOD_GUESS = {name: enc.good_guess for name, enc in ENCODINGS.items()}
 
 
-def require_angles(name, theta):
-    """ValueError naming the parameter `name` unless `theta` holds the
-    ansatz's 3 angles, each passing `require_real`."""
-    if np.asarray(theta, dtype=object).shape != (3,):
-        raise ValueError(f"{name} must be 3 angles, got {theta!r}")
+def require_angles(name, theta, count=3):
+    """ValueError naming the parameter `name` unless `theta` holds
+    `count` angles (by default the ansatz's 3), each passing
+    `require_real`."""
+    if np.asarray(theta, dtype=object).shape != (count,):
+        raise ValueError(f"{name} must be {count} angles, got {theta!r}")
     for angle in theta:
         require_real(name, angle)
 
@@ -173,8 +174,10 @@ def minimize(cost, theta0, kinds, config=None, mode="exact"):
     Sweeps end, converged, when one gains less than config.tolerance, or,
     not converged, before an angle's 2k + 1 evaluations would pass
     config.max_iterations; the trace holds every evaluation's cost, in
-    order.
+    order.  The start theta0 must hold one angle per kind
+    (`require_angles`), checked once before the first evaluation.
     """
+    require_angles("theta0", theta0, len(kinds))
     config = config or OptimizerConfig()
     theta, best, trace = np.array(theta0, dtype=float), np.inf, []
 
@@ -229,6 +232,9 @@ def prepared_state(encoding, theta):
     paper's circuit forms gate by gate from the zero state, in the same
     order, so the two agree bit for bit, a zero amplitude being +0.0
     (the tests run the circuits in `tests/oracles.py` to check this).
+    `theta` is not checked: this runs once per cost evaluation, so the
+    entry points that take angles (`vqe_run`, `minimize`,
+    `scaling_experiment`) check them once with `require_angles` instead.
     """
     enc = lookup_encoding(encoding)
     amps = np.zeros(2**enc.n_qubits)

@@ -18,8 +18,8 @@ from blfqvqe.cli import ConfigError, RunConfig
 from blfqvqe.pauli import PauliString, PauliSum
 from blfqvqe.simulator import (ReadoutNoiseModel, Statevector,
                                expectation_sampled, sampled_estimates)
-from blfqvqe.vqe import (GOOD_GUESS, OptimizerConfig, scaling_experiment,
-                         vqe_run)
+from blfqvqe.vqe import (GOOD_GUESS, OptimizerConfig, minimize,
+                         scaling_experiment, vqe_run)
 from oracles import longitudinal_integral_quadrature
 
 PARAMS = ModelParameters()
@@ -239,11 +239,19 @@ class TestWaveFunction:
 
 
 _SUM = PauliSum([("ZI", 1.0), ("XX", 0.5)])  # any two-qubit observable
+
+
+def _unevaluated(theta):
+    # a cost that a refused start must never reach
+    raise AssertionError(f"cost evaluated at {theta!r}")
+
+
 _STATE = Statevector.zero(2)
 # every entry point taking a count: the argument's name, the least count
 # it takes, and a call passing it a value
 _COUNTS = {
-    "RunConfig-shots": ("shots", 1, lambda n: RunConfig(shots=n)),
+    "RunConfig-shots": ("shots", 1,
+                        lambda n: RunConfig(mode="sampled", shots=n)),
     "RunConfig-seed": ("seed", 0, lambda n: RunConfig(seed=n)),
     "OptimizerConfig": ("max_iterations", 1,
                         lambda n: OptimizerConfig(max_iterations=n)),
@@ -323,6 +331,8 @@ _REALS = {
                                              initial=(x, 0.0, 0.0))),
     "scaling_experiment": ("theta", lambda x: scaling_experiment(
         _SUM, "compact", theta=(0.0, x, 0.0))),
+    "minimize": ("theta0", lambda x: minimize(_unevaluated, (0.0, 0.0, x),
+                                              ("Ry",) * 3)),
 }
 
 
@@ -352,7 +362,8 @@ class TestRequireReal:
 
     @pytest.mark.parametrize("entry, call", [
         ("initial", lambda t: vqe_run(_SUM, "compact", initial=t)),
-        ("theta", lambda t: scaling_experiment(_SUM, "compact", theta=t))])
+        ("theta", lambda t: scaling_experiment(_SUM, "compact", theta=t)),
+        ("theta0", lambda t: minimize(_unevaluated, t, ("CRy",) * 3))])
     @pytest.mark.parametrize("theta", [(0, 0), (0.1, 0.2, 0.3, 0.4), 0.5,
                                        "abc", [[0.1], [0.2], [0.3]]],
                              ids=["two", "four", "scalar", "text", "column"])

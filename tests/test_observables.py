@@ -188,6 +188,14 @@ class TestPdf:
                 PdfDensity(rho=1.0, values=np.array([bad]), alpha=1.0,
                            beta=1.0)
 
+    @pytest.mark.parametrize("name", ["rho", "alpha", "beta"])
+    def test_nan_is_refused(self, name):
+        # a nan norm once passed, and normalization() returned nan
+        record = dict(rho=1.0, values=np.array([0.1]), alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, "
+                                             f"got nan$"):
+            PdfDensity(**{**record, name: np.nan})
+
 
 class TestLaguerre:
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -384,6 +392,16 @@ class TestElasticFormFactor:
         for bad in (1.2, np.nan):
             with pytest.raises(ValueError):
                 FormFactorCurve(q2=(0.0, 1.0, 2.0), values=(1.0, bad, 0.1))
+
+    @pytest.mark.parametrize("q2", [(0.0, 1.0, 2.0, np.nan),
+                                    (np.nan, 1.0, 2.0, 4.0),
+                                    (0.0, 1.0, 2.0, np.inf)],
+                             ids=["nan-last", "nan-first", "inf"])
+    def test_a_grid_point_that_is_not_finite_is_refused(self, q2):
+        # a nan Q^2 once passed, and charge_radius read a radius off it
+        with pytest.raises(ValueError, match="^grid must be finite, "
+                                             "non-negative and increasing$"):
+            FormFactorCurve(q2=q2, values=(1.0, 0.9, 0.8, 0.7))
 
     def test_one_pass_matches_pointwise_matrices(self, psi, curve):
         rng = np.random.default_rng(11)
