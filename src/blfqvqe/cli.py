@@ -7,8 +7,8 @@ and the record it configures checks its value.  Settings resolve as
 flags > config file (key = value lines) > BLFQVQE_OUT (the output
 directory only) > defaults.  Outputs embed the resolved configuration
 and its hash, never wall-clock data, so a fixed seed reruns
-byte-identically.  A setting the run does not read (`_COMMAND_READS`,
-`_MODE_READS`) must keep its default.
+byte-identically.  RunConfig refuses a setting its command does not read
+(its tables `_COMMAND_READS`, `_MODE_READS`) unless it keeps its default.
 
 A command writes all its files to temporary files before it renames
 any into place, so a failed write keeps every previous file and exits
@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings for one run of `command`, which is not a field."""
 
     m: float = _DEFAULTS["m"]
     mbar: float = _DEFAULTS["mbar"]
@@ -93,8 +93,23 @@ class RunConfig:
     max_iterations: int = _DEFAULTS["max_iterations"]
     tolerance: float = _DEFAULTS["tolerance"]
     out: str = "."
+    command: InitVar[str] = "vqe"
 
-    def __post_init__(self):
+    def __post_init__(self, command):
+        if command not in tuple(_COMMAND_READS):
+            raise ConfigError(f"command must be one of "
+                              f"{tuple(_COMMAND_READS)}, got {command!r}")
+        # an unread setting must keep its default, checked ahead of the rest
+        reads = _MODEL_FIELDS + ("seed", "out") + _COMMAND_READS[command]
+        if "mode" in reads:
+            # an unknown mode reads everything, so the choice check names it
+            reads += (_MODE_READS[self.mode] if self.mode in CLI_MODES
+                      else tuple(vars(self)))
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{command} in mode {self.mode!r} does not "
+                                  f"read {f.name}; it must stay {f.default!r}, "
+                                  f"got {getattr(self, f.name)!r}")
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, "
@@ -115,7 +130,7 @@ class RunConfig:
             self.model_parameters()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if self.mitigate and noise is not None and noise.is_singular:
+        if self.mitigate and noise.is_singular:
             raise ConfigError("mitigate needs an invertible calibration, "
                               "but noise_p01 + noise_p10 = 1 is singular")
 
@@ -127,10 +142,8 @@ class RunConfig:
                                tolerance=self.tolerance)
 
     def noise_model(self):
-        # a given flip probability must be one in every mode; unset is 0
-        noise = ReadoutNoiseModel(*(0.0 if p is None else p
-                                    for p in (self.noise_p01, self.noise_p10)))
-        return noise if self.mode == "noisy" else None
+        return (ReadoutNoiseModel(self.noise_p01, self.noise_p10)
+                if self.mode == "noisy" else None)
 
     def vqe_mode(self):
         if self.mode == "noisy":
@@ -176,7 +189,8 @@ def _coerce(name, text, target_type):
 # each field's type, read off RunConfig's annotations (`X | None` reads as X)
 _FIELD_TYPES = {name: next(t for t in typing.get_args(hint) + (hint,)
                            if t is not type(None))
-                for name, hint in typing.get_type_hints(RunConfig).items()}
+                for name, hint in typing.get_type_hints(RunConfig).items()
+                if name in {f.name for f in fields(RunConfig)}}
 
 
 def read_config_file(path):
@@ -215,18 +229,7 @@ def resolve_config(args):
         if flag is not None:
             settings[name] = flag
     command = args.command + (" --exact" if getattr(args, "exact", False) else "")
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    values = {**defaults, **settings}
-    reads = _MODEL_FIELDS + ("seed", "out") + _COMMAND_READS[command]
-    if "mode" in reads:
-        # an unknown mode reads everything, so RunConfig names it
-        reads += _MODE_READS.get(values["mode"], tuple(values))
-    for name, default in defaults.items():
-        if name not in reads and values[name] != default:
-            raise ConfigError(f"{command} in mode {values['mode']!r} does not "
-                              f"read {name}; it must stay {default!r}, got "
-                              f"{values[name]!r}")
-    return RunConfig(**settings)
+    return RunConfig(**settings, command=command)
 
 
 def _json(payload):
@@ -287,11 +290,8 @@ def cmd_hamiltonian(config, h):
     return EXIT_OK
 
 
-def cmd_vqe(config, h):
-    ham = lookup_encoding(config.encoding).embed(h)
-    result = vqe_run(ham, config.encoding, mode=config.vqe_mode(),
-                     shots=config.shots, noise=config.noise_model(),
-                     seed=config.seed, config=config.optimizer_config())
+def write_vqe_record(config, result):
+    """Write `result`'s trace and record under config.out; return their paths."""
     payload = {
         "theta": list(result.theta),
         "energy": _tagged(result.energy, "MeV^2", result.mode),
@@ -306,8 +306,70 @@ def cmd_vqe(config, h):
     best = itertools.accumulate(result.trace, min, initial=np.inf)
     trace = _csv(("iteration", "energy[MeV^2]", "mode"),
                  [(i, e, result.mode) for i, e in enumerate(best) if i])
-    paths = _write_outputs(config.out, {"vqe_trace.csv": trace,
-                                        "vqe_result.json": _json(payload)})
+    return _write_outputs(config.out, {"vqe_trace.csv": trace,
+                                       "vqe_result.json": _json(payload)})
+
+
+def read_vqe_record(config, path=None):
+    """(theta, energy mode, energy or None) of a vqe record fitted under config."""
+    path = path or os.path.join(config.out, "vqe_result.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"no angles available: {err}; run the vqe "
+                          f"subcommand first or pass --exact") from err
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        raise ConfigError(f"{path} is not readable UTF-8 JSON: {err}") from err
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{path} does not hold a vqe result")
+    encoding = stored.get("encoding")
+    if encoding != config.encoding:
+        raise ConfigError(f"angles file used encoding {encoding!r} but this "
+                          f"run is configured for {config.encoding!r}")
+    energy = stored.get("energy", {})
+    try:
+        if not isinstance(energy, dict):
+            raise ValueError(f"'energy' must be a JSON object, got {energy!r}")
+        mode, value = energy.get("mode", "exact"), energy.get("value")
+        if mode not in MODES:
+            raise ValueError(f"'energy.mode' must be one of {MODES}, got {mode!r}")
+        theta = stored.get("theta")
+        require_angles("'theta'", theta)
+        if "value" in energy:  # it may be left out, but not be null
+            require_real("'energy.value'", value)
+        converged = stored.get("converged", True)
+        if type(converged) is not bool:
+            raise ValueError(f"'converged' must be true or false, got {converged!r}")
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    fitted = stored.get("provenance")
+    fitted = fitted.get("config") if isinstance(fitted, dict) else None
+    if not isinstance(fitted, dict):
+        raise ConfigError(f"{path} has no provenance.config, so its angles "
+                          f"cannot be matched to this run's physics")
+    try:
+        there = ModelParameters(**{k: fitted[k] for k in _MODEL_FIELDS})
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: provenance.config: {err!r}") from err
+    here = config.model_parameters()
+    differ = [f"{k} = {getattr(there, k)!r} there, {getattr(here, k)!r} here"
+              for k in _MODEL_FIELDS if getattr(there, k) != getattr(here, k)]
+    if differ:
+        raise ConfigError(f"{path} was fitted under other physics: "
+                          + "; ".join(differ))
+    if not converged:
+        print(f"warning: {path} holds the angles of a vqe run that did not "
+              f"converge", file=sys.stderr)
+    return theta, mode, value
+
+
+def cmd_vqe(config, h):
+    ham = lookup_encoding(config.encoding).embed(h)
+    result = vqe_run(ham, config.encoding, mode=config.vqe_mode(),
+                     shots=config.shots, noise=config.noise_model(),
+                     seed=config.seed, config=config.optimizer_config())
+    paths = write_vqe_record(config, result)
     print(f"VQE [{config.encoding}, {result.mode}]: "
           f"energy = {result.energy:.4f} MeV^2 after "
           f"{result.n_iterations} evaluations"
@@ -316,80 +378,16 @@ def cmd_vqe(config, h):
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _check_provenance(stored, config, angles_path):
-    """Angles are only valid for the physics they were fitted under."""
-    fitted = stored.get("provenance")
-    fitted = fitted.get("config") if isinstance(fitted, dict) else None
-    if not isinstance(fitted, dict):
-        raise ConfigError(f"{angles_path} has no provenance.config, so its "
-                          f"angles cannot be matched to this run's physics")
-    try:
-        # compare the physics, not its spelling: an unset b is b = kappa
-        there = ModelParameters(**{k: fitted[k] for k in _MODEL_FIELDS})
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{angles_path}: provenance.config: {err!r}") from err
-    here = config.model_parameters()
-    differ = [f"{k} = {getattr(there, k)!r} there, {getattr(here, k)!r} here"
-              for k in _MODEL_FIELDS if getattr(there, k) != getattr(here, k)]
-    if differ:
-        raise ConfigError(f"{angles_path} was fitted under other physics: "
-                          + "; ".join(differ))
-
-
-def _state_from_config(config, h, args):
-    """Wave function + mode tag, from --exact or a vqe result file."""
-    block = enumerate_block(0, BasisCutoffs())
-    if args.exact:
-        sol = diagonalize(h)
-        return WaveFunction(sol.eigenvectors[:, 0], block), "exact", None
-    angles_path = args.angles or os.path.join(config.out, "vqe_result.json")
-    try:
-        with open(angles_path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"no angles available: {err}; run the vqe "
-                          f"subcommand first or pass --exact") from err
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
-        raise ConfigError(f"{angles_path} is not readable UTF-8 JSON: "
-                          f"{err}") from err
-    if not isinstance(stored, dict):
-        raise ConfigError(f"{angles_path} does not hold a vqe result")
-    encoding = stored.get("encoding")
-    if encoding != config.encoding:
-        raise ConfigError(f"angles file used encoding {encoding!r} but this "
-                          f"run is configured for {config.encoding!r}")
-    energy = stored.get("energy", {})
-    if not isinstance(energy, dict):
-        raise ConfigError(f"{angles_path}: 'energy' must be a JSON object, "
-                          f"got {energy!r}")
-    mode = energy.get("mode", "exact")
-    if mode not in MODES:
-        raise ConfigError(f"{angles_path}: 'energy.mode' must be one of "
-                          f"{MODES}, got {mode!r}")
-    theta, vqe_energy = stored.get("theta"), energy.get("value")
-    try:  # the value may be left out, but not be null
-        require_angles("'theta'", theta)
-        if "value" in energy:
-            require_real("'energy.value'", vqe_energy)
-    except ValueError as err:
-        raise ConfigError(f"{angles_path}: {err}") from None
-    converged = stored.get("converged", True)
-    if type(converged) is not bool:
-        raise ConfigError(f"{angles_path}: 'converged' must be true or "
-                          f"false, got {converged!r}")
-    _check_provenance(stored, config, angles_path)
-    if not converged:
-        print(f"warning: {angles_path} holds the angles of a vqe run that "
-              f"did not converge", file=sys.stderr)
-    coeffs = np.array(ENCODINGS[config.encoding].coefficients(theta))
-    return (WaveFunction(coeffs / np.linalg.norm(coeffs), block), mode,
-            vqe_energy)
-
-
 def cmd_observables(config, h, args):
     params = config.model_parameters()
     exps = compute_exponents(params)
-    psi, mode, vqe_energy = _state_from_config(config, h, args)
+    if args.exact:
+        coeffs, mode, vqe_energy = diagonalize(h).eigenvectors[:, 0], "exact", None
+    else:
+        theta, mode, vqe_energy = read_vqe_record(config, args.angles)
+        coeffs = np.array(ENCODINGS[config.encoding].coefficients(theta))
+        coeffs = coeffs / np.linalg.norm(coeffs)
+    psi = WaveFunction(coeffs, enumerate_block(0, BasisCutoffs()))
 
     m_pi2 = float(psi.coefficients @ h.entries @ psi.coefficients)
     if not m_pi2 > 0.0:

@@ -92,6 +92,10 @@ def assert_finite_json(path):
     return json.loads(path.read_text(), parse_constant=pytest.fail)
 
 
+# the settings of a noisy run, which reads every run setting
+NOISY = {"mode": "noisy", "noise_p01": 0.1, "noise_p10": 0.1}
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         config = RunConfig()
@@ -126,19 +130,20 @@ class TestRunConfig:
             RunConfig(kappa=-1.0)
 
     @pytest.mark.parametrize("record, message", [
-        ({"shots": "5"}, "shots must be a number, got '5'"),
+        ({"mode": "sampled", "shots": "5"}, "shots must be a number, got '5'"),
         ({"seed": "1"}, "seed must be a number, got '1'"),
-        ({"shots": 2.5},
+        ({"mode": "sampled", "shots": 2.5},
          "shots must be a whole number of at least 1, got 2.5"),
-        ({"shots": float("nan")},
+        ({"mode": "sampled", "shots": float("nan")},
          "shots must be a whole number of at least 1, got nan"),
         ({"seed": 0.5}, "seed must be a whole number of at least 0, got 0.5"),
         ({"seed": True}, "seed must be a number, not a boolean, got True"),
-        ({"shots": np.True_},
+        ({"mode": "sampled", "shots": np.True_},
          "shots must be a number, not a boolean, got np.True_"),
-        ({"mitigate": "no"}, "mitigate must be a boolean, got 'no'"),
-        ({"mitigate": 1}, "mitigate must be a boolean, got 1"),
-        ({"mitigate": np.False_}, "mitigate must be a boolean, got np.False_")],
+        ({**NOISY, "mitigate": "no"}, "mitigate must be a boolean, got 'no'"),
+        ({**NOISY, "mitigate": 1}, "mitigate must be a boolean, got 1"),
+        ({**NOISY, "mitigate": np.False_},
+         "mitigate must be a boolean, got np.False_")],
         ids=["shots-text", "seed-text", "shots-fraction", "shots-nan",
              "seed-fraction", "seed-bool", "shots-np-bool", "mitigate-text",
              "mitigate-int", "mitigate-np-bool"])
@@ -149,9 +154,34 @@ class TestRunConfig:
             RunConfig(**record)
 
     def test_whole_numbers_of_any_type_are_run_settings(self):
-        config = RunConfig(shots=np.int64(512), seed=np.uint32(7))
+        config = RunConfig(mode="sampled", shots=np.int64(512),
+                           seed=np.uint32(7))
         assert config.shots == 512 and config.seed == 7
-        assert RunConfig(shots=512.0).shots == 512
+        assert RunConfig(mode="sampled", shots=512.0).shots == 512
+
+    def test_a_setting_the_run_does_not_read_is_refused(self):
+        # the CLI's refusal, from the record a library caller builds
+        with pytest.raises(ConfigError, match=re.escape(
+                "vqe in mode 'exact' does not read shots; it must stay "
+                "8192, got 7") + "$"):
+            RunConfig(shots=7)
+        with pytest.raises(ConfigError, match="^hamiltonian in mode 'exact' "
+                                              "does not read encoding; "):
+            RunConfig(encoding="bk", command="hamiltonian")
+
+    @pytest.mark.parametrize("command", list(cli._COMMAND_READS))
+    def test_every_command_is_taken(self, command):
+        config = RunConfig(kappa=210.0, seed=3, command=command)
+        # the command is no field: the record and its provenance omit it
+        assert config == RunConfig(kappa=210.0, seed=3)
+        assert "command" not in config.as_dict()
+
+    @pytest.mark.parametrize("command", ["plot", "observables --angles", None])
+    def test_an_unknown_command_is_refused(self, command):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"command must be one of {tuple(cli._COMMAND_READS)}, "
+                f"got {command!r}") + "$"):
+            RunConfig(command=command)
 
     def test_mode_mapping(self):
         assert RunConfig().vqe_mode() == "exact"
@@ -184,21 +214,27 @@ class TestRunConfig:
         ({"noise_p01": float("nan")}, "noise_p01 must be finite, got nan"),
         ({"noise_p01": 2.0, "noise_p10": -1.0},
          "noise_p01 must lie in [0, 1), got 2.0"),
-        ({"mode": "sampled", "noise_p01": float("inf")},
-         "noise_p01 must be finite, got inf"),
+        ({"noise_p01": float("inf")}, "noise_p01 must be finite, got inf"),
         ({"noise_p10": 1.0}, "noise_p10 must lie in [0, 1), got 1.0"),
         # False would read as an unset probability, and run as 0
-        ({"mode": "noisy", "noise_p01": False, "noise_p10": 0.1},
-         "noise_p01 must be a number, not a boolean, got False"),
-        ({"mode": "noisy", "noise_p01": 0.1, "noise_p10": "0.1"},
-         "noise_p10 must be a number, got '0.1'")],
-        ids=["nan-exact", "both-exact", "inf-sampled", "p10-exact",
-             "false-noisy", "string-noisy"])
-    def test_flip_probability_refused_in_every_mode(self, record, message):
-        # the record refuses what provenance could not hold as valid JSON,
-        # whether or not the mode reads the setting
+        ({"noise_p01": False}, "noise_p01 must be a number, not a boolean, "
+                               "got False"),
+        ({"noise_p10": "0.1"}, "noise_p10 must be a number, got '0.1'")],
+        ids=["nan", "both", "inf", "p10", "false", "string"])
+    def test_flip_probability_refused_in_mode_noisy(self, record, message):
+        # the record refuses what provenance could not hold as valid JSON
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            RunConfig(**record)
+            RunConfig(**{**NOISY, **record})
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("value", [0.1, float("nan"), False])
+    def test_flip_probability_unread_outside_mode_noisy(self, mode, value):
+        # only mode noisy reads a flip probability, so any value but the
+        # unset default is refused before the value itself is checked
+        with pytest.raises(ConfigError, match=re.escape(
+                f"vqe in mode {mode!r} does not read noise_p10; it must stay "
+                f"None, got {value!r}") + "$"):
+            RunConfig(mode=mode, noise_p10=value)
 
 
 class TestConfigFile:
@@ -744,6 +780,32 @@ class TestVqeCommand:
                 floor = np.linalg.eigvalsh(h.entries)[0]
                 assert result["energy"]["value"] >= \
                     floor - 1e-9 * np.abs(h.entries).max()
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"mode": "sampled", "shots": 512},
+    {**NOISY, "mitigate": True, "shots": 512}],
+    ids=["exact", "sampled", "noisy"])
+def test_a_vqe_record_reads_back_as_written(tmp_path, capsys, settings):
+    config = RunConfig(**settings, encoding="direct", kappa=210.0, seed=4,
+                       out=str(tmp_path))
+    h = build_effective_hamiltonian(config.model_parameters())
+    result = vqe.vqe_run(vqe.lookup_encoding("direct").embed(h), "direct",
+                         mode=config.vqe_mode(), shots=config.shots,
+                         noise=config.noise_model(), seed=config.seed,
+                         config=config.optimizer_config())
+    assert cli.write_vqe_record(config, result) == [
+        str(tmp_path / "vqe_trace.csv"), str(tmp_path / "vqe_result.json")]
+    # an observables run of the same encoding and model reads it back
+    reader = RunConfig(encoding="direct", kappa=210.0, out=str(tmp_path),
+                       command="observables")
+    theta, mode, energy = cli.read_vqe_record(reader)
+    assert (tuple(theta), mode, energy) == (result.theta, result.mode,
+                                            result.energy)
+    assert mode == ("exact", "sampled",
+                    "sampled+noise+mitigation")[len(settings) // 2]
+    # a converged run's record is read without a warning
+    assert result.converged and capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
