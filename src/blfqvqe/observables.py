@@ -279,7 +279,6 @@ class FormFactorCurve:
             raise ValueError("need at least 3 grid points")
         q2 = np.asarray(self.q2, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        # written so that nan fails it
         if not (np.all(np.isfinite(q2)) and q2[0] >= 0
                 and np.all(np.diff(q2) > 0)):
             raise ValueError("grid must be finite, non-negative and increasing")

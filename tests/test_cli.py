@@ -782,11 +782,11 @@ class TestVqeCommand:
                     floor - 1e-9 * np.abs(h.entries).max()
 
 
-@pytest.mark.parametrize("settings", [
-    {}, {"mode": "sampled", "shots": 512},
-    {**NOISY, "mitigate": True, "shots": 512}],
+@pytest.mark.parametrize("settings, tag", [
+    ({}, "exact"), ({"mode": "sampled", "shots": 512}, "sampled"),
+    ({**NOISY, "mitigate": True, "shots": 512}, "sampled+noise+mitigation")],
     ids=["exact", "sampled", "noisy"])
-def test_a_vqe_record_reads_back_as_written(tmp_path, capsys, settings):
+def test_a_vqe_record_reads_back_as_written(tmp_path, capsys, settings, tag):
     config = RunConfig(**settings, encoding="direct", kappa=210.0, seed=4,
                        out=str(tmp_path))
     h = build_effective_hamiltonian(config.model_parameters())
@@ -800,10 +800,7 @@ def test_a_vqe_record_reads_back_as_written(tmp_path, capsys, settings):
     reader = RunConfig(encoding="direct", kappa=210.0, out=str(tmp_path),
                        command="observables")
     theta, mode, energy = cli.read_vqe_record(reader)
-    assert (tuple(theta), mode, energy) == (result.theta, result.mode,
-                                            result.energy)
-    assert mode == ("exact", "sampled",
-                    "sampled+noise+mitigation")[len(settings) // 2]
+    assert (tuple(theta), mode, energy) == (result.theta, tag, result.energy)
     # a converged run's record is read without a warning
     assert result.converged and capsys.readouterr().err == ""
 
