@@ -21,7 +21,8 @@ from .hamiltonian import (Eigensolution, HermitianObservable,
 from .pauli import (PauliString, PauliSum, embed_compact, embed_direct,
                     jw_hopping_pauli, jw_to_bk_pauli, pauli_sum_to_matrix)
 from .simulator import (ReadoutNoiseModel, Statevector, expectation_exact,
-                        expectation_sampled, sampled_estimates)
+                        expectation_moments, expectation_sampled,
+                        sampled_estimates)
 from .observables import (E_ANTIQUARK, E_QUARK, HBARC, DecayConstantSpec,
                           FormFactorCurve, MassRadiusMatrix, PdfDensity,
                           charge_radius, decay_constant, decay_projector,

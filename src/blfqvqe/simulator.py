@@ -17,7 +17,8 @@ anything `default_rng` takes; a `Generator` is drawn from where it
 stands.  Repeated estimates add a leading repeats axis: one multinomial
 draw of shape (repeats, terms, K) from that stream, reduced row by row,
 and the first repeat draws exactly what a single estimate with that
-seed draws.
+seed draws.  `expectation_moments` reads the same category probabilities
+and draws nothing: it gives an estimate's exact mean and standard error.
 """
 from __future__ import annotations
 
@@ -187,57 +188,62 @@ def _row_sums(a):
     return s
 
 
-def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
-               repeats):
-    """Estimates and standard errors; arrays over repeats unless None.
-
-    shots_per_term is checked here (`require_shots`); repeats by the caller.
-    Only what changes with the state is done here: the probabilities of
-    the compiled bases through the readout response, summed into each
-    row's weight categories (`_measurement`), one multinomial draw of
-    category frequencies f from `np.random.default_rng(seed)` (rows in
-    axes-string order; a leading repeats axis, filled repeat by repeat),
-    and f.g, f.g^2 - (f.g)^2 per term.  On a batched draw those two sums
-    over the K categories are added a column at a time (`_row_sums`), in
-    the order numpy's own `sum(axis=-1)` uses for K < 8, so every bit is
-    as numpy's sum gives it, at a fraction of its cost; an unbatched draw
-    has a row per term and keeps numpy's sum.
-    The estimator reads an outcome only through its weight, so drawing
-    categories instead of outcomes leaves its distribution unchanged.
-    The unsized draw for repeats=None consumes the stream exactly as a
-    one-repeat batch but skips its array overhead (~6 us a call on a
-    2-CPU machine).
-    """
-    shots_per_term = require_shots("shots_per_term", shots_per_term)
+def _probabilities(state, pauli_sum, noise, mitigate):
+    """Each row's category probabilities P, shaped like g, and the sum's
+    compiled record (`_measurement`); the draw and the moments read P."""
     if 2**pauli_sum.n_qubits != state.amplitudes.size:
         raise ValueError("state and operator dimensions differ")
-    offset, c, c2, U, response, fold, g, g2 = _measurement(pauli_sum, noise,
-                                                           mitigate)
+    record = _measurement(pauli_sum, noise, mitigate)
+    _, _, _, U, response, fold, g, _ = record
     P = np.abs(U @ state.amplitudes) ** 2
     P /= P.sum(axis=-1, keepdims=True)
     if response is not None:
         P = P @ response.T
     # a category's sum can round to 1 + 2e-16, which multinomial refuses
     P = np.minimum(np.bincount(fold, weights=P.ravel(), minlength=g.size), 1.0)
-    size = None if repeats is None else (repeats, len(c))
-    f = np.random.default_rng(seed).multinomial(
-        shots_per_term, P.reshape(g.shape), size=size) / shots_per_term
-    if repeats is None:  # a row per term, where numpy's own loop is cheaper
-        fg, fg2 = (f * g).sum(axis=-1), (f * g2).sum(axis=-1)
-    else:
+    return P.reshape(g.shape), record
+
+
+def _law(f, record, shots_per_term, batched):
+    """The estimator over category frequencies f, or their expectation P:
+    offset + (f.g).c and sqrt((f.g^2 - (f.g)^2).c^2 / n) (Wecker, Hastings,
+    Troyer, PRA 92, 042303 (2015)); over a leading repeats axis if batched.
+    """
+    offset, c, c2, _, _, _, g, g2 = record
+    if batched:
         fg, fg2 = _row_sums(f * g), _row_sums(f * g2)
+    else:  # a row per term, where numpy's own loop is cheaper
+        fg, fg2 = (f * g).sum(axis=-1), (f * g2).sum(axis=-1)
     variances = np.maximum(0.0, fg2 - fg**2)
     return offset + fg @ c, np.sqrt(variances @ c2 / shots_per_term)
+
+
+def _estimates(state, pauli_sum, shots_per_term, seed, noise, mitigate,
+               repeats):
+    """Estimates and standard errors; arrays over repeats unless None.
+
+    shots_per_term is checked here (`require_shots`); repeats by the caller.
+    One multinomial draw of category frequencies f from the category
+    probabilities (`_probabilities`), read by the estimator (`_law`), which
+    reads an outcome only through its weight, so drawing categories instead
+    of outcomes leaves its distribution unchanged.  The unsized draw for
+    repeats=None consumes the stream exactly as a one-repeat batch but
+    skips its array overhead (~6 us a call on a 2-CPU machine).
+    """
+    shots_per_term = require_shots("shots_per_term", shots_per_term)
+    P, record = _probabilities(state, pauli_sum, noise, mitigate)
+    size = None if repeats is None else (repeats, len(P))
+    f = np.random.default_rng(seed).multinomial(
+        shots_per_term, P, size=size) / shots_per_term
+    return _law(f, record, shots_per_term, repeats is not None)
 
 
 def sampled_estimates(state, pauli_sum, shots_per_term, seed, repeats):
     """`repeats` independent noiseless shot-based estimates of <psi|S|psi>.
 
     Returns an array of length `repeats`, a count of at least 1
-    (`require_count`), each entry computed as by `expectation_sampled`.
-    All repeats come from one multinomial draw of shape (repeats,
-    terms, 2) over each term's parity categories (`_measurement`) from
-    `np.random.default_rng(seed)`; repeat 0 is the estimate
+    (`require_count`), each entry computed as by `expectation_sampled`,
+    all from one batched draw; repeat 0 is the estimate
     `expectation_sampled` gives with that seed.
     """
     repeats = require_count("repeats", repeats, 1)
@@ -250,14 +256,25 @@ def expectation_sampled(state, pauli_sum, shots_per_term, seed,
     """Shot-based estimate of <psi|S|psi> with its standard error.
 
     The non-identity terms are measured in one stacked pass, one row per
-    term in axes-string order, all drawn from `np.random.default_rng(seed)`,
-    so a `Generator` is drawn from where it stands; identity terms
-    contribute exactly.  With a noise model, sampled bitstrings pass
-    through per-qubit readout flips; `mitigate` (which needs the model)
-    inverts the confusion, as `_measurement` describes.  This is the
-    one-repeat case of `sampled_estimates`, drawn without the repeats
-    axis.  `shots_per_term` is a count of shots (`require_shots`).
+    term in axes-string order, drawn from `np.random.default_rng(seed)`;
+    identity terms contribute exactly.  With a noise model, sampled
+    bitstrings pass through per-qubit readout flips; `mitigate` (which
+    needs the model) inverts the confusion, as `_measurement` describes.
+    This is the one-repeat case of `sampled_estimates`, drawn without the
+    repeats axis.  `shots_per_term` is a count of shots (`require_shots`).
     """
     est, se = _estimates(state, pauli_sum, shots_per_term, seed, noise,
                          mitigate, None)
     return float(est), float(se)
+
+
+def expectation_moments(state, pauli_sum, shots_per_term, noise=None,
+                        mitigate=False):
+    """The mean and standard error of `expectation_sampled`'s estimate in
+    closed form, drawing nothing: its estimator (`_law`) with the drawn
+    frequencies replaced by the category probabilities the draw reads.
+    Takes and refuses what `expectation_sampled` does, but for the seed."""
+    shots_per_term = require_shots("shots_per_term", shots_per_term)
+    mean, se = _law(*_probabilities(state, pauli_sum, noise, mitigate),
+                    shots_per_term, False)
+    return float(mean), float(se)

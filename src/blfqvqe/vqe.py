@@ -16,10 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .basisfuncs import require_count, require_real
-from .pauli import (embed_compact, embed_direct, jw_to_bk_pauli,
-                    pauli_string_matrix)
-from .simulator import (Statevector, expectation_exact, expectation_sampled,
-                        require_shots, sampled_estimates)
+from .pauli import embed_compact, embed_direct, jw_to_bk_pauli
+from .simulator import (Statevector, expectation_exact, expectation_moments,
+                        expectation_sampled, require_shots, sampled_estimates)
 
 MODES = ("exact", "sampled", "sampled+noise", "sampled+noise+mitigation")
 
@@ -303,15 +302,10 @@ def vqe_run(hamiltonian, encoding, mode="exact", shots=8192, noise=None,
 
 
 def relative_variance(state, pauli_sum, reference_energy):
-    """Single-shot estimator variance, relative to the reference energy:
-    sum_a c_a^2 (1 - <P_a>^2) / E_ref^2."""
-    amps = state.amplitudes
-    total = 0.0
-    for t in pauli_sum.terms:
-        if t.weight:
-            ev = np.vdot(amps, pauli_string_matrix(t.axes) @ amps).real
-            total += t.coefficient**2 * (1.0 - ev**2)
-    return total / reference_energy**2
+    """sum_a c_a^2 (1 - <P_a>^2) / E_ref^2, `expectation_moments`' clean
+    one-shot variance relative to E_ref^2.  A Python zero E_ref raises
+    ZeroDivisionError; a numpy zero gives inf, as numpy divides."""
+    return (expectation_moments(state, pauli_sum, 1)[1] / reference_energy)**2
 
 
 @dataclass(frozen=True)

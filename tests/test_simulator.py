@@ -4,7 +4,9 @@ The paper's circuits, gate by gate, live in `oracles`; the package
 prepares their states in closed form (`prepared_state`), checked here
 against them bit for bit."""
 import functools
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from blfqvqe import (ModelParameters, build_effective_hamiltonian,
                      diagonalize)
 from blfqvqe.pauli import (PauliSum, embed_compact, embed_direct,
                            pauli_string_matrix)
-from blfqvqe.simulator import (ReadoutNoiseModel, Statevector, _measurement,
-                               _row_sums, expectation_exact,
-                               expectation_sampled, sampled_estimates)
+from blfqvqe.simulator import (ReadoutNoiseModel, Statevector, _estimates,
+                               _measurement, _row_sums, expectation_exact,
+                               expectation_moments, expectation_sampled,
+                               sampled_estimates)
 from blfqvqe.vqe import (_BK_READOUT, ENCODINGS, GOOD_GUESS, prepared_state,
                          scaling_experiment)
 from oracles import (ANSATZ, COMPACT_ANSATZ, DIRECT_ANSATZ, JW_TO_BK_NETWORK,
@@ -906,3 +909,101 @@ class TestTermOrder:
         assert (expectation_sampled(state, s, 512, 17, **options)
                 == expectation_sampled(state, flipped, 512, 17, **options))
 
+
+@pytest.fixture(scope="module")
+def reference():
+    """bench/reference.py, the benchmark's dense reference quantities."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
+
+
+class TestExpectationMoments:
+    # the estimator's exact mean and standard error, drawing nothing
+    THETA = (0.3, -1.1, 2.0)
+
+    @pytest.mark.parametrize("p, mitigate", [(0.0, False), (0.0, True),
+                                             (0.03, False), (0.03, True)],
+                             ids=["clean", "mitigated-zero", "noisy",
+                                  "mitigated"])
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_matches_the_dense_reference(self, hmat, reference, encoding, p,
+                                         mitigate):
+        # symmetric flips shrink a weight-w parity by (1 - 2p)^w, and
+        # mitigation divides it back out, amplifying the variance
+        s = ENCODINGS[encoding].embed(hmat)
+        psi = reference.ansatz_state(encoding, self.THETA)
+        terms = list(s.as_dict().items())
+        noise = ReadoutNoiseModel(p, p) if p or mitigate else None
+        mean, se = expectation_moments(Statevector(psi), s, 8192, noise,
+                                       mitigate)
+        want_mean, want_se = reference.sampled_moments(psi, terms, 8192, p,
+                                                       mitigate)
+        assert mean == pytest.approx(want_mean, rel=1e-12)
+        assert se == pytest.approx(want_se, rel=1e-12)
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_clean_mean_is_the_exact_expectation(self, hmat, encoding):
+        s = ENCODINGS[encoding].embed(hmat)
+        state = prepared_state(encoding, self.THETA)
+        mean, se = expectation_moments(state, s, 64)
+        assert mean == pytest.approx(expectation_exact(state, s), rel=1e-12)
+        # one shot per term has sqrt(64) times the error of 64
+        assert expectation_moments(state, s, 1)[1] == pytest.approx(8 * se,
+                                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["clean", "noisy", "mitigated"])
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_predicts_the_spread_of_seeded_draws(self, hmat, encoding, mode):
+        # R estimates from the batched draw behind `sampled_estimates`: their
+        # sample SD carries a relative sampling error of about 1/sqrt(2R)
+        # (1.6% at R = 2000), and their mean an error of SE/sqrt(R); both
+        # must land within 4 of those errors of the prediction
+        s = ENCODINGS[encoding].embed(hmat)
+        state = prepared_state(encoding, GOOD_GUESS[encoding])
+        noise = None if mode == "clean" else ReadoutNoiseModel(0.03, 0.05)
+        mitigate = mode == "mitigated"
+        repeats, shots = 2000, 1024
+        mean, se = expectation_moments(state, s, shots, noise, mitigate)
+        est, _ = _estimates(state, s, shots, 77, noise, mitigate, repeats)
+        assert abs(est.mean() - mean) <= 4.0 * se / np.sqrt(repeats)
+        assert abs(np.std(est, ddof=1) / se - 1.0) <= 4.0 / np.sqrt(
+            2.0 * repeats)
+
+    def test_draws_nothing(self, hmat):
+        # a Generator shared with expectation_sampled, and numpy's global
+        # stream, stand where they stood
+        s = embed_direct(hmat)
+        state = prepared_state("direct", self.THETA)
+        noise = ReadoutNoiseModel(0.03, 0.05)
+        rng = np.random.default_rng(8)
+        first = expectation_sampled(state, s, 512, rng, noise)
+        start, legacy = rng.bit_generator.state, np.random.get_state()
+        expectation_moments(state, s, 512, noise, mitigate=True)
+        assert rng.bit_generator.state == start
+        after = np.random.get_state()
+        assert legacy[0] == after[0] and (legacy[1] == after[1]).all()
+        replay = np.random.default_rng(8)
+        assert expectation_sampled(state, s, 512, replay, noise) == first
+        assert (expectation_sampled(state, s, 512, rng, noise)
+                == expectation_sampled(state, s, 512, replay, noise))
+
+    @pytest.mark.parametrize("args", [
+        (Statevector.zero(2), 0, None, False),
+        (Statevector.zero(2), 2.5, None, False),
+        (Statevector.zero(2), True, None, False),
+        (Statevector.zero(2), 2**63, None, False),
+        (Statevector.zero(2), 64, None, True),
+        (Statevector.zero(3), 64, None, False),
+        (Statevector.zero(3), 64, ReadoutNoiseModel(0.1, 0.1), True)],
+        ids=["zero-shots", "fraction", "bool", "beyond-2^63",
+             "mitigation-without-model", "dimensions", "dimensions-first"])
+    def test_refuses_what_expectation_sampled_refuses(self, hmat, args):
+        state, shots, noise, mitigate = args
+        s = embed_compact(hmat)
+        with pytest.raises(ValueError) as sampled:
+            expectation_sampled(state, s, shots, 0, noise, mitigate)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sampled.value))}$"):
+            expectation_moments(state, s, shots, noise, mitigate)
