@@ -99,6 +99,9 @@ class RunConfig:
         if command not in tuple(_COMMAND_READS):
             raise ConfigError(f"command must be one of "
                               f"{tuple(_COMMAND_READS)}, got {command!r}")
+        for name, value in vars(self).items():  # an array's == is no bool
+            if isinstance(value, np.ndarray) and value.ndim:
+                raise ConfigError(f"{name} must be one value, got {value!r}")
         # an unread setting must keep its default, checked ahead of the rest
         reads = _MODEL_FIELDS + ("seed", "out") + _COMMAND_READS[command]
         if "mode" in reads:
@@ -179,10 +182,13 @@ def _coerce(name, text, target_type):
             raise ConfigError(f"{name}: expected a boolean, got {text!r}")
         return _BOOL_WORDS[word]
     if target_type in (int, float):
+        kind = "a number"
         try:
+            float(text)
+            kind = "a whole number"  # an int setting given, say, 8192.0
             return target_type(text)
         except ValueError:
-            raise ConfigError(f"{name}: expected a number, got {text!r}") from None
+            raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
     return text
 
 

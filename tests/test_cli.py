@@ -143,10 +143,15 @@ class TestRunConfig:
         ({**NOISY, "mitigate": "no"}, "mitigate must be a boolean, got 'no'"),
         ({**NOISY, "mitigate": 1}, "mitigate must be a boolean, got 1"),
         ({**NOISY, "mitigate": np.False_},
-         "mitigate must be a boolean, got np.False_")],
+         "mitigate must be a boolean, got np.False_"),
+        ({"shots": np.array([1, 2])}, "shots must be one value, got "
+                                      "array([1, 2])"),
+        ({**NOISY, "noise_p01": np.array([0.1, 0.2])},
+         "noise_p01 must be one value, got array([0.1, 0.2])")],
         ids=["shots-text", "seed-text", "shots-fraction", "shots-nan",
              "seed-fraction", "seed-bool", "shots-np-bool", "mitigate-text",
-             "mitigate-int", "mitigate-np-bool"])
+             "mitigate-int", "mitigate-np-bool", "shots-array-unread",
+             "noise-array"])
     def test_run_settings_refused_by_the_record(self, record, message):
         # a library caller gets a ConfigError naming the field; the CLI's
         # parsers type these values before the record sees them
@@ -168,6 +173,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^hamiltonian in mode 'exact' "
                                               "does not read encoding; "):
             RunConfig(encoding="bk", command="hamiltonian")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    @pytest.mark.parametrize("value", [np.array([1, 2]),
+                                       np.array([0.1, 0.2]),
+                                       np.array(["exact", "noisy"])],
+                             ids=["ints", "floats", "strings"])
+    def test_an_array_setting_is_refused_by_name(self, name, value):
+        # numpy compares an array elementwise, which no rule can read as
+        # true or false, so the record refuses one ahead of every rule
+        message = f"{name} must be one value, got {value!r}"
+        for mode in cli.CLI_MODES:
+            for command in cli._COMMAND_READS:
+                with pytest.raises(ConfigError,
+                                   match=f"^{re.escape(message)}$"):
+                    RunConfig(**{**NOISY, "mode": mode, name: value},
+                              command=command)
 
     @pytest.mark.parametrize("command", list(cli._COMMAND_READS))
     def test_every_command_is_taken(self, command):
@@ -251,6 +272,16 @@ class TestConfigFile:
         cfg.write_text("frobnicate = 3\n")
         with pytest.raises(ConfigError, match="unknown setting"):
             read_config_file(str(cfg))
+
+    def test_fraction_form_of_a_whole_number(self, tmp_path):
+        # 8192.0 is a number, but not the whole number an int setting takes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shots = 8192.0\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "shots: expected a whole number, got '8192.0'") + "$"):
+            read_config_file(str(cfg))
+        cfg.write_text("noise_p01 = 5e-2\n")
+        assert read_config_file(str(cfg)) == {"noise_p01": 0.05}
 
     def test_bad_number(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1392,25 +1423,35 @@ def test_benchmark_workload_names_exist():
     assert sorted(".".join(n) for n in looked_up if not exists(n)) == []
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["hamiltonian"], ["observables", "--exact"], ["scaling"],
-    ["vqe", "--encoding", "compact", "--mode", "sampled", "--seed", "7"]],
-    ids=["import", "hamiltonian", "observables-exact", "scaling", "vqe"])
-def test_no_command_loads_scipy(tmp_path, argv):
+# each step's name and its command line; the first step imports alone
+SCIPY_FREE_STEPS = {
+    "import": None, "hamiltonian": ["hamiltonian"],
+    "observables-exact": ["observables", "--exact"], "scaling": ["scaling"],
+    "vqe": ["vqe", "--encoding", "compact", "--mode", "sampled", "--seed", "7"]}
+
+
+def test_no_command_loads_scipy(tmp_path):
     # the runtime needs numpy alone: log-Gamma, the Gauss-Legendre rules
     # and the Laguerre polynomials are the package's own, the minimizer
-    # is `vqe.minimize`, and the scaling table's angles come in closed form
+    # is `vqe.minimize`, and the scaling table's angles come in closed form.
+    # One interpreter takes every step and prints, after each, the scipy
+    # modules loaded so far, so the first step to load one is named.
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    # the command's own report goes to a buffer, so stdout is the one answer
-    command = ("with contextlib.redirect_stdout(io.StringIO()): "
-               f"assert blfqvqe.cli.main({argv + ['--out', str(tmp_path)]!r})"
-               " == 0\n" if argv else "")
-    run = subprocess.run(
-        [sys.executable, "-c", "import contextlib, io, sys, blfqvqe.cli\n"
-         + command + "print(sorted(m for m in sys.modules"
-         " if m.partition('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    script = f"""
+import contextlib, io, sys, blfqvqe.cli
+for name, argv in {SCIPY_FREE_STEPS!r}.items():
+    if argv:  # the report goes to a buffer, so stdout holds the answers
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert blfqvqe.cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0
+    print(name, sorted(m for m in sys.modules
+                       if m.partition(".")[0] == "scipy"))
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    steps = run.stdout.splitlines()
+    assert [line.partition(" ")[0] for line in steps] == list(SCIPY_FREE_STEPS)
+    loaded = [line for line in steps if not line.endswith(" []")]
+    assert not loaded, f"scipy first loaded by step {loaded[0]}"
